@@ -64,7 +64,6 @@ from repro.fl.parallel import (
     ENGINE_KINDS,
     EXECUTION_MODES,
     PendingVotes,
-    PipelinedRoundExecutor,
     ProcessPoolRoundExecutor,
     RoundEngine,
     RoundExecutor,
@@ -115,7 +114,6 @@ __all__ = [
     "PendingVotes",
     "QUORUM_POLICIES",
     "QuorumStallError",
-    "PipelinedRoundExecutor",
     "ProcessPoolRoundExecutor",
     "ResilienceStats",
     "RngStreams",

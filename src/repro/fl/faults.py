@@ -17,29 +17,46 @@ A plan is a ``,``/``;``-separated list of entries::
 ========  ============================================================
 kind      meaning
 ========  ============================================================
-crash     kill the task at slot ``index`` (worker ``os._exit`` under
-          the process pool — a genuine ``BrokenProcessPool``; an
-          :class:`InjectedWorkerCrash` raise under the thread and
-          sequential engines)
-delay     sleep ``param`` seconds at task start (a straggler; combined
-          with a task deadline this forces a reassignment)
+crash     kill the slice at slot ``index`` when it starts
+delay     sleep ``param`` seconds at slice start (a straggler; combined
+          with a task deadline this forces a replay on the parent)
 drop      the named validator's vote never arrives (phase must be
           ``vote``, ``index`` is the validator id)
 ========  ============================================================
 
-``phase`` is ``train`` or ``validate`` for crash/delay (``index`` is the
-dispatch slot: the slice index under the process pool, the submission
-ordinal under the thread engine, always ``0`` sequentially; omitted =
-first task of the phase) and ``vote`` for drop.  Examples::
+``phase`` is ``train`` or ``validate`` for crash/delay and ``vote`` for
+drop.  Examples::
 
-    crash@3.train            # kill round 3's first training task
+    crash@3.train            # kill round 3's first training slice
     delay@4.validate.1=0.3   # second validation slice straggles 300 ms
     drop@5.vote.7            # validator 7's round-5 vote is lost
 
-Crash and delay entries are consumed **one-shot** at dispatch time, so
-the retry that recovers from them is clean — recovery re-executes the
-task *without* the fault, and per-``(round, entity)`` RNG streams make
-the replay bit-identical.  Drop entries are **pure** functions of the
+Dispatch slots
+--------------
+A crash/delay ``index`` names a *dispatch slot*: the position of a slice
+in its phase's dispatch order (omitted = slot 0).  What a slice holds
+follows from the executor's dispatcher (:mod:`repro.fl.parallel`):
+
+- **inline** (sequential) and **thread**: one slice per unit.  Training
+  units are the phase's stacked cohort chunks, then its per-model clients
+  in contributor order; validation units are the validators in request
+  order.
+- **process**: one slice per worker, at most ``workers`` slots; units are
+  packed onto the least-loaded slice.
+
+Only ``parallel_safe`` entities are dispatched: parent-side clients and
+validators, and dropped votes, occupy no slot.  A crash raises
+:class:`InjectedWorkerCrash` in-process (inline, thread) and hard-exits
+the worker under the process dispatcher, a genuine ``BrokenProcessPool``.
+An entry whose slot never exists in a run is reported by
+:meth:`FaultPlan.unfired` and in a ``RuntimeWarning`` when the executor
+closes.
+
+Crash and delay entries are consumed **one-shot** at dispatch time: each
+dispatch of a slot takes that slot's next matching entry, so ``n`` equal
+entries fail the slot ``n`` times in a row, and the replay that recovers
+from the last one is clean.  Per-``(round, entity)`` RNG streams make every
+replay bit-identical.  Drop entries are **pure** functions of the
 round (:meth:`FaultPlan.dropped`): a pipelined replay or a re-collected
 quorum sees the same loss, so fault placement never depends on execution
 order.
@@ -64,17 +81,17 @@ TASK_PHASES = ("train", "validate")
 #: votes arrived.
 QUORUM_POLICIES = ("strict", "degrade")
 
-#: How many times a crashed/straggling task is re-executed before the
-#: failure propagates.
+#: How many times a failed slice is re-dispatched before it replays on
+#: the parent instead.
 DEFAULT_TASK_RETRIES = 2
 
-#: How many pool deaths an executor absorbs (rebuilding each time)
-#: before it demotes itself down the engine ladder.
+#: How many pool deaths a run absorbs (rebuilding each time) before the
+#: executor swaps in the next dispatcher down the ladder.
 DEFAULT_POOL_REBUILDS = 2
 
 
 class InjectedWorkerCrash(RuntimeError):
-    """A planned in-process task death (thread / sequential engines).
+    """A planned in-process task death (inline and thread dispatchers).
 
     The process pool does not raise this — a planned crash there is a
     worker ``os._exit``, indistinguishable from a segfault or OOM kill.
@@ -107,8 +124,8 @@ class FaultSpec:
     kind: str
     round_idx: int
     phase: str
-    #: Dispatch slot (crash/delay; ``None`` = first task of the phase)
-    #: or validator id (drop).
+    #: Dispatch slot (crash/delay; ``None`` = slot 0) or validator id
+    #: (drop).
     index: int | None = None
     #: Delay seconds (``delay`` only).
     param: float = 0.0
@@ -214,9 +231,9 @@ class FaultPlan:
     ) -> FaultSpec | None:
         """Consume the matching crash/delay entry for one dispatch slot.
 
-        An entry without an index matches the phase's slot 0 (the first
-        dispatched task).  Each entry fires at most once — the retry that
-        recovers from it re-dispatches fault-free.
+        An entry without an index matches the phase's slot 0.  Each entry
+        fires at most once; a re-dispatch of the slot takes its next
+        matching entry, if any.
         """
         with self._lock:
             for position, spec in enumerate(self.specs):
@@ -231,6 +248,14 @@ class FaultPlan:
                 self._consumed.add(position)
                 return spec
         return None
+
+    def unfired(self) -> tuple[FaultSpec, ...]:
+        """Crash/delay entries no dispatch has consumed (drops never are)."""
+        with self._lock:
+            return tuple(
+                spec for position, spec in enumerate(self.specs)
+                if spec.kind != "drop" and position not in self._consumed
+            )
 
     def dropped(self, round_idx: int) -> frozenset[int]:
         """Validator ids whose round-``round_idx`` votes are lost.

@@ -15,7 +15,7 @@ Two round loops share the same per-round machinery:
 
 - **sync** (default): each round blocks on its validator quorum before
   committing — validation latency sits on the training critical path.
-- **pipelined** (:class:`~repro.fl.parallel.PipelinedRoundExecutor`): the
+- **pipelined** (an executor with ``pipeline_depth`` set): the
   server commits the aggregated candidate *optimistically*, immediately
   starts round ``r + 1`` client training, and collects round ``r``'s votes
   concurrently — up to ``pipeline_depth`` rounds run ahead of their open
@@ -394,8 +394,8 @@ class FederatedSimulation:
                 # Snapshots then carry a live "resilience" section even if
                 # no individual increment was mirrored as a counter yet.
                 self.tracer.metrics.bind_resilience(stats.as_dict)
-        #: Pipelined mode is selected by the executor: a
-        #: PipelinedRoundExecutor carries the speculation depth.
+        #: Pipelined mode is selected by the executor: its
+        #: ``pipeline_depth`` (None = synchronous) is the speculation depth.
         self._pipeline_depth: int | None = getattr(
             self.executor, "pipeline_depth", None
         )

@@ -31,12 +31,9 @@ from repro.fl.model_store import (
     SharedMemoryModelStore,
     reap_orphan_segments,
 )
-from repro.fl.parallel import (
-    SequentialExecutor,
-    ThreadPoolRoundExecutor,
-    make_executor,
-)
+from repro.fl.parallel import SequentialExecutor, make_executor
 from repro.fl.simulation import FederatedSimulation
+from repro.obs.trace import Tracer
 from tests.fl.test_parallel import (
     build_defended_sim,
     make_world,
@@ -109,6 +106,34 @@ class TestFaultPlanSemantics:
         # Pure: a pipelined replay of the round sees the identical loss.
         assert plan.dropped(5) == frozenset({2, 7})
         assert plan.dropped(4) == frozenset()
+
+
+class TestUnfiredEntries:
+    """A crash/delay entry whose dispatch slot never exists in a run is
+    reported, not silently dropped."""
+
+    def test_unfired_lists_unconsumed_crash_and_delay_entries(self):
+        plan = FaultPlan.parse("crash@1.train;delay@2.validate.3=0.1;drop@1.vote.2")
+        assert plan.unfired() == plan.specs[:2]
+        assert plan.take("crash", 1, "train", 0) is not None
+        assert [str(spec) for spec in plan.unfired()] == ["delay@2.validate.3=0.1"]
+
+    @pytest.mark.parametrize(
+        "workers, engine", [(0, "process"), (2, "process"), (2, "thread")]
+    )
+    def test_missing_slot_warns_once_at_close(self, workers, engine):
+        with pytest.warns(RuntimeWarning, match=r"crash@1\.train\.99") as caught:
+            with make_executor(
+                workers, engine=engine, store=InProcessModelStore(),
+                faults="crash@1.train.99",
+            ) as executor:
+                build_defended_sim(executor, store=executor.store).run(3)
+            executor.close()  # idempotent: no second warning
+        assert sum("never fired" in str(w.message) for w in caught) == 1
+        assert [str(s) for s in executor.fault_plan.unfired()] == [
+            "crash@1.train.99"
+        ]
+        assert executor.resilience.total() == 0
 
 
 class TestResilienceStats:
@@ -211,12 +236,16 @@ class TestBindFaults:
         with pytest.raises(ValueError, match="fault"):
             executor.bind_faults(plan="explode@1.train")
 
-    def test_pipelined_wrapper_forwards_to_inner(self):
-        executor = make_executor(
+    def test_pipelined_executor_keeps_faults_and_ledger(self):
+        """The pipelined loop runs on the engine's own executor: its fault
+        plan fires there and recovery lands in that executor's ledger."""
+        with make_executor(
             0, mode="pipelined", pipeline_depth=2, faults="crash@1.train"
-        )
-        assert executor.fault_plan
-        assert executor.resilience is executor.inner.resilience
+        ) as executor:
+            assert executor.fault_plan
+            build_defended_sim(executor, store=InProcessModelStore()).run(3)
+        assert executor.resilience.retries == 1
+        assert executor.fault_plan.unfired() == ()
 
     def test_injected_worker_crash_is_a_runtime_error(self):
         assert issubclass(InjectedWorkerCrash, RuntimeError)
@@ -292,26 +321,59 @@ class TestEngineRecovery:
         assert stats["straggler_reassignments"] >= 1
 
     def test_repeated_pool_death_demotes_to_thread_engine(self):
-        """The degradation ladder: once the rebuild budget is spent, the
-        pool executor hands the rest of the run to a thread engine — and
-        the trajectory still matches fault-free sequential."""
+        """The degradation ladder: three deaths of one slot spend the
+        rebuild budget, so the pool executor swaps in the thread dispatcher
+        for the rest of the run — one ledger records all of it, and the
+        trajectory still matches fault-free sequential."""
         base_flat, base_records = _baseline()
+        tracer = Tracer()
         store = SharedMemoryModelStore()
         with store, make_executor(
-            2, store=store, faults="crash@1.train"
+            2, store=store, faults="crash@1.train;crash@1.train;crash@1.train"
         ) as executor:
-            executor.bind_faults(max_pool_rebuilds=0)
             flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=store)
+                build_defended_sim(executor, store=store, tracer=tracer)
             )
             stats = executor.resilience.as_dict()
-            assert isinstance(executor._demoted, ThreadPoolRoundExecutor)
-            # One shared ledger down the ladder.
-            assert executor._demoted.resilience is executor.resilience
         np.testing.assert_array_equal(base_flat, flat)
         assert base_records == records
-        assert stats["engine_demotions"] >= 1
+        assert stats["pool_rebuilds"] == 3
+        assert stats["engine_demotions"] == 1
+        demotions = [
+            s for s in tracer.finalized_spans()
+            if s.name == "resilience.engine_demotions"
+        ]
+        assert [s.attrs["to"] for s in demotions] == ["thread"]
+        # Later rounds ran on threads: no worker process shipped spans.
+        worker_rounds = {
+            s.round_idx for s in tracer.finalized_spans()
+            if s.pid != tracer.pid
+        }
+        assert max(worker_rounds) <= 1
         assert shm_leftovers(store) == []
+
+    def test_thread_pool_refusing_work_demotes_to_inline(self, monkeypatch):
+        """The ladder's last rung: a thread pool that refuses every task is
+        rebuilt until the budget is spent, then slices run inline."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        base_flat, base_records = _baseline()
+
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("cannot schedule new futures after shutdown")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+        with make_executor(
+            2, engine="thread", store=InProcessModelStore()
+        ) as executor:
+            flat, records = run_and_snapshot(
+                build_defended_sim(executor, store=executor.store)
+            )
+            stats = executor.resilience.as_dict()
+        np.testing.assert_array_equal(base_flat, flat)
+        assert base_records == records
+        assert stats["pool_rebuilds"] == 3
+        assert stats["engine_demotions"] == 1
 
 
 def build_policy_sim(executor, policy="strict", quorum_min=1, store=None):

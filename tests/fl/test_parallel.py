@@ -67,6 +67,7 @@ def build_defended_sim(
     store=None,
     lookback: int = 4,
     num_validators: int = 3,
+    tracer=None,
 ):
     model, clients, server_data, config = make_world(seed, home_client=home_client)
     validator_pool = ValidatorPool.from_datasets(
@@ -83,7 +84,7 @@ def build_defended_sim(
         defense.prime(model)
     return FederatedSimulation(
         model.clone(), clients, config, np.random.default_rng(seed + 1),
-        defense=defense, executor=executor, model_store=store,
+        defense=defense, executor=executor, model_store=store, tracer=tracer,
     )
 
 
@@ -236,6 +237,49 @@ class TestSequentialParallelEquivalence:
         np.testing.assert_array_equal(sims[0], sims[1])
 
 
+class TestParentSideOverlap:
+    """Every dispatcher submits its slices before any parent-side
+    (``parallel_safe = False``) client trains, so parent work overlaps the
+    dispatched slices instead of delaying them."""
+
+    @pytest.mark.parametrize(
+        "workers, engine", [(0, "process"), (2, "process"), (2, "thread")]
+    )
+    def test_slices_submit_before_parent_side_updates(
+        self, workers, engine, monkeypatch
+    ):
+        events: list[str] = []
+        model, clients, _, config = make_world(home_client=1)
+        local = LocalTrainingConfig(epochs=1, batch_size=config.batch_size)
+        streams = RngStreams.from_seed(0)
+        ids = [0, 1, 2, 3]
+        baseline = SequentialExecutor().run_clients(
+            clients, ids, model, local, 0, streams
+        )
+        real_update = StayAtHomeClient.produce_update
+
+        def parent_update(self, *args):
+            events.append("parent")
+            return real_update(self, *args)
+
+        monkeypatch.setattr(StayAtHomeClient, "produce_update", parent_update)
+        with make_executor(workers, engine=engine) as executor:
+            dispatcher = type(executor._dispatcher)
+            real_submit = dispatcher.submit
+
+            def submit(self, *args):
+                events.append("submit")
+                return real_submit(self, *args)
+
+            monkeypatch.setattr(dispatcher, "submit", submit)
+            executor.bind(clients=clients, template=model.clone())
+            updates = executor.run_clients(clients, ids, model, local, 0, streams)
+        assert events[-1] == "parent"
+        assert events.count("parent") == 1 and len(events) >= 2
+        for a, b in zip(baseline, updates):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestExecutorLifecycle:
     def test_bind_after_pool_start_rejected(self):
         model, clients, _, config = make_world()
@@ -339,18 +383,23 @@ class TestEngineFactory:
                     model_store=InProcessModelStore(),
                 )
 
-    def test_pipelined_mode_wraps_and_validates(self):
-        from repro.fl.parallel import PipelinedRoundExecutor
-
+    def test_pipelined_mode_sets_depth_and_validates(self):
+        """Pipelining is an executor attribute the simulation reads: the
+        sync default leaves it unset, ``mode="pipelined"`` sets the depth
+        on the engine's own executor."""
+        assert make_executor(0).pipeline_depth is None
         executor = make_executor(0, mode="pipelined", pipeline_depth=2)
-        assert isinstance(executor, PipelinedRoundExecutor)
+        assert isinstance(executor, SequentialExecutor)
         assert executor.pipeline_depth == 2
+        with make_executor(
+            2, mode="pipelined", pipeline_depth=3, engine="thread"
+        ) as threaded:
+            assert isinstance(threaded, ThreadPoolRoundExecutor)
+            assert threaded.pipeline_depth == 3
         with pytest.raises(ValueError, match="mode"):
             make_executor(0, mode="warp")
         with pytest.raises(ValueError, match="pipeline_depth"):
             make_executor(0, mode="pipelined", pipeline_depth=-1)
-        with pytest.raises(ValueError, match="nest"):
-            PipelinedRoundExecutor(executor)
 
 
 def shm_leftovers(store) -> list[str]:
@@ -599,6 +648,16 @@ class TestWorkerTaskProfileFlow:
             refs.append((version, self._blob(perturbed)))
         return refs
 
+    @staticmethod
+    def _vote(parallel_mod, candidate, history, round_idx, seed, hints):
+        """Validator 0's ``(vote, new_profiles, candidate_profile)``, voted
+        by the worker's slice task as a one-validator slice."""
+        (row,), _ = parallel_mod._validator_slice_task(
+            [0], candidate, history, round_idx, [seed], {0: hints}, None
+        )
+        assert row[0] == 0
+        return row[1:]
+
     def test_hints_suppress_recomputation_and_new_profiles_return(self, rng):
         from repro.core import validation as validation_mod
 
@@ -607,8 +666,8 @@ class TestWorkerTaskProfileFlow:
         candidate = (None, self._blob(model))
         seed = np.random.SeedSequence(0)
 
-        vote, new_profiles, candidate_profile = parallel_mod._validator_task(
-            0, candidate, history, 0, seed, {}, None
+        vote, new_profiles, candidate_profile = self._vote(
+            parallel_mod, candidate, history, 0, seed, {}
         )
         assert vote in (0, 1)
         assert set(new_profiles) == set(range(6))
@@ -626,8 +685,8 @@ class TestWorkerTaskProfileFlow:
         validator._profile_cache.clear()
         validation_mod.model_error_profile = counting
         try:
-            _, second_new, _ = parallel_mod._validator_task(
-                0, candidate, history, 1, seed, new_profiles, None
+            _, second_new, _ = self._vote(
+                parallel_mod, candidate, history, 1, seed, new_profiles
             )
         finally:
             validation_mod.model_error_profile = real
@@ -638,12 +697,13 @@ class TestWorkerTaskProfileFlow:
         parallel_mod, model, validator = self._worker_world()
         candidate = (None, self._blob(model))
         seed = np.random.SeedSequence(0)
-        parallel_mod._validator_task(
-            0, candidate, self._refs(model, range(6), rng), 0, seed, {}, None
+        self._vote(
+            parallel_mod, candidate, self._refs(model, range(6), rng), 0, seed, {}
         )
         # The window slides forward by two versions.
-        parallel_mod._validator_task(
-            0, candidate, self._refs(model, range(2, 8), rng), 1, seed, {}, None
+        self._vote(
+            parallel_mod, candidate, self._refs(model, range(2, 8), rng), 1,
+            seed, {},
         )
         assert set(parallel_mod._W_MODELS) == set(range(2, 8))
         assert set(validator._profile_cache) <= set(range(2, 8))
