@@ -1,24 +1,23 @@
-"""Round-throughput benchmark: transport paths, execution modes, codecs.
+"""Round-throughput benchmark: engines, execution modes, codecs.
 
-Runs one defended federated world once per engine row —
+Runs one defended federated world once per engine row, each engine on the
+store :func:`~repro.fl.parallel.make_engine` gives it —
 
 - ``sequential``: in-process :class:`SequentialExecutor` (no transport);
 - ``thread``: :class:`ThreadPoolRoundExecutor` over an
   :class:`InProcessModelStore` — zero IPC, zero transport; parallel
   speedup comes from full-cohort stacked training (one vectorized pass
   over every eligible client) plus thread-overlapped validation;
-- ``pool+pipes``: :class:`ProcessPoolRoundExecutor` over an
-  :class:`InProcessModelStore`, shipping pickled float64 weight blobs
-  through pipes: O(model x (clients + validators x history)) per round;
-- ``pool+shm``: the same pool over a :class:`SharedMemoryModelStore`,
-  shipping version keys into a shared-memory arena: O(1 new model) per
-  round, independent of history length and fan-out width;
+- ``pool+shm``: :class:`ProcessPoolRoundExecutor` over a
+  :class:`SharedMemoryModelStore`, shipping version keys into a
+  shared-memory arena: O(1 new model) per round, independent of history
+  length and fan-out width;
 - ``pipelined+shm``: the shared-memory pool under the pipelined round
   loop — the server commits optimistically and overlaps round ``r + 1``
   client training with round ``r`` validator votes, taking validation
   latency off the training critical path;
-- ``pool+shm+f16`` / ``pool+shm+quant`` / ``pool+shm+topk``: the
-  shared-memory pool with a weight-compression codec on the store path
+- ``pool+shm+f16`` / ``pool+shm+quant``: the shared-memory pool with a
+  weight-compression codec on the store path
   (:mod:`repro.fl.compression`) — the paper's Sec. VI-D feasibility
   budget assumes ~10x wire compression, and the codec column demonstrates
   the measured reduction;
@@ -33,16 +32,15 @@ losslessly transported row (the bit-identical equivalence guarantee);
 lossy codec rows report their divergence and accuracy delta instead —
 that is the measured cost of the transport reduction.
 
-Fault-injection passes force quorum rejections mid-pipeline and audit the
-store afterwards: every version outside the retained history — withdrawn
-commits, straggler references, parked evictions, delta-codec parent pins —
-must be released (refcount audit; run for the identity codec and for the
-parent-pinning ``topk`` codec).
+A fault-injection pass forces quorum rejections mid-pipeline and audits
+the store afterwards: every version outside the retained history —
+withdrawn commits, straggler references, parked evictions — must be
+released (refcount audit).
 
-Besides the text table, the run emits ``BENCH_parallel.json`` under
-``benchmarks/results/`` — a machine-readable per-row record (wall-clock,
-transport bytes, codec ratio, accuracy) tracked across PRs as the perf
-trajectory baseline.
+Besides the text table, a full-setting run emits ``BENCH_parallel.json``
+under ``benchmarks/results/`` — a machine-readable per-row record
+(wall-clock, transport bytes, codec ratio, accuracy) tracked across PRs as
+the perf trajectory baseline.  ``--quick`` runs never write it.
 
 Usage::
 
@@ -65,8 +63,8 @@ speedup >= 1.0x always; ``thread`` >= 1.2x in the full setting (>= 1.0x
 under ``--quick``); ``pipelined+shm`` >= 0.95x the synchronous pool's
 speedup (full setting, >= 2 cores); divergence 0.0 for every lossless
 row.  The transport numbers are host-independent, including the codec
-ratios (the gate: quantized or topk must cut per-round transport >= 5x
-vs the identity codec).
+ratios (the gate: quantized must cut per-round transport >= 5x vs the
+identity codec).
 """
 
 from __future__ import annotations
@@ -101,7 +99,12 @@ from repro.fl.model_store import (
     ModelStore,
     SharedMemoryModelStore,
 )
-from repro.fl.parallel import RoundExecutor, SequentialExecutor, make_executor
+from repro.fl.parallel import (
+    RoundExecutor,
+    SequentialExecutor,
+    make_engine,
+    make_executor,
+)
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import make_mlp
 
@@ -211,21 +214,19 @@ def timed_run(
         }
 
 
-def rollback_audit(args: argparse.Namespace, codec: str = "identity") -> list[str]:
+def rollback_audit(args: argparse.Namespace) -> list[str]:
     """Force rollbacks mid-pipeline; audit store refcounts afterwards.
 
     Returns failure lines (empty = pass): after a pipelined run containing
     forced quorum rejections, the store must hold exactly the retained
-    history versions — plus, for a delta codec, the parent versions those
-    history entries transitively pin — and nothing else: no withdrawn
+    history versions, one reference each, and nothing else: no withdrawn
     commit, straggler reference, staged profile or parked eviction may
-    leak.  Closing the store must then unlink every ``/dev/shm`` segment,
-    including pinned parents (the codec leak gate).
+    leak.  Closing the store must then unlink every ``/dev/shm`` segment.
     """
     reject_rounds = (2, 4)
-    store = SharedMemoryModelStore(codec=codec)
+    store = SharedMemoryModelStore()
     failures: list[str] = []
-    label = f"rollback audit [{codec}]"
+    label = "rollback audit"
     with store:
         executor = make_executor(
             args.workers, store=store, mode="pipelined",
@@ -244,36 +245,14 @@ def rollback_audit(args: argparse.Namespace, codec: str = "identity") -> list[st
                 )
             executor.close()  # drops the executor's held global reference
             history_versions = sim.defense.history.versions()
-            # A live version is legitimate iff the history retains it or a
-            # retained delta segment transitively pins it as a parent.
-            allowed = set(history_versions)
-            frontier = list(history_versions)
-            while frontier:
-                parent = store._parents.get(frontier.pop())
-                if parent is not None and parent not in allowed:
-                    allowed.add(parent)
-                    frontier.append(parent)
             live = store.versions()
-            if set(live) != allowed:
+            if live != history_versions:
                 failures.append(
-                    f"{label}: leaked store versions {sorted(set(live) - allowed)}"
-                    f" (live {live} vs history+parents {sorted(allowed)})"
+                    f"{label}: leaked store versions "
+                    f"{sorted(set(live) - set(history_versions))}"
+                    f" (live {live} vs history {history_versions})"
                 )
-            pins = {v: 0 for v in live}
-            for child, parent in store._parents.items():
-                if child in pins and parent in pins:
-                    pins[parent] += 1
-            # Expected refcounts: history entries hold one reference each;
-            # parent-only versions (evicted from the history but pinned by
-            # a live delta child) are held by their pins alone — anything
-            # else is a leaked reference, even if the version set matches.
-            history_set = set(history_versions)
-            over_referenced = [
-                v
-                for v in live
-                if store.refcount(v)
-                != (1 if v in history_set else 0) + pins.get(v, 0)
-            ]
+            over_referenced = [v for v in live if store.refcount(v) != 1]
             if over_referenced:
                 failures.append(
                     f"{label}: dangling references on {over_referenced}"
@@ -372,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--epochs", type=int, default=4)
     parser.add_argument("--lookback", type=int, default=4,
                         help="defense look-back window (history = lookback+1 "
-                             "models; stresses pipe transport, not shm)")
+                             "models; shm transport does not grow with it)")
     parser.add_argument("--shard", type=int, default=64,
                         help="samples per client shard")
     parser.add_argument("--hidden", type=int, nargs="+", default=[64])
@@ -398,18 +377,17 @@ def main(argv: list[str] | None = None) -> int:
     #: engine row -> (store codec, executor mode, engine kind, workers);
     #: ``workers=None`` means ``args.workers``; codec rows reuse the
     #: synchronous shared-memory pool so the codec is the only variable.
+    #: Each row runs on the store ``make_engine`` pairs with its engine.
     #: The sequential row is the classic unstacked per-model loop — the
     #: pool and thread rows additionally exercise their cohort-stacking
     #: default, which is part of what those engines buy.
     ROWS = {
         "sequential": ("identity", "sequential", None, None),
         "thread": ("identity", "sync", "thread", None),
-        "pool+pipes": ("identity", "sync", "process", None),
         "pool+shm": ("identity", "sync", "process", None),
         "pipelined+shm": ("identity", "pipelined", "process", None),
         "pool+shm+f16": ("float16", "sync", "process", None),
         "pool+shm+quant": ("quantized", "sync", "process", None),
-        "pool+shm+topk": ("topk", "sync", "process", None),
     }
     # Worker-scaling rows: the same engines at half fan-out, so the report
     # shows throughput moving with worker count.  Redundant under --quick
@@ -419,33 +397,22 @@ def main(argv: list[str] | None = None) -> int:
         ROWS[f"thread+w{scaled}"] = ("identity", "sync", "thread", scaled)
         ROWS[f"pool+shm+w{scaled}"] = ("identity", "sync", "process", scaled)
 
-    def store_for(name):
-        codec = ROWS[name][0]
-        # The thread engine shares the caller's address space: the
-        # in-process store is its natural (zero-copy) pairing.
-        return (
-            InProcessModelStore(codec=codec)
-            if name == "sequential" or name == "pool+pipes"
-            or name.startswith("thread")
-            else SharedMemoryModelStore(codec=codec)
-        )
-
-    def executor_for(name, store):
-        _, mode, engine, workers = ROWS[name]
+    def engine_for(name):
+        codec, mode, engine, workers = ROWS[name]
         if mode == "sequential":
-            executor = SequentialExecutor()
-            executor.bind(store=store)
-            return executor
-        return make_executor(
+            return make_engine(0, codec=codec)
+        return make_engine(
             workers if workers is not None else args.workers,
-            store=store, mode=mode,
-            pipeline_depth=args.pipeline_depth, engine=engine,
+            mode=mode, pipeline_depth=args.pipeline_depth, engine=engine,
+            codec=codec, require_lossless=False,
         )
 
     results = {}
     for name in ROWS:
-        store = store_for(name)
-        results[name] = timed_run(args, executor_for(name, store), store)
+        round_engine = engine_for(name)
+        results[name] = timed_run(
+            args, round_engine.executor, round_engine.store
+        )
     seq = results["sequential"]
     seq_flat = seq["flat"]
     model_bytes = seq_flat.nbytes
@@ -528,21 +495,14 @@ def main(argv: list[str] | None = None) -> int:
     sync_speed = results["pool+shm"]["speedup"]
     pipelined_speed = results["pipelined+shm"]["speedup"]
     thread_speed = results["thread"]["speedup"]
-    best_codec_row = min(
-        ("pool+shm+quant", "pool+shm+topk"),
-        key=lambda name: results[name]["transport"],
-    )
+    quant_transport = results["pool+shm+quant"]["transport"]
     codec_reduction = (
-        shm_transport / results[best_codec_row]["transport"]
-        if results[best_codec_row]["transport"]
-        else float("inf")
+        shm_transport / quant_transport if quant_transport else float("inf")
     )
     lines.append(
         "pool+shm ships "
         f"{shm_transport / model_bytes:.2f} models/round regardless of "
-        "history length and fan-out width (O(1) new-model transport); "
-        "pool+pipes re-ships candidate + history per validator and the "
-        "global model per client."
+        "history length and fan-out width (O(1) new-model transport)."
     )
     lines.append(
         f"pipelined vs sync pool wall-clock: "
@@ -558,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     lines.append(
         f"codec transport reduction vs identity shm: {codec_reduction:.1f}x "
-        f"via {best_codec_row} (paper Sec. VI-D budgets ~10x; gate >= 5x)"
+        "via pool+shm+quant (paper Sec. VI-D budgets ~10x; gate >= 5x)"
     )
     trace_stats, trace_failures = tracing_overhead(args)
     lines.append(
@@ -570,9 +530,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     text = "\n".join(lines)
     write_result("parallel_engine", text)
-    write_json(
-        "BENCH_parallel",
-        {
+    # A quick smoke must never overwrite the committed full-world record.
+    if not args.quick:
+        write_json("BENCH_parallel", {
             "benchmark": "parallel_engine",
             "world": {
                 "clients": args.clients,
@@ -585,17 +545,15 @@ def main(argv: list[str] | None = None) -> int:
                 "pipeline_depth": args.pipeline_depth,
                 "rounds": args.rounds,
                 "workers": args.workers,
-                "quick": bool(args.quick),
+                "quick": False,
                 "model_bytes": int(model_bytes),
             },
             "rows": json_rows,
             "codec_transport_reduction_vs_identity": round(codec_reduction, 3),
             "tracing_overhead": trace_stats,
-        },
-    )
+        })
 
-    failures = rollback_audit(args, codec="identity")
-    failures += rollback_audit(args, codec="topk")
+    failures = rollback_audit(args)
     failures += trace_failures
     if divergence != 0.0:
         failures.append(

@@ -31,9 +31,9 @@ monotone ``ru_maxrss`` high-water mark must already be set by the
 cohort, not the population); committed float32 models exactly half the
 bytes of float64; paired float32 speedup >= 1.2x on the wide world.
 
-Besides the text table, the run emits ``BENCH_population.json`` under
-``benchmarks/results/`` — the machine-readable per-row record tracked
-across PRs.
+Besides the text table, a full-setting run emits ``BENCH_population.json``
+under ``benchmarks/results/`` — the machine-readable per-row record tracked
+across PRs.  ``--quick`` runs never write it.
 
 Usage::
 
@@ -436,9 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     text = "\n".join(lines)
     write_result("population_scale", text)
-    write_json(
-        "BENCH_population",
-        {
+    # A quick smoke must never overwrite the committed full-world record.
+    if not args.quick:
+        write_json("BENCH_population", {
             "benchmark": "population_scale",
             "world": {
                 "per_round": args.per_round,
@@ -451,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
                 "rounds": args.rounds,
                 "precision_rounds": precision_rounds,
                 "sizes": sizes,
-                "quick": bool(args.quick),
+                "quick": False,
             },
             "construction": construction_rows,
             "rounds": round_rows,
@@ -463,8 +463,7 @@ def main(argv: list[str] | None = None) -> int:
             "registry_vs_eager_divergence": divergence,
             "precision": precision_rows,
             "float32_vs_float64_divergence": precision_divergence,
-        },
-    )
+        })
 
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -12,7 +12,8 @@ Two modes:
   computation through :func:`repro.core.errors.stacked_error_profiles`,
   across three worlds, asserting bit-identical results and minimum
   speedups, and archiving machine-readable
-  ``benchmarks/results/BENCH_substrate.json``.
+  ``benchmarks/results/BENCH_substrate.json`` (full setting only;
+  ``--quick`` runs never write it).
 
 Usage::
 
@@ -288,13 +289,15 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
         lines.extend(f"  - {failure}" for failure in failures)
     text = "\n".join(lines)
     write_result("substrate_stacked", text)
-    write_json("BENCH_substrate", {
-        "mode": "quick" if args.quick else "full",
-        "reps": reps,
-        "rows": rows,
-        "gates_passed": not failures,
-        "speedup_floor_misses": misses,
-    })
+    # A quick smoke must never overwrite the committed full-setting record.
+    if not args.quick:
+        write_json("BENCH_substrate", {
+            "mode": "full",
+            "reps": reps,
+            "rows": rows,
+            "gates_passed": not failures,
+            "speedup_floor_misses": misses,
+        })
     if failures:
         print("substrate benchmark gates FAILED", file=sys.stderr)
         return 1

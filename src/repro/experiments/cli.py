@@ -48,7 +48,6 @@ from repro.experiments.runner import (
 )
 from repro.fl.compression import codec_names
 from repro.fl.faults import QUORUM_POLICIES
-from repro.fl.model_store import STORE_KINDS
 from repro.fl.parallel import (
     DEFAULT_PIPELINE_DEPTH,
     ENGINE_KINDS,
@@ -73,26 +72,30 @@ def _splits(dataset: str) -> tuple[float, ...]:
     return CIFAR_SPLITS if dataset == "cifar" else FEMNIST_SPLITS
 
 
+def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
+    """An ``ExperimentConfig`` from the execution flags every experiment
+    subcommand shares, plus the subcommand's own ``fields``."""
+    return ExperimentConfig(
+        workers=args.workers, engine=args.engine,
+        execution_mode=args.exec_mode, pipeline_depth=args.pipeline_depth,
+        cohort_size=args.cohort_size,
+        codec=args.codec, allow_lossy=args.allow_lossy,
+        sanitize=args.sanitize, trace=args.trace,
+        dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
+        faults=args.faults, task_deadline_s=args.task_deadline,
+        quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
+        **fields,
+    )
+
+
 def cmd_detect(args: argparse.Namespace) -> None:
-    config = ExperimentConfig(
+    config = _config(
+        args,
         dataset=args.dataset,
         client_share=args.split,
         lookback=args.lookback,
         quorum=args.quorum,
         mode=args.mode,
-        workers=args.workers, engine=args.engine,
-        model_store=args.store,
-        execution_mode=args.exec_mode,
-        pipeline_depth=args.pipeline_depth,
-        cohort_size=args.cohort_size,
-        codec=args.codec,
-        allow_lossy=args.allow_lossy,
-        sanitize=args.sanitize,
-        trace=args.trace,
-        dtype_policy=args.dtype,
-        virtual_clients=args.virtual_clients,
-        faults=args.faults, task_deadline_s=args.task_deadline,
-        quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
     )
     stats = run_detection_experiment(
         config, _seeds(args), seed_workers=args.seed_workers
@@ -105,17 +108,7 @@ def cmd_detect(args: argparse.Namespace) -> None:
 
 def cmd_table1(args: argparse.Namespace) -> None:
     splits = _splits(args.dataset)
-    base = ExperimentConfig(
-        dataset=args.dataset, workers=args.workers, engine=args.engine, model_store=args.store,
-        execution_mode=args.exec_mode, pipeline_depth=args.pipeline_depth,
-        cohort_size=args.cohort_size,
-        codec=args.codec, allow_lossy=args.allow_lossy,
-        sanitize=args.sanitize,
-        trace=args.trace,
-        dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
-        faults=args.faults, task_deadline_s=args.task_deadline,
-        quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
-    )
+    base = _config(args, dataset=args.dataset)
     results = sweep_lookback(
         base, (10, 20, 30), splits, seeds=_seeds(args),
         seed_workers=args.seed_workers,
@@ -126,19 +119,7 @@ def cmd_table1(args: argparse.Namespace) -> None:
 def cmd_fig3(args: argparse.Namespace) -> None:
     splits = _splits(args.dataset)
     quorums = tuple(range(3, 10))
-    base = ExperimentConfig(
-        dataset=args.dataset, lookback=20, workers=args.workers, engine=args.engine,
-        model_store=args.store,
-        execution_mode=args.exec_mode,
-        pipeline_depth=args.pipeline_depth,
-        cohort_size=args.cohort_size,
-        codec=args.codec, allow_lossy=args.allow_lossy,
-        sanitize=args.sanitize,
-        trace=args.trace,
-        dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
-        faults=args.faults, task_deadline_s=args.task_deadline,
-        quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
-    )
+    base = _config(args, dataset=args.dataset, lookback=20)
     results = sweep_quorum(
         base, quorums, splits, seeds=_seeds(args), seed_workers=args.seed_workers
     )
@@ -150,16 +131,8 @@ def cmd_fig3(args: argparse.Namespace) -> None:
 def cmd_table2(args: argparse.Namespace) -> None:
     results = {}
     for split in CIFAR_SPLITS:
-        config = ExperimentConfig(
-            dataset="cifar", client_share=split, adaptive_max_trials=8,
-            workers=args.workers, engine=args.engine, model_store=args.store,
-            execution_mode=args.exec_mode, pipeline_depth=args.pipeline_depth,
-            cohort_size=args.cohort_size, codec=args.codec, allow_lossy=args.allow_lossy,
-            sanitize=args.sanitize,
-            trace=args.trace,
-            dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
-            faults=args.faults, task_deadline_s=args.task_deadline,
-            quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
+        config = _config(
+            args, dataset="cifar", client_share=split, adaptive_max_trials=8
         )
         results[split] = run_adaptive_experiment(
             config, _seeds(args), seed_workers=args.seed_workers
@@ -171,17 +144,7 @@ def cmd_table2(args: argparse.Namespace) -> None:
 
 
 def cmd_fig2(args: argparse.Namespace) -> None:
-    config = ExperimentConfig(
-        dataset=args.dataset, workers=args.workers, engine=args.engine, model_store=args.store,
-        execution_mode=args.exec_mode, pipeline_depth=args.pipeline_depth,
-        cohort_size=args.cohort_size,
-        codec=args.codec, allow_lossy=args.allow_lossy,
-        sanitize=args.sanitize,
-        trace=args.trace,
-        dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
-        faults=args.faults, task_deadline_s=args.task_deadline,
-        quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
-    )
+    config = _config(args, dataset=args.dataset)
     # fig2 is a single paired clean/poisoned trace, not a seed sweep: a
     # fixed seed matches fig4's convention (--seeds used to leak in as the
     # literal rng seed here).
@@ -203,17 +166,7 @@ def cmd_fig2(args: argparse.Namespace) -> None:
 
 
 def cmd_fig4(args: argparse.Namespace) -> None:
-    config = ExperimentConfig(
-        dataset=args.dataset, workers=args.workers, engine=args.engine, model_store=args.store,
-        execution_mode=args.exec_mode, pipeline_depth=args.pipeline_depth,
-        cohort_size=args.cohort_size,
-        codec=args.codec, allow_lossy=args.allow_lossy,
-        sanitize=args.sanitize,
-        trace=args.trace,
-        dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
-        faults=args.faults, task_deadline_s=args.task_deadline,
-        quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
-    )
+    config = _config(args, dataset=args.dataset)
     undefended = run_early_scenario(config, seed=0, defense_start=None)
     defended = run_early_scenario(config, seed=0, defense_start=106)
     print(
@@ -279,9 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-workers", type=int, default=0, dest="seed_workers",
                        help="processes fanning out independent seeds "
                             "(0/1 = serial; results are identical)")
-        p.add_argument("--store", choices=STORE_KINDS, default="auto",
-                       help="model-store backend moving weights to round "
-                            "workers (auto = shared memory when workers >= 2)")
         p.add_argument("--exec-mode", choices=EXECUTION_MODES, default="sync",
                        dest="exec_mode",
                        help="round loop: sync blocks each round on its "
@@ -306,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "transport path (lossless: identity, float16; "
                             "lossy codecs additionally need --allow-lossy)")
         p.add_argument("--allow-lossy", action="store_true", dest="allow_lossy",
-                       help="admit a lossy codec (quantized, topk): trades "
+                       help="admit the lossy quantized codec: trades "
                             "the bit-identical engine-equivalence guarantee "
                             "for ~5-10x transport reduction")
         p.add_argument("--dtype", choices=DTYPE_POLICIES, default="float64",

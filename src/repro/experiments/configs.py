@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.fl.compression import codec_names, make_codec
 from repro.fl.faults import QUORUM_POLICIES, FaultPlan
-from repro.fl.model_store import STORE_KINDS
 from repro.fl.parallel import (
     DEFAULT_PIPELINE_DEPTH,
     ENGINE_KINDS,
@@ -91,22 +90,20 @@ class ExperimentConfig:
     # Model.
     hidden: tuple[int, ...] = (64,)
     # Execution engine: worker processes for client training and validator
-    # votes (0/1 = in-process sequential), and the model-store backend
-    # moving weights to those workers ("auto" picks shared memory whenever
-    # a process pool exists, "inprocess"/"shared" force a backend).
-    # ``execution_mode`` selects the round loop: "sync" blocks each round
-    # on its validator quorum, "pipelined" commits optimistically and runs
-    # up to ``pipeline_depth`` rounds ahead of their open quorums (late
-    # rejections roll back and replay).  Every executor/store/mode/depth
-    # combination commits bit-identical models, so all four are pure
-    # throughput knobs and deliberately excluded from ``environment_key``.
+    # votes (0/1 = in-process sequential).  ``execution_mode`` selects the
+    # round loop: "sync" blocks each round on its validator quorum,
+    # "pipelined" commits optimistically and runs up to ``pipeline_depth``
+    # rounds ahead of their open quorums (late rejections roll back and
+    # replay).  Every executor/mode/depth combination commits bit-identical
+    # models, so all three are pure throughput knobs and deliberately
+    # excluded from ``environment_key``.
     workers: int = 0
-    # Multi-worker backend: "process" fans out over worker processes,
-    # "thread" over in-process threads (zero IPC; the numeric kernels
-    # release the GIL), "auto" resolves to "process".  Another pure
-    # throughput knob: every engine commits bit-identical models.
+    # Multi-worker backend: "process" fans out over worker processes
+    # (weights travel through a shared-memory arena), "thread" over
+    # in-process threads (zero IPC; the numeric kernels release the GIL),
+    # "auto" resolves to "process".  Another pure throughput knob: every
+    # engine commits bit-identical models.
     engine: str = "auto"
-    model_store: str = "auto"
     execution_mode: str = "sync"
     pipeline_depth: int = DEFAULT_PIPELINE_DEPTH
     # Stacked cohort execution (repro.fl.cohort): gather up to this many of
@@ -198,11 +195,6 @@ class ExperimentConfig:
         if self.cohort_size is not None and self.cohort_size < 0:
             raise ValueError(
                 f"cohort_size must be >= 0, got {self.cohort_size}"
-            )
-        if self.model_store not in STORE_KINDS:
-            raise ValueError(
-                f"model_store must be one of {STORE_KINDS}, got "
-                f"{self.model_store!r}"
             )
         if self.execution_mode not in EXECUTION_MODES:
             raise ValueError(

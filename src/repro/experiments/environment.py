@@ -168,10 +168,9 @@ def _pretrain(
     """Clean federated training to (approximate) stability.
 
     Pretraining is the expensive half of an experiment, so it runs on the
-    same executor/store setting as the defended phase
-    (``config.workers`` / ``config.model_store``).  Engines commit
-    bit-identical models, so the environment cache key stays
-    executor-independent.
+    same engine as the defended phase (``config.workers`` /
+    ``config.engine``).  Engines commit bit-identical models, so the
+    environment cache key stays executor-independent.
     """
     flat_dim = shards[0].x.shape[1]
     model = make_mlp(flat_dim, num_classes, rng, hidden=config.hidden)
@@ -188,12 +187,11 @@ def _pretrain(
     )
     # Pretraining is undefended — there is no quorum to overlap, so the
     # pipelined mode would degenerate anyway; it always runs "sync" on the
-    # configured workers/store/codec (one factory decides the transport
+    # configured workers/engine/codec (one factory decides the weight
     # path).  The codec matters here: a non-identity codec changes the
     # pretrained model, which is why environment_key includes it.
     with make_engine(
         config.workers,
-        store=config.model_store,
         codec=config.codec,
         require_lossless=not config.allow_lossy,
         cohort_size=config.cohort_size,

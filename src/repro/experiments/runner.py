@@ -69,47 +69,16 @@ def _run_grid(
     }
 
 
-def _engine_overrides(
-    config: ExperimentConfig,
-    workers: int | None,
-    execution_mode: str | None,
-    pipeline_depth: int | None,
-    codec: str | None = None,
-) -> ExperimentConfig:
-    """Apply the executor knobs without the caller rebuilding the config."""
-    changes = {}
-    if workers is not None:
-        changes["workers"] = workers
-    if execution_mode is not None:
-        changes["execution_mode"] = execution_mode
-    if pipeline_depth is not None:
-        changes["pipeline_depth"] = pipeline_depth
-    if codec is not None:
-        changes["codec"] = codec
-    return config.with_updates(**changes) if changes else config
-
-
 def run_detection_experiment(
     config: ExperimentConfig,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    workers: int | None = None,
     seed_workers: int = 0,
-    execution_mode: str | None = None,
-    pipeline_depth: int | None = None,
-    codec: str | None = None,
 ) -> AggregateStats:
     """One table/figure cell: FP/FN rates averaged over repeated runs.
 
-    ``workers`` / ``execution_mode`` / ``pipeline_depth`` override the
-    config's parallel-engine knobs without the caller rebuilding it;
-    ``seed_workers >= 2`` runs the seeds in that many processes.  Results
-    are bit-identical for any combination of those knobs.  ``codec``
-    overrides the transport codec — the one override that is *not*
-    result-preserving unless the codec is the identity.
+    ``seed_workers >= 2`` runs the seeds in that many processes; results
+    are bit-identical either way.
     """
-    config = _engine_overrides(
-        config, workers, execution_mode, pipeline_depth, codec
-    )
     runs = _map_over_seeds(_detection_seed_task, config, seeds, seed_workers)
     return aggregate_stats(runs)
 
@@ -200,16 +169,9 @@ def _adaptive_seed_task(
 def run_adaptive_experiment(
     config: ExperimentConfig,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    workers: int | None = None,
     seed_workers: int = 0,
-    execution_mode: str | None = None,
-    pipeline_depth: int | None = None,
-    codec: str | None = None,
 ) -> AdaptiveExperimentResult:
     """Compare the defense against non-adaptive vs adaptive injections."""
-    config = _engine_overrides(
-        config, workers, execution_mode, pipeline_depth, codec
-    )
     non_adaptive_runs: list[DetectionStats] = []
     adaptive_runs: list[DetectionStats] = []
     votes: list[int] = []

@@ -351,9 +351,8 @@ def run_error_trace(
 def _engine(config: ExperimentConfig):
     """The round-execution engine a scenario config asks for.
 
-    One factory decides workers, store backend and execution mode together
-    (:func:`repro.fl.parallel.make_engine`), so a process pool can never
-    silently run on pipe transport because the store was built elsewhere.
+    One factory decides workers, engine kind, execution mode and the
+    engine's one store together (:func:`repro.fl.parallel.make_engine`).
 
     ``config.sanitize`` turns the runtime sanitizer on for the engine's
     whole lifetime via :func:`repro.analysis.sanitize.scope` — the scope
@@ -365,7 +364,6 @@ def _engine(config: ExperimentConfig):
     with sanitize.scope(config.sanitize):
         with make_engine(
             config.workers,
-            store=config.model_store,
             mode=config.execution_mode,
             pipeline_depth=config.pipeline_depth,
             codec=config.codec,

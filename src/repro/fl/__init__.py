@@ -35,7 +35,6 @@ from repro.fl.compression import (
     Float16Codec,
     IdentityCodec,
     QuantizedCodec,
-    TopKDeltaCodec,
     WeightCodec,
     codec_names,
     decode_segment,
@@ -99,7 +98,6 @@ __all__ = [
     "Float16Codec",
     "IdentityCodec",
     "QuantizedCodec",
-    "TopKDeltaCodec",
     "WeightCodec",
     "FaultPlan",
     "FaultSpec",

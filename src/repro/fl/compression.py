@@ -11,48 +11,35 @@ consumer resolves a version key.
 
 Codec contract
 --------------
-A :class:`WeightCodec` turns a flat float64 vector into a
-:class:`CompressedSegment` (``encode``) and back (``decode``).  Delta
-codecs (``needs_parent = True``) may encode against a *parent* vector —
-the store picks a live version, pins it with a reference, and records it
-in the segment so any consumer (including worker processes attaching to
-shared memory) can reconstruct the chain.
+A :class:`WeightCodec` turns a flat float64 vector into a self-contained
+:class:`CompressedSegment` (``encode``) and back (``decode``).  Three
+codecs are registered: :class:`IdentityCodec` (the default),
+:class:`Float16Codec` and :class:`QuantizedCodec`.
 
-Two capability flags drive the engine's gating:
-
-``lossless``
-    The codec reconstructs **bit-exactly** every vector in its *canonical
-    domain* — the image of :meth:`WeightCodec.canonicalize`.  The round
-    loop canonicalizes each aggregated candidate before it is reviewed or
-    committed (see :meth:`~repro.fl.simulation.FederatedSimulation`), so
-    everything a lossless codec is ever asked to transport round-trips
-    exactly and the cross-engine bit-identical equivalence guarantee
-    survives: every {executor} x {store} combination running the same
-    lossless codec commits identical models.  :class:`IdentityCodec`
-    (canonicalize is the identity, so the guarantee extends to the
-    no-codec baseline) and :class:`Float16Codec` (canonical domain =
-    float16-representable vectors; runs agree with each other, not with
-    the identity baseline) are lossless under this definition.
-    :class:`QuantizedCodec` and :class:`TopKDeltaCodec` are not — their
-    reconstruction error is bounded (see each class) but nonzero, so they
-    are admitted only when the caller explicitly opts out of the
-    equivalence guarantee (``require_lossless=False`` /
-    ``ExperimentConfig.allow_lossy``).
-
-``transparent``
-    ``canonicalize`` is the identity, i.e. the codec never perturbs the
-    committed trajectory.  Non-transparent codecs change the models a run
-    commits (by design — that is the accuracy cost of compression), so
-    the experiment layer keys its pretrained-environment cache on the
-    codec name.
+One capability flag drives the engine's gating, ``lossless``: the codec
+reconstructs **bit-exactly** every vector in its *canonical domain* — the
+image of :meth:`WeightCodec.canonicalize`.  The round loop canonicalizes
+the initial model and each aggregated candidate before it is reviewed or
+committed (see :class:`~repro.fl.simulation.FederatedSimulation`), so
+everything a lossless codec is ever asked to transport round-trips exactly
+and every engine running the same lossless codec commits identical models.
+:class:`IdentityCodec` canonicalizes to the precision-policy dtype (a
+no-op on the committed trajectory, so the guarantee extends to the
+no-codec baseline); :class:`Float16Codec`'s canonical domain is the
+float16-representable vectors (runs agree with each other, not with the
+identity baseline).  :class:`QuantizedCodec` is lossy — its reconstruction
+error is bounded but nonzero — so it is admitted only when the caller
+explicitly opts out of the equivalence guarantee
+(``require_lossless=False`` / ``ExperimentConfig.allow_lossy``).  A
+non-identity codec changes the models a run commits, so the experiment
+layer keys its pretrained-environment cache on the codec name.
 
 Segments are self-describing: :meth:`CompressedSegment.to_bytes` prefixes
-a fixed header (codec name, element count, payload length, parent
-version), and :func:`decode_segment` dispatches on the embedded codec
-name through the process-global registry — a worker that attaches to a
-shared-memory segment needs no out-of-band metadata to reconstruct the
-weights, and decoding never depends on the encoding instance's
-constructor parameters.
+a fixed header (codec name, element count, payload length), and
+:func:`decode_segment` dispatches on the embedded codec name through the
+process-global registry — a worker that attaches to a shared-memory
+segment needs no out-of-band metadata to reconstruct the weights, and
+decoding never depends on the encoding instance's constructor parameters.
 """
 
 from __future__ import annotations
@@ -65,13 +52,8 @@ import numpy as np
 from repro.nn.precision import active_dtype
 
 #: Fixed per-segment header: codec name (16 bytes, NUL-padded ascii),
-#: element count, payload byte length, parent version (-1 = none).
-SEGMENT_HEADER = struct.Struct("<16sqqq")
-
-#: Longest delta chain a store will build before re-basing on a dense
-#: segment: bounds worker-side reconstruction cost and the number of
-#: parent versions a single segment can transitively pin.
-MAX_DELTA_CHAIN = 8
+#: element count, payload byte length.
+SEGMENT_HEADER = struct.Struct("<16sqq")
 
 
 @dataclass
@@ -79,14 +61,12 @@ class CompressedSegment:
     """One codec-encoded weight vector, ready for storage or the wire.
 
     ``payload`` may be ``bytes`` or a zero-copy ``memoryview`` into a
-    shared-memory buffer; ``parent_version`` is the store version the
-    payload is a delta against (``None`` for self-contained segments).
+    shared-memory buffer.
     """
 
     codec: str
     num_params: int
     payload: bytes | memoryview
-    parent_version: int | None = None
 
     @property
     def nbytes(self) -> int:
@@ -98,26 +78,16 @@ class CompressedSegment:
         name = self.codec.encode("ascii")
         if len(name) > 16:
             raise ValueError(f"codec name too long for segment header: {self.codec!r}")
-        header = SEGMENT_HEADER.pack(
-            name,
-            self.num_params,
-            len(self.payload),
-            -1 if self.parent_version is None else self.parent_version,
-        )
+        header = SEGMENT_HEADER.pack(name, self.num_params, len(self.payload))
         return header + bytes(self.payload)
 
     @classmethod
     def from_buffer(cls, buf) -> "CompressedSegment":
         """Parse a segment from a buffer (zero-copy payload view)."""
         view = memoryview(buf)
-        name, num_params, payload_len, parent = SEGMENT_HEADER.unpack_from(view, 0)
+        name, num_params, payload_len = SEGMENT_HEADER.unpack_from(view, 0)
         payload = view[SEGMENT_HEADER.size : SEGMENT_HEADER.size + payload_len]
-        return cls(
-            codec=name.rstrip(b"\x00").decode("ascii"),
-            num_params=num_params,
-            payload=payload,
-            parent_version=None if parent < 0 else parent,
-        )
+        return cls(name.rstrip(b"\x00").decode("ascii"), num_params, payload)
 
     @property
     def total_bytes(self) -> int:
@@ -126,13 +96,12 @@ class CompressedSegment:
 
 
 def _as_flat64(flat: np.ndarray) -> np.ndarray:
-    """Flatten-check + float64 view; the lossy codecs' internal dtype.
+    """Flatten-check + float64 view; the lossy codec's internal dtype.
 
-    The quantized and topk codecs keep float64 arithmetic regardless of
-    the precision policy: they are lossy (bit-identity is void on their
-    trajectories anyway) and their payload formats hardcode float64
-    scales/values.  Consumers cast decoded vectors back to the policy
-    dtype at ``set_flat`` / aggregation time.
+    The quantized codec keeps float64 arithmetic regardless of the
+    precision policy: it is lossy (bit-identity is void on its
+    trajectories anyway).  Consumers cast decoded vectors back to the
+    policy dtype at ``set_flat`` / aggregation time.
     """
     flat = np.ascontiguousarray(flat, dtype=np.float64)
     if flat.ndim != 1:
@@ -168,32 +137,19 @@ class WeightCodec:
     name: str = "abstract"
     #: Bit-exact on the canonical domain (see module docstring).
     lossless: bool = False
-    #: ``canonicalize`` is the identity (trajectory-preserving codec).
-    transparent: bool = False
-    #: ``encode`` can exploit a parent vector (delta compression).
-    needs_parent: bool = False
 
-    def encode(
-        self,
-        flat: np.ndarray,
-        parent: np.ndarray | None = None,
-        parent_version: int | None = None,
-    ) -> CompressedSegment:
-        """Compress ``flat``; delta codecs may use ``parent`` and record
-        ``parent_version`` in the returned segment."""
+    def encode(self, flat: np.ndarray) -> CompressedSegment:
+        """Compress ``flat`` into a self-contained segment."""
         raise NotImplementedError
 
-    def decode(
-        self, segment: CompressedSegment, parent: np.ndarray | None = None
-    ) -> np.ndarray:
+    def decode(self, segment: CompressedSegment) -> np.ndarray:
         """Reconstruct the (read-only) flat weight vector of ``segment``."""
         raise NotImplementedError
 
     def canonicalize(self, flat: np.ndarray) -> np.ndarray:
         """Project ``flat`` onto the codec's exactly-representable domain.
 
-        The default is one parentless encode/decode round trip; transparent
-        codecs override this with the identity.
+        The default is one encode/decode round trip.
         """
         return np.asarray(self.decode(self.encode(_as_flat64(flat))))
 
@@ -210,13 +166,12 @@ class IdentityCodec(WeightCodec):
 
     name = "identity"
     lossless = True
-    transparent = True
 
-    def encode(self, flat, parent=None, parent_version=None) -> CompressedSegment:
+    def encode(self, flat) -> CompressedSegment:
         flat = _as_flat_policy(flat)
         return CompressedSegment(self.name, flat.shape[0], flat.tobytes())
 
-    def decode(self, segment, parent=None) -> np.ndarray:
+    def decode(self, segment) -> np.ndarray:
         # Zero-copy when the payload is a view into a (shared-memory)
         # buffer; ``frombuffer`` over immutable bytes is already read-only.
         flat = np.frombuffer(segment.payload, dtype=_identity_dtype(segment))
@@ -263,13 +218,13 @@ class Float16Codec(WeightCodec):
     name = "float16"
     lossless = True
 
-    def encode(self, flat, parent=None, parent_version=None) -> CompressedSegment:
+    def encode(self, flat) -> CompressedSegment:
         flat = _as_flat64(flat)
         with np.errstate(over="ignore"):  # out-of-range -> inf, by design
             half = flat.astype(np.float16)
         return CompressedSegment(self.name, flat.shape[0], half.tobytes())
 
-    def decode(self, segment, parent=None) -> np.ndarray:
+    def decode(self, segment) -> np.ndarray:
         half = np.frombuffer(bytes(segment.payload), dtype=np.float16)
         return _read_only(half.astype(active_dtype()))
 
@@ -303,7 +258,7 @@ class QuantizedCodec(WeightCodec):
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         self.chunk = chunk
 
-    def encode(self, flat, parent=None, parent_version=None) -> CompressedSegment:
+    def encode(self, flat) -> CompressedSegment:
         flat = _as_flat64(flat)
         n = flat.shape[0]
         chunk = min(self.chunk, n) if n else self.chunk
@@ -332,7 +287,7 @@ class QuantizedCodec(WeightCodec):
         )
         return CompressedSegment(self.name, n, payload)
 
-    def decode(self, segment, parent=None) -> np.ndarray:
+    def decode(self, segment) -> np.ndarray:
         payload = bytes(segment.payload)
         n = segment.num_params
         (chunk,) = struct.unpack_from("<q", payload, 0)
@@ -367,89 +322,6 @@ class QuantizedCodec(WeightCodec):
         return float(spread.max()) / self._LEVELS + offset_rounding
 
 
-class TopKDeltaCodec(WeightCodec):
-    """Sparse top-k delta against a parent store version.
-
-    Keeps only the ``k = ceil(k_ratio * n)`` coordinates where the vector
-    moved farthest from its parent, storing their *absolute* values (exact
-    at the kept coordinates; elsewhere the parent's value is reused, so
-    the reconstruction error at a dropped coordinate is exactly the
-    magnitude of its dropped delta — bounded by the k-th largest
-    ``|delta|``).  Costs 12 bytes per kept coordinate (int32 index +
-    float64 value): ~6.7x compression at the default ``k_ratio = 0.1``.
-
-    Without a usable parent (first publish, length mismatch, or the chain
-    depth cap forcing a re-base) the segment falls back to a dense, exact
-    float64 payload.  ``canonicalize`` is the identity — loss happens only
-    on the transport of the dropped delta mass, never on the server's own
-    committed trajectory — so the codec is *transparent* but not lossless.
-    """
-
-    name = "topk"
-    transparent = True
-    needs_parent = True
-
-    def __init__(self, k_ratio: float = 0.1) -> None:
-        if not 0.0 < k_ratio <= 1.0:
-            raise ValueError(f"k_ratio must be in (0, 1], got {k_ratio}")
-        self.k_ratio = k_ratio
-
-    def encode(self, flat, parent=None, parent_version=None) -> CompressedSegment:
-        flat = _as_flat64(flat)
-        n = flat.shape[0]
-        k = int(np.ceil(self.k_ratio * n)) if n else 0
-        usable = (
-            parent is not None
-            and parent_version is not None
-            and len(parent) == n
-            and 0 < k < n
-        )
-        if not usable:
-            payload = struct.pack("<b", 1) + flat.tobytes()
-            return CompressedSegment(self.name, n, payload)
-        if n > np.iinfo(np.int32).max:
-            raise ValueError("topk codec indexes with int32; vector too long")
-        delta = np.abs(flat - parent)
-        indices = np.sort(np.argpartition(delta, n - k)[n - k :]).astype(np.int32)
-        values = flat[indices]
-        payload = b"".join(
-            (struct.pack("<b", 0), indices.tobytes(), values.tobytes())
-        )
-        return CompressedSegment(self.name, n, payload, parent_version=parent_version)
-
-    def decode(self, segment, parent=None) -> np.ndarray:
-        payload = bytes(segment.payload)
-        (dense,) = struct.unpack_from("<b", payload, 0)
-        if dense:
-            return _read_only(
-                np.frombuffer(payload, dtype=np.float64, offset=1).copy()
-            )
-        if parent is None:
-            raise ValueError(
-                "topk delta segment needs its parent vector to decode "
-                f"(parent version {segment.parent_version})"
-            )
-        k = (len(payload) - 1) // 12
-        indices = np.frombuffer(payload, dtype=np.int32, count=k, offset=1)
-        values = np.frombuffer(payload, dtype=np.float64, count=k, offset=1 + 4 * k)
-        flat = np.array(parent, dtype=np.float64)
-        flat[indices] = values
-        return _read_only(flat)
-
-    def canonicalize(self, flat: np.ndarray) -> np.ndarray:
-        return _as_flat64(flat)
-
-    def max_error_bound(self, flat: np.ndarray, parent: np.ndarray) -> float:
-        """Documented bound: the largest dropped ``|delta|`` coordinate."""
-        flat, parent = _as_flat64(flat), _as_flat64(parent)
-        n = flat.shape[0]
-        k = int(np.ceil(self.k_ratio * n)) if n else 0
-        if k >= n:
-            return 0.0
-        delta = np.sort(np.abs(flat - parent))
-        return float(delta[n - k - 1]) if n - k >= 1 else 0.0
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -471,7 +343,6 @@ def register_codec(factory, name: str | None = None) -> None:
 register_codec(IdentityCodec)
 register_codec(Float16Codec)
 register_codec(QuantizedCodec)
-register_codec(TopKDeltaCodec)
 
 
 def codec_names() -> tuple[str, ...]:
@@ -497,9 +368,7 @@ def make_codec(spec: "str | WeightCodec | None") -> WeightCodec:
     return factory()
 
 
-def decode_segment(
-    segment: CompressedSegment, parent: np.ndarray | None = None
-) -> np.ndarray:
+def decode_segment(segment: CompressedSegment) -> np.ndarray:
     """Decode via the registry, dispatching on the segment's codec name.
 
     This is how consumers that did not encode the segment (worker
@@ -511,7 +380,7 @@ def decode_segment(
         raise ValueError(
             f"segment encoded with unregistered codec {segment.codec!r}"
         )
-    return factory().decode(segment, parent)
+    return factory().decode(segment)
 
 
 __all__ = [
@@ -519,10 +388,8 @@ __all__ = [
     "CompressedSegment",
     "Float16Codec",
     "IdentityCodec",
-    "MAX_DELTA_CHAIN",
     "QuantizedCodec",
     "SEGMENT_HEADER",
-    "TopKDeltaCodec",
     "WeightCodec",
     "codec_names",
     "decode_segment",

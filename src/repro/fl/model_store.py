@@ -12,19 +12,20 @@ A :class:`ModelStore` removes the redundancy.  Weights are *published* once
 under a monotonically increasing integer version and every consumer — the
 server's :class:`~repro.core.history.ModelHistory`, the
 :class:`~repro.fl.parallel.ProcessPoolRoundExecutor`, worker processes —
-refers to them by that version key.  Two implementations share the exact
-same publish/release bookkeeping (so engine runs are bit-identical across
-stores):
+refers to them by that version key.  Each engine has exactly one store
+(:func:`make_model_store` / :func:`~repro.fl.parallel.make_engine` decide),
+and both implementations share the exact same publish/release bookkeeping,
+so engine runs are bit-identical across them:
 
-- :class:`InProcessModelStore` (default): a plain in-process dict of
-  read-only arrays.  Zero-copy references inside one process; a process
-  pool on top of it falls back to pickle-pipe weight transport.
+- :class:`InProcessModelStore`: a plain in-process dict of codec segments,
+  for the sequential and thread engines, which share one address space.
 - :class:`SharedMemoryModelStore`: one ``multiprocessing.shared_memory``
-  segment per version.  Worker processes attach to the arena once (via the
-  picklable :meth:`~SharedMemoryModelStore.worker_handle`) and resolve
-  version keys locally, so per-round transport drops to O(1 new model):
-  only the bytes *newly copied into the arena* move, independent of
-  history length and fan-out width.
+  segment per version, for the process engine.  Worker processes attach
+  to the arena once (via the picklable
+  :meth:`~SharedMemoryModelStore.worker_handle`) and resolve version keys
+  locally, so per-round transport is O(1 new model): only the bytes
+  *newly copied into the arena* move, independent of history length and
+  fan-out width.
 
 Publishing is content-addressed: :meth:`ModelStore.publish` digests the
 weight bytes and returns the existing version when identical content is
@@ -44,15 +45,11 @@ Weight compression rides on the publish/attach seam: every store applies a
 :class:`~repro.fl.compression.WeightCodec` when a vector is published and
 decodes on :meth:`~ModelStore.get`, so compressed transport needs no
 second code path — the arena simply holds codec-encoded segments (a
-self-describing header plus payload, see
+self-contained, self-describing header plus payload, see
 :class:`~repro.fl.compression.CompressedSegment`) and workers decode
-locally after attaching.  Delta codecs pin their parent versions with
-store references (released in cascade on eviction), so a rolled-back or
-evicted child can never leave a straggler with an unresolvable chain;
-:data:`~repro.fl.compression.MAX_DELTA_CHAIN` bounds the chain length by
-re-basing on a dense segment.  ``bytes_published`` counts *compressed*
-payload bytes (what transport actually moves); ``raw_bytes_published``
-keeps the uncompressed figure for the compression-ratio telemetry.
+locally after attaching.  ``bytes_published`` counts *compressed* payload
+bytes (what transport actually moves); ``raw_bytes_published`` keeps the
+uncompressed figure for the compression-ratio telemetry.
 
 :class:`ValidatorProfileTable` rides along: a table of validator error
 profiles keyed by ``(validator_id, version)``.  Profiles are deterministic
@@ -76,7 +73,6 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.fl.compression import (
-    MAX_DELTA_CHAIN,
     CompressedSegment,
     WeightCodec,
     decode_segment,
@@ -87,10 +83,6 @@ from repro.nn.precision import active_dtype
 #: Prefix shared by every shared-memory segment this package creates; the
 #: CI leak check greps ``/dev/shm`` for it.
 SHM_NAME_PREFIX = "bfl"
-
-#: Store backends accepted by :func:`make_model_store` (also the config
-#: validation set and the CLI ``--store`` choices).
-STORE_KINDS = ("auto", "inprocess", "shared")
 
 
 def _as_flat(flat: np.ndarray) -> np.ndarray:
@@ -127,15 +119,6 @@ class ModelStore:
         #: can legitimately create several); dedup resolves to the newest.
         self._digests: dict[bytes, list[int]] = {}
         self._by_version_digest: dict[int, bytes] = {}
-        #: Exact vector lengths per version (delta-parent eligibility, and
-        #: ``segment.size`` is page-rounded on some platforms).
-        self._lengths: dict[int, int] = {}
-        #: ``child version -> parent version`` pins for delta segments; the
-        #: child holds one reference on its parent until it is evicted.
-        self._parents: dict[int, int] = {}
-        #: Delta-chain depth per version (0 = dense); bounded by
-        #: :data:`~repro.fl.compression.MAX_DELTA_CHAIN` via re-basing.
-        self._chain_depth: dict[int, int] = {}
         self._next_version = 0
         self._bytes_published = 0
         self._raw_bytes_published = 0
@@ -188,72 +171,21 @@ class ModelStore:
     def _publish_at(self, version: int, flat: np.ndarray, digest: bytes) -> int:
         if self._closed:
             raise RuntimeError("model store is closed")
-        segment = self._encode(flat)
+        segment = self.codec.encode(flat)
         self._write(version, segment)
         self._bytes_published += segment.nbytes
         self._raw_bytes_published += flat.nbytes
         self._refs[version] = 1
         self._digests.setdefault(digest, []).append(version)
         self._by_version_digest[version] = digest
-        self._lengths[version] = flat.shape[0]
-        if segment.parent_version is not None:
-            # Delta segment: pin the parent so the chain stays decodable
-            # for any consumer (including stragglers holding this version
-            # after a rollback) until this child itself is evicted.
-            self.acquire(segment.parent_version)
-            self._parents[version] = segment.parent_version
-            self._chain_depth[version] = (
-                self._chain_depth.get(segment.parent_version, 0) + 1
-            )
-        else:
-            self._chain_depth[version] = 0
         return version
 
-    def _encode(self, flat: np.ndarray) -> CompressedSegment:
-        """Codec-encode ``flat``, choosing a delta parent when eligible.
-
-        The returned segment records the parent version iff the codec
-        actually encoded against it.
-        """
-        parent_version = None
-        parent = None
-        if self.codec.needs_parent:
-            parent_version = self._pick_parent(flat.shape[0])
-            if parent_version is not None:
-                parent = self.get(parent_version)
-        return self.codec.encode(flat, parent, parent_version)
-
-    def _pick_parent(self, num_params: int) -> int | None:
-        """Newest live version usable as a delta parent (or None).
-
-        The newest same-length version is the only candidate (it is the
-        closest base, so deltas stay small); when its chain depth reaches
-        :data:`~repro.fl.compression.MAX_DELTA_CHAIN` the publish re-bases
-        on a dense segment instead — bounding reconstruction cost and the
-        transitive parent pins a single segment can hold.
-        """
-        for version in sorted(self._refs, reverse=True):
-            if self._lengths.get(version) == num_params:
-                if self._chain_depth.get(version, 0) < MAX_DELTA_CHAIN:
-                    return version
-                return None
-        return None
-
     def get(self, version: int) -> np.ndarray:
-        """Read-only flat weight vector stored under ``version``.
-
-        Decodes the stored segment through the codec registry, resolving
-        delta parents recursively (chains are bounded by the re-base cap).
-        """
+        """Read-only flat weight vector stored under ``version``, decoded
+        through the codec registry."""
         if version not in self._refs:
             raise KeyError(f"version {version} is not live in this store")
-        segment = self._read(version)
-        parent = (
-            self.get(segment.parent_version)
-            if segment.parent_version is not None
-            else None
-        )
-        return decode_segment(segment, parent)
+        return decode_segment(self._read(version))
 
     def __contains__(self, version: int) -> bool:
         return version in self._refs
@@ -303,12 +235,7 @@ class ModelStore:
         self._refs[version] += 1
 
     def release(self, version: int) -> None:
-        """Drop a reference; the entry is evicted when none remain.
-
-        Evicting a delta segment releases its pinned parent in turn, so a
-        chain whose last external consumer disappears unwinds completely
-        (and a parent still referenced elsewhere survives the cascade).
-        """
+        """Drop a reference; the entry is evicted when none remain."""
         count = self._refs.get(version)
         if count is None:
             raise KeyError(f"version {version} is not live in this store")
@@ -321,12 +248,7 @@ class ModelStore:
         live.remove(version)
         if not live:
             del self._digests[digest]
-        self._lengths.pop(version, None)
-        self._chain_depth.pop(version, None)
         self._delete(version)
-        parent = self._parents.pop(version, None)
-        if parent is not None:
-            self.release(parent)
 
     def refcount(self, version: int) -> int:
         return self._refs.get(version, 0)
@@ -351,9 +273,6 @@ class ModelStore:
         self._refs.clear()
         self._digests.clear()
         self._by_version_digest.clear()
-        self._lengths.clear()
-        self._parents.clear()
-        self._chain_depth.clear()
         self._delete_all()
 
     def __enter__(self) -> "ModelStore":
@@ -386,7 +305,8 @@ class ModelStore:
 
 
 class InProcessModelStore(ModelStore):
-    """Plain in-process storage: codec segments in a dict (the default)."""
+    """Plain in-process storage: codec segments in a dict (the sequential
+    and thread engines' store)."""
 
     def __init__(self, codec: "WeightCodec | str | None" = None) -> None:
         super().__init__(codec)
@@ -409,7 +329,8 @@ class InProcessModelStore(ModelStore):
 
 
 class SharedMemoryModelStore(ModelStore):
-    """One ``multiprocessing.shared_memory`` segment per live version.
+    """One ``multiprocessing.shared_memory`` segment per live version (the
+    process engine's store).
 
     The creating process is the sole owner: it creates and unlinks every
     segment.  Worker processes attach read-only through the picklable
@@ -499,35 +420,16 @@ class ShmWorkerView:
         self.attach_count = 0
         self.cache_hits = 0
 
-    def get(self, version: int, num_params: int, cache: bool = True) -> np.ndarray:
+    def get(self, version: int) -> np.ndarray:
         """Read-only flat vector for ``version`` (attaches on first use).
 
-        The attached segment is self-describing (codec header + payload):
-        the vector is decoded locally through the codec registry, and a
-        delta segment's parent chain is resolved recursively via cached
-        attachments (the owner pins parents with store references, so a
-        chain is always attachable while any child of it is in flight).
-
-        ``cache=False`` is for one-shot versions (rejected candidates never
-        come back): the attachment is closed immediately and a copy is
-        returned, so short-lived segments are not pinned past the owner's
-        unlink while the eviction floor stalls on a run of rejections.
+        The attached segment is self-describing (codec header + payload),
+        so the vector is decoded locally through the codec registry.
         """
         segment = self._segments.get(version)
         if segment is not None:
             self.cache_hits += 1
-        if segment is None and not cache:
-            self.attach_count += 1
-            one_shot = shared_memory.SharedMemory(
-                name=f"{self.name_prefix}-{version}"
-            )
-            try:
-                flat = np.array(self._decode(one_shot, num_params))
-            finally:
-                self._close_segment(one_shot)
-            flat.flags.writeable = False
-            return flat
-        if segment is None:
+        else:
             # Attaching registers the name with the resource tracker even
             # though this process does not own the segment (fixed by
             # ``track=False`` in Python 3.13+).  Pool workers share the
@@ -540,19 +442,7 @@ class ShmWorkerView:
                 name=f"{self.name_prefix}-{version}"
             )
             self._segments[version] = segment
-        return self._decode(segment, num_params)
-
-    def _decode(
-        self, shm_segment: shared_memory.SharedMemory, num_params: int
-    ) -> np.ndarray:
-        """Decode one attached segment, resolving its parent chain."""
-        segment = CompressedSegment.from_buffer(shm_segment.buf)
-        parent = None
-        if segment.parent_version is not None:
-            # Parents are long-lived (the owner pins them), so resolve them
-            # through the caching path regardless of how the child is read.
-            parent = self.get(segment.parent_version, num_params)
-        return decode_segment(segment, parent)
+        return decode_segment(CompressedSegment.from_buffer(segment.buf))
 
     def evict_below(self, floor: int | None) -> None:
         """Close cached attachments for versions below ``floor``."""
@@ -631,17 +521,12 @@ def reap_orphan_segments(keep_prefixes: Iterable[str] = ()) -> list[str]:
 
 
 def make_model_store(
-    workers: int,
-    kind: str = "auto",
+    shared: bool = False,
     codec: "WeightCodec | str | None" = None,
     require_lossless: bool = True,
 ) -> ModelStore:
-    """Store for an execution setting.
-
-    ``"auto"`` picks shared memory whenever a process pool will exist
-    (``workers >= 2``) and the cheap in-process store otherwise;
-    ``"inprocess"``/``"shared"`` force a choice (the forced shared store is
-    how the benchmarks compare transport paths at equal worker counts).
+    """The store an engine needs: shared memory for the process engine
+    (``shared=True``), the in-process store for the others.
 
     ``codec`` selects the transport compression
     (:mod:`repro.fl.compression`).  ``require_lossless=True`` (default)
@@ -649,8 +534,6 @@ def make_model_store(
     equivalence guarantee and must be admitted explicitly
     (``require_lossless=False``; the experiment layer's ``allow_lossy``).
     """
-    if kind not in STORE_KINDS:
-        raise ValueError(f"store kind must be one of {STORE_KINDS}, got {kind!r}")
     codec_obj = make_codec(codec)
     if require_lossless and not codec_obj.lossless:
         raise ValueError(
@@ -658,7 +541,7 @@ def make_model_store(
             "equivalence guarantee; pass require_lossless=False (config/CLI: "
             "allow_lossy / --allow-lossy) to admit it for scale runs"
         )
-    if kind == "shared" or (kind == "auto" and workers >= 2):
+    if shared:
         return SharedMemoryModelStore(codec=codec_obj)
     return InProcessModelStore(codec=codec_obj)
 
@@ -758,5 +641,4 @@ __all__ = [
     "make_model_store",
     "reap_orphan_segments",
     "SHM_NAME_PREFIX",
-    "STORE_KINDS",
 ]

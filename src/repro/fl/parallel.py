@@ -59,23 +59,26 @@ released while any of its tasks still runs (a rolled-back round, a
 written-off straggler) moves to a deferred-release list, reaped at the
 next fan-out and drained on :meth:`RoundExecutor.close`.
 
-Process transport
------------------
-Process-only concerns live in the process dispatcher.  Workers receive the
-parallel-safe populations, a template network and the store's attachment
-handle once, at pool start.  Per phase, weights travel as
-:data:`ModelRef`\\ s: integer version keys into a shareable store's
-shared-memory arena (O(1 new model) per round), or codec-encoded blobs
-through the pipes (the bound store's codec).  Every version shipped by key
-is held in the store until the phase's last task finished, so a rollback
-can never unlink a segment a straggler still reads.  Workers return the
-validator error profiles they computed; the server files them in its
+Weight paths
+------------
+Each engine has exactly one weight path.  The sequential and thread engines
+share an :class:`~repro.fl.model_store.InProcessModelStore` and hand slices
+the live models by reference.  The process engine needs a
+:class:`~repro.fl.model_store.SharedMemoryModelStore` (binding any other
+store raises; :func:`make_engine` pairs the two): workers receive the
+parallel-safe populations, a template network and the arena's attachment
+handle once, at pool start, and per phase only integer version keys
+travel (O(1 new model) per round).  A history version the arena lacks is
+``adopt``-ed under its own version.  Every shipped version is held in the
+store until the phase's last task finished, so a rollback can never unlink
+a segment a straggler still reads.  Workers return the validator error
+profiles they computed; the server files them in its
 :class:`~repro.fl.model_store.ValidatorProfileTable` and ships them back as
 hints, so each profile is computed once process-wide.  Closing or rebuilding
 the pool unlinks ``/dev/shm`` segments stranded by dead processes.
 
 Because every slice draws from keyed streams and weights travel losslessly
-in the precision-policy dtype, every engine/store/mode combination commits
+in the precision-policy dtype, every engine/mode combination commits
 **bit-identical** models and round records for the same seed and policy.
 """
 
@@ -102,7 +105,6 @@ import numpy as np
 
 from repro.fl.client import Client, LocalTrainingConfig
 from repro.fl.cohort import cohort_updates, plan_cohorts
-from repro.fl.compression import CompressedSegment, IdentityCodec, decode_segment
 from repro.fl.faults import (
     DEFAULT_POOL_REBUILDS,
     DEFAULT_TASK_RETRIES,
@@ -143,12 +145,6 @@ ENGINE_KINDS = ("auto", "process", "thread")
 #: Default speculation depth of the pipelined mode: how many rounds may
 #: run ahead of their unresolved validator quorums (0 = synchronous).
 DEFAULT_PIPELINE_DEPTH = 1
-
-#: A picklable reference to one model's weights: ``(version, blob)`` where
-#: a ``None`` blob means "resolve ``version`` from the shared arena" and a
-#: present blob carries the serialized weights through the pipe (version
-#: ``None`` for unversioned one-shot models like blob-path candidates).
-ModelRef = tuple[int | None, bytes | None]
 
 #: Failures the recovery loop absorbs: an in-process task crash, and a
 #: pool that died or refused work (its pending futures break or cancel).
@@ -284,7 +280,7 @@ def _init_worker(
     _W_VALIDATORS.update(validators)
     _W_MODELS.clear()
     _W_TEMPLATE = template
-    _W_STORE = store_handle.attach() if store_handle is not None else None
+    _W_STORE = store_handle.attach()
     _W_REGISTRY = registry
     _W_TRACING = bool(trace_enabled)
     _W_SPANS.clear()
@@ -334,19 +330,17 @@ def _drain_worker_trace():
         return None
     rows = list(_W_SPANS)
     _W_SPANS.clear()
-    store_stats = None
-    if _W_STORE is not None:
-        store_stats = (
-            _W_STORE.attach_count - _W_STORE_STATS[0],
-            _W_STORE.cache_hits - _W_STORE_STATS[1],
-        )
-        _W_STORE_STATS[0] = _W_STORE.attach_count
-        _W_STORE_STATS[1] = _W_STORE.cache_hits
+    store_stats = (
+        _W_STORE.attach_count - _W_STORE_STATS[0],
+        _W_STORE.cache_hits - _W_STORE_STATS[1],
+    )
+    _W_STORE_STATS[0] = _W_STORE.attach_count
+    _W_STORE_STATS[1] = _W_STORE.cache_hits
     return (os.getpid(), time.monotonic_ns(), rows, store_stats)
 
 
-def _materialize(ref: ModelRef) -> Network:
-    """A fresh ``Network`` carrying the referenced weights.
+def _materialize(version: int) -> Network:
+    """A fresh ``Network`` carrying the weights stored under ``version``.
 
     Arena attachments are cached in the worker view keyed by version and
     dropped on the server's release path (the eviction floor travels with
@@ -354,69 +348,32 @@ def _materialize(ref: ModelRef) -> Network:
     """
     assert _W_TEMPLATE is not None, "worker used before initialization"
     model = _W_TEMPLATE.clone()
-    version, blob = ref
-    if blob is not None:
-        model.set_flat(decode_segment(CompressedSegment.from_buffer(blob)))
-    else:
-        assert _W_STORE is not None, "version ref without an attached store"
-        assert version is not None
-        model.set_flat(_W_STORE.get(version, _W_TEMPLATE.num_parameters))
+    model.set_flat(_W_STORE.get(version))
     return model
 
 
-def _evict_retired(live_floor: int | None) -> None:
-    """Drop cached attachments for versions the server has retired."""
-    if _W_STORE is not None:
-        _W_STORE.evict_below(live_floor)
+def _cached_model(version: int) -> Network:
+    """The model of ``version`` from the per-version worker cache.
 
-
-def _resolve_history(history_refs: Sequence[ModelRef]) -> list[int]:
-    """Materialize history models into the per-version worker cache.
-
-    Across rounds the history shifts by one entry, so all but one model
-    are already cached; entries older than the oldest live history version
-    are dropped.  An empty history resolves to an empty list, on which the
-    validator abstains — exactly like the in-process path.
+    Across rounds the history shifts by one entry and an accepted
+    candidate becomes the next round's newest history entry, so the
+    steady-state per-round materialization cost is exactly one new model.
     """
-    history_versions = [version for version, _ in history_refs]
-    for ref in history_refs:
-        version = ref[0]
-        assert version is not None  # history entries are always versioned
-        if version not in _W_MODELS:
-            _W_MODELS[version] = _materialize(ref)
-    if history_versions:
-        oldest = min(history_versions)
-        for version in [v for v in _W_MODELS if v < oldest]:
-            del _W_MODELS[version]
-    return history_versions
-
-
-def _materialize_candidate(candidate_ref: ModelRef) -> Network:
-    """The round's candidate, warm-cached under its version when it has one.
-
-    An accepted candidate becomes the next round's newest history entry,
-    so caching it makes the steady-state per-round materialization cost
-    exactly one new model; rejected versions age out when the eviction
-    floor passes them.
-    """
-    version = candidate_ref[0]
-    if version is not None and version in _W_MODELS:
-        return _W_MODELS[version]
-    model = _materialize(candidate_ref)
-    if version is not None:
-        _W_MODELS[version] = model
+    model = _W_MODELS.get(version)
+    if model is None:
+        model = _W_MODELS[version] = _materialize(version)
     return model
 
 
-def _client_slice_task(units, seeds, model_ref: ModelRef, config, round_idx,
+def _client_slice_task(units, seeds, version: int, config, round_idx,
                        live_floor, fault=None):
     """A training slice in a worker: one global-model materialization for
     the whole slice, then :func:`_train_body`.  Returns ``(rows,
     trace_payload)``."""
     _apply_fault(fault)
-    _evict_retired(live_floor)
+    _W_STORE.evict_below(live_floor)
     with _wspan("materialize", round_idx):
-        model = _materialize(model_ref)
+        model = _materialize(version)
     try:
         # Registry-backed workers materialize their own shards, held only
         # for the slice's lifetime.
@@ -433,8 +390,8 @@ def _client_slice_task(units, seeds, model_ref: ModelRef, config, round_idx,
 
 def _validator_slice_task(
     validator_ids: Sequence[int],
-    candidate_ref: ModelRef,
-    history_refs: Sequence[ModelRef],
+    candidate_version: int,
+    history_versions: Sequence[int],
     round_idx: int,
     seed_seqs: Sequence[np.random.SeedSequence],
     profile_hints: Mapping[int, Mapping[int, object]],
@@ -442,19 +399,24 @@ def _validator_slice_task(
     fault: tuple[str, float] | None = None,
 ):
     """A vote slice in a worker: candidate and history materialize once
-    per slice (validators only read them), then :func:`_vote_body` runs
-    with the profile exchange on.  Returns ``(rows, trace_payload)``."""
+    per slice into the per-version cache (validators only read them), then
+    :func:`_vote_body` runs with the profile exchange on.  Cached models
+    older than the oldest history version are dropped; rejected candidates
+    age out when the eviction floor passes them.  An empty history makes
+    the validator abstain, exactly like the in-process path.  Returns
+    ``(rows, trace_payload)``."""
     from repro.core.validation import ValidationContext
 
     _apply_fault(fault)
-    _evict_retired(live_floor)
+    _W_STORE.evict_below(live_floor)
     with _wspan("materialize", round_idx):
-        history_versions = _resolve_history(history_refs)
-        candidate = _materialize_candidate(candidate_ref)
-    context = ValidationContext(
-        candidate=candidate,
-        history=[(v, _W_MODELS[v]) for v in history_versions],
-    )
+        history = [(v, _cached_model(v)) for v in history_versions]
+        if history_versions:
+            oldest = min(history_versions)
+            for version in [v for v in _W_MODELS if v < oldest]:
+                del _W_MODELS[version]
+        candidate = _cached_model(candidate_version)
+    context = ValidationContext(candidate=candidate, history=history)
     rows = _vote_body(
         _wspan, _W_VALIDATORS, context, round_idx, validator_ids, seed_seqs,
         profile_hints, {},
@@ -490,7 +452,7 @@ class _InlineDispatcher:
     """
 
     kind = "inline"
-    #: Whether slices cross a process boundary (weights ship as refs).
+    #: Whether slices cross a process boundary (weights ship as versions).
     remote = False
     #: ``plan_cohorts`` spread: cap chunk sizes to spread over workers.
     spread: int | None = None
@@ -571,10 +533,11 @@ class _ProcessDispatcher(_ThreadDispatcher):
 
     def start(self, ex: "RoundExecutor") -> None:
         if self._pool is None:
-            if ex._template is None:
+            if ex._template is None or ex._store is None:
                 raise RuntimeError(
-                    "executor needs a template network; bind(template=...) "
-                    "first (FederatedSimulation does this automatically)"
+                    "process executor needs a template network and a "
+                    "shared-memory store; build it with make_engine() and "
+                    "run it under FederatedSimulation"
                 )
             self._pool = ProcessPoolExecutor(
                 max_workers=ex.workers,
@@ -583,7 +546,7 @@ class _ProcessDispatcher(_ThreadDispatcher):
                     ex._clients,
                     ex._validators,
                     ex._template,
-                    ex._store.worker_handle() if ex._use_store else None,
+                    ex._store.worker_handle(),
                     ex._registry.worker_view() if ex._registry is not None else None,
                     ex._tracer.enabled,
                 ),
@@ -608,53 +571,40 @@ class _ProcessDispatcher(_ThreadDispatcher):
             ex._note("orphans_reaped", n=len(reaped))
 
     @staticmethod
-    def _blob(ex: "RoundExecutor", model: Network, copies: int) -> bytes:
-        """A pipe blob of ``model`` in the bound store's codec (delta codecs
-        fall back to their dense form), accounted as ``copies`` transfers."""
-        codec = getattr(ex._store, "codec", None)
-        flat = model.get_flat()
-        blob = (codec if codec is not None else IdentityCodec()).encode(flat).to_bytes()
-        ex._pipe[0] += copies * len(blob)
-        ex._pipe[1] += copies * flat.nbytes
-        return blob
+    def ship_model(store: ModelStore, model: Network, holds: list[int]):
+        """The global model's held version and the worker eviction floor.
 
-    def ship_model(self, ex, model, copies, holds) -> tuple[ModelRef, int | None]:
-        """The global model's ref and the worker eviction floor."""
-        store = ex._store
-        if not ex._use_store:
-            return (None, self._blob(ex, model, copies)), None
-        # Content-deduplicated: right after a committed round the global
-        # model *is* the newest history entry, so this ships zero bytes.
-        holds.append(store.publish(model.get_flat()))
-        return (holds[-1], None), store.min_live_version()
-
-    def ship_context(self, ex, context, copies, holds):
-        """Refs for a vote phase's candidate and history, and the floor.
-
-        Arena-resolvable versions travel as held keys.  A standalone
-        context's candidate is published here (its publish reference is
-        the hold); a history version the arena cannot resolve travels as a
-        blob keyed by that version, so worker caches stay correct.
+        Content-deduplicated: right after a committed round the global
+        model *is* the newest history entry, so this ships zero bytes.
         """
-        store = ex._store
-        if not ex._use_store:
-            history = [(v, self._blob(ex, m, copies)) for v, m in context.history]
-            return (None, self._blob(ex, context.candidate, copies)), history, None
+        holds.append(store.publish(model.get_flat()))
+        return holds[-1], store.min_live_version()
+
+    @staticmethod
+    def ship_context(store: ModelStore, context, holds: list[int]):
+        """Hold a vote phase's history and candidate in the arena; return
+        the candidate's version and the worker eviction floor.
+
+        A history version the arena lacks (a context whose models never
+        touched this store) is adopted under its own version, so worker
+        caches keyed by version stay correct; adopting first moves the
+        store's counter past those versions before a standalone context's
+        candidate is published.  Each adopt or publish reference is the
+        hold.
+        """
+        for version, model in context.history:
+            if version in store:
+                store.acquire(version)
+            else:
+                store.adopt(version, model.get_flat())
+            holds.append(version)
         candidate = context.candidate_version
         if candidate is None or candidate not in store:
             candidate = store.publish_new(context.candidate.get_flat())
         else:
             store.acquire(candidate)
         holds.append(candidate)
-        history = []
-        for version, model in context.history:
-            if version in store:
-                store.acquire(version)
-                holds.append(version)
-                history.append((version, None))
-            else:
-                history.append((version, self._blob(ex, model, copies)))
-        return (candidate, None), history, store.min_live_version()
+        return candidate, store.min_live_version()
 
 
 # ----------------------------------------------------------------------
@@ -748,8 +698,8 @@ class RoundExecutor:
     round loop of :class:`~repro.fl.simulation.FederatedSimulation`.
     """
 
-    #: Whether the workers read weights from the shared arena, making
-    #: every byte copied into it transport.
+    #: Whether the workers read weights from the shared arena: the bound
+    #: store must be shareable, and every byte copied into it is transport.
     _reads_arena = False
 
     def __init__(self, workers: int, cohort_size: int | None, dispatcher) -> None:
@@ -788,8 +738,6 @@ class RoundExecutor:
         self._bound: set[str] = set()
         self._started = False
         self._tracer: Tracer | NullTracer = NULL_TRACER
-        #: Cumulative pipe bytes (codec payload, raw policy-dtype).
-        self._pipe = [0, 0]
         #: Deferred-release list: handles whose tasks still run.
         self._abandoned: list[PendingVotes] = []
         self._vote_locks: dict[int, threading.Lock] = {}
@@ -827,6 +775,12 @@ class RoundExecutor:
         }
         if given and self._started:
             raise RuntimeError("cannot bind populations after the pool started")
+        if store is not None and self._reads_arena and not store.shareable:
+            raise ValueError(
+                f"{type(self).__name__} needs a shared-memory store, got "
+                f"{type(store).__name__}; build executor and store together "
+                "with make_engine()"
+            )
         for name in given:
             if name in self._bound:
                 raise RuntimeError(
@@ -869,26 +823,20 @@ class RoundExecutor:
         return self._store
 
     @property
-    def _use_store(self) -> bool:
-        """Ship version keys (shared arena) instead of pickled blobs?"""
-        return self._store is not None and self._store.shareable
-
-    @property
     def transport_bytes(self) -> int:
-        """Cumulative model-weight bytes moved across process boundaries
-        (codec-compressed payload bytes on the store path)."""
-        return self._transport(0, "bytes_published")
+        """Cumulative model-weight bytes moved across process boundaries:
+        the codec payload bytes copied into the shared arena (0 for the
+        in-process engines)."""
+        if not self._reads_arena or self._store is None:
+            return 0
+        return self._store.bytes_published
 
     @property
     def raw_transport_bytes(self) -> int:
         """What :attr:`transport_bytes` would be without compression."""
-        return self._transport(1, "raw_bytes_published")
-
-    def _transport(self, index: int, published: str) -> int:
-        total = self._pipe[index]
-        if self._reads_arena and self._use_store:
-            total += getattr(self._store, published)
-        return total
+        if not self._reads_arena or self._store is None:
+            return 0
+        return self._store.raw_bytes_published
 
     # ------------------------------------------------------------------
     # Round phases
@@ -921,9 +869,7 @@ class RoundExecutor:
         )
         holds: list[int] = []
         if dispatcher.remote:
-            model_ref, floor = dispatcher.ship_model(
-                self, global_model, len(slices), holds
-            )
+            version, floor = dispatcher.ship_model(self._store, global_model, holds)
             population = clients  # resolved only by a replay on the parent
         else:
             # Resolved on the calling thread: a registry materializes its
@@ -937,7 +883,7 @@ class RoundExecutor:
                 slot,
                 (_train_body, self._span, population, global_model, config,
                  round_idx, units, seeds),
-                (_client_slice_task, units, seeds, model_ref, config, round_idx,
+                (_client_slice_task, units, seeds, version, config, round_idx,
                  floor) if dispatcher.remote else None,
             ))
         remote_set = set(remote)
@@ -981,9 +927,7 @@ class RoundExecutor:
         versions = [version for version, _ in context.history]
         holds: list[int] = []
         if dispatcher.remote:
-            candidate_ref, history_refs, floor = dispatcher.ship_context(
-                self, context, len(slices), holds
-            )
+            candidate, floor = dispatcher.ship_context(self._store, context, holds)
         tasks = []
         for slot, vids in enumerate(slices):
             seeds = [streams.validator_seq(round_idx, vid) for vid in vids]
@@ -995,7 +939,7 @@ class RoundExecutor:
                 slot,
                 (_vote_body, self._span, validators, context, round_idx, vids,
                  seeds, hints, locks),
-                (_validator_slice_task, vids, candidate_ref, history_refs,
+                (_validator_slice_task, vids, candidate, versions,
                  round_idx, seeds, hints, floor) if dispatcher.remote else None,
             ))
 
@@ -1255,9 +1199,9 @@ def make_executor(
     """Executor for a worker count: 0/1 -> sequential, N>=2 -> worker pool.
 
     ``engine`` picks the multi-worker dispatcher (:data:`ENGINE_KINDS`).
-    ``store`` binds the configured model store at construction, so a pool
-    can never silently fall back to pipe transport because a caller forgot
-    to connect the two.  ``mode="pipelined"`` sets ``pipeline_depth``.
+    ``store`` binds a model store at construction (a process pool accepts
+    only a shared-memory store; :func:`make_engine` builds the matching
+    one).  ``mode="pipelined"`` sets ``pipeline_depth``.
     ``cohort_size`` controls stacked cohort training (:mod:`repro.fl.cohort`):
     ``None`` keeps each executor's default, ``>= 2`` forces that chunk size,
     ``0``/``1`` disables stacking.  ``faults`` and ``task_deadline_s`` arm
@@ -1318,7 +1262,6 @@ class RoundEngine:
 
 def make_engine(
     workers: int,
-    store: str = "auto",
     mode: str = "sync",
     pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     codec: str | None = None,
@@ -1331,12 +1274,10 @@ def make_engine(
     """The one factory for a round-execution engine.
 
     Builds the executor (:func:`make_executor`, which validates every
-    execution argument) and the model store for the worker count
-    (``store`` is a :data:`~repro.fl.model_store.STORE_KINDS` name), and
-    binds the two, so the transport path is decided here, in one place.
-    The thread engine shares the caller's address space, so
-    ``store="auto"`` resolves to the in-process store for it — a
-    shared-memory arena would only add copies.
+    execution argument) and the one store that engine uses, and binds the
+    two, so the weight path is decided here, in one place: the process
+    engine gets a shared-memory arena, the sequential and thread engines,
+    which share the caller's address space, the in-process store.
 
     ``codec`` selects the store's weight-compression codec
     (:mod:`repro.fl.compression`; name or instance, default identity);
@@ -1353,10 +1294,10 @@ def make_engine(
         faults=faults,
         task_deadline_s=task_deadline_s,
     )
-    if store == "auto" and engine == "thread":
-        store = "inprocess"
     model_store = make_model_store(
-        workers, store, codec=codec, require_lossless=require_lossless
+        isinstance(executor, ProcessPoolRoundExecutor),
+        codec=codec,
+        require_lossless=require_lossless,
     )
     executor.bind(store=model_store)
     return RoundEngine(executor, model_store)

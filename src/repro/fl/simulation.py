@@ -122,10 +122,9 @@ class RoundRecord:
     decision: DefenseDecision
     metrics: dict[str, float] = field(default_factory=dict)
     #: Model-weight bytes the executor moved across process boundaries this
-    #: round: 0 for in-process execution, pickled blob bytes for the
-    #: pipe-transport pool, bytes newly copied into the shared-memory arena
-    #: for a store-backed pool (O(1 new model) per round).  Store-path
-    #: bytes are codec-*compressed* payload bytes.
+    #: round: 0 for in-process execution, bytes newly copied into the
+    #: shared-memory arena for the process pool (O(1 new model) per round),
+    #: counted as codec-*compressed* payload bytes.
     transport_bytes: int = 0
     #: What ``transport_bytes`` would have been uncompressed (equal under
     #: the identity codec; the basis of ``compression_ratio``).
@@ -285,10 +284,11 @@ class FederatedSimulation:
     model_store:
         The :class:`~repro.fl.model_store.ModelStore` holding the round
         loop's weight vectors (global model, candidate, defense history).
-        Defaults to an in-process store; pass a
-        :class:`~repro.fl.model_store.SharedMemoryModelStore` so a process
-        pool ships version keys instead of weight blobs.  The caller owns
-        the store's lifecycle (close it after the executor).
+        Defaults to the executor's bound store, else an in-process store
+        (a process pool refuses that one: build it with
+        :func:`~repro.fl.parallel.make_engine`, which binds its
+        shared-memory store).  The caller owns the store's lifecycle
+        (close it after the executor).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` recording phase spans
         and run metrics (see :mod:`repro.obs`).  Defaults to the zero-cost
@@ -355,18 +355,17 @@ class FederatedSimulation:
                 "build both through make_engine() or pass the same store"
             )
         self.model_store = model_store or executor_store or InProcessModelStore()
-        #: The store's transport codec.  Non-transparent codecs project
-        #: every vector they are asked to carry onto their exactly
-        #: representable domain, so the simulation *canonicalizes* the
-        #: initial model and each aggregated candidate through the codec
-        #: before review/commit: everything transported then round-trips
-        #: bit-exactly for lossless codecs, preserving the cross-engine
-        #: equivalence guarantee (see repro.fl.compression).
-        self._codec = getattr(self.model_store, "codec", None)
-        if self._codec is not None and not self._codec.transparent:
-            self.global_model.set_flat(
-                self._codec.canonicalize(self.global_model.get_flat())
-            )
+        #: The store's transport codec.  Codecs project every vector they
+        #: are asked to carry onto their exactly representable domain, so
+        #: the simulation *canonicalizes* the initial model and each
+        #: aggregated candidate through the codec before review/commit:
+        #: everything transported then round-trips bit-exactly for
+        #: lossless codecs, preserving the cross-engine equivalence
+        #: guarantee (see repro.fl.compression).
+        self._codec = self.model_store.codec
+        self.global_model.set_flat(
+            self._codec.canonicalize(self.global_model.get_flat())
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         bind_kwargs = {
             "clients": self.clients,
@@ -488,7 +487,7 @@ class FederatedSimulation:
             },
             transport_bytes=self.executor.transport_bytes - transport_before,
             raw_transport_bytes=self.executor.raw_transport_bytes - raw_before,
-            codec=self._codec_name(),
+            codec=self._codec.name,
             peak_rss_kb=_peak_rss_kb(),
             materialized_clients=resident_clients,
             retries=self._resilience_delta(),
@@ -506,9 +505,6 @@ class FederatedSimulation:
         self.history.append(record)
         self.round_idx += 1
         return record
-
-    def _codec_name(self) -> str:
-        return self._codec.name if self._codec is not None else "identity"
 
     def _resilience_delta(self) -> int:
         """Recovery incidents since the last emitted record.
@@ -792,7 +788,7 @@ class FederatedSimulation:
             },
             transport_bytes=spec.transport_bytes,
             raw_transport_bytes=spec.raw_transport_bytes,
-            codec=self._codec_name(),
+            codec=self._codec.name,
             accepted_at_round=resolved_at,
             validation_lag=resolved_at - spec.round_idx,
             rollback_count=spec.rollback_count,
@@ -847,11 +843,11 @@ class FederatedSimulation:
     ) -> tuple[Network, np.ndarray]:
         """Combine updates into the candidate global model.
 
-        With a non-transparent codec the candidate is canonicalized here —
-        the single point every downstream consumer (defense review,
-        history commit, next round's training base) inherits from — so the
-        committed trajectory is the codec's exactly-representable one and
-        identical across executors and stores.
+        The candidate is canonicalized through the codec here — the single
+        point every downstream consumer (defense review, history commit,
+        next round's training base) inherits from — so the committed
+        trajectory is the codec's exactly-representable one and identical
+        across engines.
         """
         mean_update = self._combine(contributor_ids, updates, round_idx, rng)
         candidate_flat = apply_global_update(
@@ -861,10 +857,9 @@ class FederatedSimulation:
             global_lr=self.config.effective_global_lr,
             num_clients=self.config.num_clients,
         )
-        if self._codec is not None and not self._codec.transparent:
-            candidate_flat = self._codec.canonicalize(candidate_flat)
-        # The secure-aggregation simulation and the lossy codecs compute in
-        # float64 internally; under a float32 policy the committed
+        candidate_flat = self._codec.canonicalize(candidate_flat)
+        # The secure-aggregation simulation and the quantized codec compute
+        # in float64 internally; under a float32 policy the committed
         # trajectory must still be policy-dtype everywhere (no-op under
         # float64, and under float32 every value is float64-exact so the
         # cast loses nothing on the lossless paths).

@@ -3,7 +3,7 @@
 The repo's bit-identity contract is scoped *per policy*: under the default
 ``float64`` policy every run is bit-identical to the seed baseline; under
 the opt-in ``float32`` policy runs are bit-identical to each other across
-every engine/store/mode combination, but not to float64 runs (they are a
+every engine/mode combination, but not to float64 runs (they are a
 different numerical trajectory by construction).
 
 The active policy lives in the ``REPRO_DTYPE_POLICY`` environment variable

@@ -4,7 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
+
+#: The runner entry point each experiment subcommand hands its config to
+#: (always as the first positional argument).
+ENTRY_POINTS = {
+    "detect": "run_detection_experiment",
+    "table1": "sweep_lookback",
+    "fig3": "sweep_quorum",
+    "table2": "run_adaptive_experiment",
+    "fig2": "run_error_trace",
+    "fig4": "run_early_scenario",
+}
+
+
+class _ConfigBuilt(Exception):
+    """Raised by a stubbed entry point, carrying the config it received."""
 
 
 class TestParser:
@@ -39,6 +55,44 @@ class TestParser:
         assert build_parser().parse_args(["detect"]).exec_mode == "sync"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["detect", "--exec-mode", "warp"])
+
+
+class TestSharedExecutionFlags:
+    """Every experiment subcommand builds its config through the one
+    helper holding the shared execution flags."""
+
+    @pytest.mark.parametrize("command", sorted(ENTRY_POINTS))
+    def test_flags_reach_the_config(self, command, monkeypatch, tmp_path):
+        def capture(config, *args, **kwargs):
+            raise _ConfigBuilt(config)
+
+        monkeypatch.setattr(cli, ENTRY_POINTS[command], capture)
+        with pytest.raises(_ConfigBuilt) as built:
+            main([
+                command, "--workers", "3", "--engine", "thread",
+                "--exec-mode", "pipelined", "--pipeline-depth", "4",
+                "--cohort-size", "5", "--codec", "quantized", "--allow-lossy",
+                "--dtype", "float32", "--virtual-clients", "--sanitize",
+                "--trace", str(tmp_path), "--faults", "crash@3.train",
+                "--task-deadline", "0.5", "--quorum-policy", "degrade",
+                "--quorum-min", "2",
+            ])
+        config = built.value.args[0]
+        assert (config.workers, config.engine) == (3, "thread")
+        assert (config.execution_mode, config.pipeline_depth) == ("pipelined", 4)
+        assert config.cohort_size == 5
+        assert (config.codec, config.allow_lossy) == ("quantized", True)
+        assert config.dtype_policy == "float32"
+        assert config.virtual_clients and config.sanitize
+        assert config.trace == str(tmp_path)
+        assert (config.faults, config.task_deadline_s) == ("crash@3.train", 0.5)
+        assert (config.quorum_policy, config.quorum_min) == ("degrade", 2)
+
+    def test_no_subcommand_takes_a_store_flag(self):
+        """Each engine has one weight path, derived from ``--engine``."""
+        for command in ENTRY_POINTS:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--store", "shared"])
 
 
 class TestExecution:

@@ -33,7 +33,14 @@ class TestExperimentConfig:
             {"attack_rounds": (99,)},
             {"execution_mode": "turbo"},
             {"pipeline_depth": -1},
-            {"model_store": "quantum"},
+            {"engine": "quantum"},
+            {"workers": -1},
+            {"cohort_size": -1},
+            {"dtype_policy": "float8"},
+            {"task_deadline_s": 0.0},
+            {"quorum_policy": "bogus"},
+            {"quorum_min": 0},
+            {"faults": "meltdown@3.train"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -41,11 +48,11 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs)
 
     def test_environment_key_ignores_engine_knobs(self):
-        """workers/store/mode/depth are pure throughput knobs: engines
+        """workers/engine/mode/depth are pure throughput knobs: engines
         commit bit-identical models, so cached environments are shared."""
         base = ExperimentConfig()
         assert base.environment_key(0) == base.with_updates(
-            workers=4, model_store="shared",
+            workers=4, engine="thread",
             execution_mode="pipelined", pipeline_depth=3,
         ).environment_key(0)
 

@@ -24,9 +24,11 @@ class TestRunDetectionExperiment:
         assert stats.fn_mean == 0.0
 
     def test_workers_override_is_a_pure_throughput_knob(self, fast_config):
-        """The runner-level workers override must not change results."""
+        """Running the same config on 2 workers must not change results."""
         sequential = run_detection_experiment(fast_config, seeds=(0,))
-        parallel = run_detection_experiment(fast_config, seeds=(0,), workers=2)
+        parallel = run_detection_experiment(
+            fast_config.with_updates(workers=2), seeds=(0,)
+        )
         assert parallel == sequential
 
     def test_seed_fanout_is_a_pure_throughput_knob(self, fast_config):

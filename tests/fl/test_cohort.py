@@ -1,8 +1,8 @@
 """Tests for stacked cohort client training (repro.fl.cohort) and its
 executor integration.
 
-The headline guarantee: a cohort-enabled engine — any executor, any store,
-any execution mode, any cohort size — commits **bit-identical** models and
+The headline guarantee: a cohort-enabled engine — any executor, any
+execution mode, any cohort size — commits **bit-identical** models and
 round records to the seed-baseline sequential per-model engine.
 """
 
@@ -15,7 +15,7 @@ from repro.data.dataset import Dataset
 from repro.fl.client import HonestClient, LocalTrainingConfig
 from repro.fl.cohort import cohort_updates, is_cohortable, plan_cohorts
 from repro.fl.model_store import InProcessModelStore, SharedMemoryModelStore
-from repro.fl.parallel import SequentialExecutor, make_executor
+from repro.fl.parallel import SequentialExecutor, make_engine, make_executor
 from repro.fl.rng import RngStreams
 from repro.nn.models import make_mlp, make_resnet_lite
 from tests.fl.test_parallel import (
@@ -187,9 +187,11 @@ class TestExecutorIntegration:
         baseline = SequentialExecutor().run_clients(
             clients, ids, model, local, 0, streams
         )
-        with make_executor(2, cohort_size=4) as executor:
-            executor.bind(clients=clients, template=model.clone())
-            cohorted = executor.run_clients(clients, ids, model, local, 0, streams)
+        with make_engine(2, cohort_size=4) as engine:
+            engine.executor.bind(clients=clients, template=model.clone())
+            cohorted = engine.executor.run_clients(
+                clients, ids, model, local, 0, streams
+            )
         for a, b in zip(baseline, cohorted):
             np.testing.assert_array_equal(a, b)
 
@@ -206,9 +208,11 @@ class TestExecutorIntegration:
         baseline = SequentialExecutor().run_clients(
             clients, ids, model, local, 0, streams
         )
-        with make_executor(2, cohort_size=4) as executor:
-            executor.bind(clients=clients, template=model.clone())
-            cohorted = executor.run_clients(clients, ids, model, local, 0, streams)
+        with make_engine(2, cohort_size=4) as engine:
+            engine.executor.bind(clients=clients, template=model.clone())
+            cohorted = engine.executor.run_clients(
+                clients, ids, model, local, 0, streams
+            )
         for a, b in zip(baseline, cohorted):
             np.testing.assert_array_equal(a, b)
 
@@ -224,7 +228,8 @@ class TestExecutorIntegration:
 class TestCohortEquivalenceMatrix:
     """Cohort-enabled engines commit bit-identical models and records to
     the seed-baseline per-model sequential engine — the full
-    {Sequential, ProcessPool, Pipelined} x {InProcess, SharedMemory} grid."""
+    {Sequential, ProcessPool} x {sync, pipelined} grid, each engine on the
+    store ``make_engine`` gives it."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -234,31 +239,23 @@ class TestCohortEquivalenceMatrix:
 
     @pytest.mark.parametrize("mode", ["sync", "pipelined"])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "store_cls", [InProcessModelStore, SharedMemoryModelStore]
-    )
-    def test_bit_identical_commits(self, baseline, workers, store_cls, mode):
+    def test_bit_identical_commits(self, baseline, workers, mode):
         baseline_flat, baseline_records = baseline
-        store = store_cls()
-        with store, make_executor(
-            workers, store=store, mode=mode, pipeline_depth=2, cohort_size=3
-        ) as executor:
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=store)
-            )
+        with make_engine(
+            workers, mode=mode, pipeline_depth=2, cohort_size=3
+        ) as engine:
+            flat, records = run_and_snapshot(build_defended_sim(engine.executor))
         # Committed models match the seed-baseline sequential engine.
         np.testing.assert_array_equal(baseline_flat, flat)
-        if isinstance(store, SharedMemoryModelStore):
-            assert shm_leftovers(store) == []
+        assert shm_leftovers(engine.store) == []
         # Full records (including lag telemetry, which legitimately differs
         # between sync and deep-pipelined runs) match the same engine
         # without cohorting: stacking changes throughput only.
-        twin_store = store_cls()
-        with twin_store, make_executor(
-            workers, store=twin_store, mode=mode, pipeline_depth=2, cohort_size=1
-        ) as twin_executor:
+        with make_engine(
+            workers, mode=mode, pipeline_depth=2, cohort_size=1
+        ) as twin:
             twin_flat, twin_records = run_and_snapshot(
-                build_defended_sim(twin_executor, store=twin_store)
+                build_defended_sim(twin.executor)
             )
         np.testing.assert_array_equal(twin_flat, flat)
         assert twin_records == records

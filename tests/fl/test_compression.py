@@ -6,9 +6,8 @@ Four properties matter:
    bit-exactly, lossy codecs respect their documented error bounds, and
    both hold across arbitrary shapes (empty and odd-length included);
 2. store integration: every store encodes on publish / decodes on get,
-   counts compressed vs raw bytes, and — for delta codecs — pins parent
-   versions so rolled-back or evicted chains stay decodable and still
-   unlink completely once the last consumer is gone;
+   counts compressed vs raw bytes, decodes every segment on its own, and
+   unlinks every codec segment once the last consumer is gone;
 3. the engine gate: lossy codecs are rejected wherever
    ``require_lossless`` (or the config's ``allow_lossy=False``) demands
    losslessness, and admitted codecs surface in the round telemetry;
@@ -25,12 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.compression import (
-    MAX_DELTA_CHAIN,
     CompressedSegment,
     Float16Codec,
     IdentityCodec,
+    SEGMENT_HEADER,
     QuantizedCodec,
-    TopKDeltaCodec,
     WeightCodec,
     codec_names,
     decode_segment,
@@ -46,7 +44,7 @@ from repro.fl.parallel import SequentialExecutor, make_engine, make_executor
 from tests.conftest import shm_entries
 
 STORES = [InProcessModelStore, SharedMemoryModelStore]
-ALL_CODECS = ("identity", "float16", "quantized", "topk")
+ALL_CODECS = ("identity", "float16", "quantized")
 
 #: Shapes the property tests sweep: empty, single element, odd lengths,
 #: one crossing the quantizer's chunk boundary.
@@ -57,21 +55,40 @@ def vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.normal(scale=0.5, size=n)
 
 
+def payload_bytes(name: str, n: int) -> int:
+    """Documented payload size of an ``n``-weight float64 vector: 8 bytes
+    per weight (identity), 2 (float16), or 1 per weight plus an 8-byte
+    chunk-size word and a float32 offset/scale pair per 4096-weight chunk
+    (quantized)."""
+    if name == "identity":
+        return 8 * n
+    if name == "float16":
+        return 2 * n
+    return 8 + 8 * -(-n // 4096) + n
+
+
 class TestSegmentSerialization:
     def test_header_roundtrip(self, rng):
         flat = vectors(rng, 33)
         segment = IdentityCodec().encode(flat)
-        segment.parent_version = 7
         parsed = CompressedSegment.from_buffer(segment.to_bytes())
         assert parsed.codec == "identity"
         assert parsed.num_params == 33
-        assert parsed.parent_version == 7
-        np.testing.assert_array_equal(decode_segment(parsed, flat), flat)
+        np.testing.assert_array_equal(decode_segment(parsed), flat)
 
-    def test_parentless_header(self, rng):
-        segment = Float16Codec().encode(vectors(rng, 4))
-        parsed = CompressedSegment.from_buffer(segment.to_bytes())
-        assert parsed.parent_version is None
+    @pytest.mark.parametrize("n", SHAPES)
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    def test_segment_is_fixed_header_plus_own_payload(self, rng, name, n):
+        """Segments are self-contained: the wire form is the fixed header
+        and the codec's payload, sized as documented, and nothing else."""
+        segment = make_codec(name).encode(vectors(rng, n))
+        wire = segment.to_bytes()
+        assert segment.nbytes == payload_bytes(name, n)
+        assert len(wire) == segment.total_bytes
+        assert len(wire) == SEGMENT_HEADER.size + payload_bytes(name, n)
+        parsed = CompressedSegment.from_buffer(wire)
+        assert (parsed.codec, parsed.num_params) == (name, n)
+        assert bytes(parsed.payload) == bytes(segment.payload)
 
     def test_decode_segment_rejects_unregistered_codec(self):
         segment = CompressedSegment("no-such-codec", 0, b"")
@@ -86,7 +103,7 @@ class TestLosslessRoundTrips:
         flat = vectors(rng, n)
         np.testing.assert_array_equal(codec.decode(codec.encode(flat)), flat)
         np.testing.assert_array_equal(codec.canonicalize(flat), flat)
-        assert codec.lossless and codec.transparent
+        assert codec.lossless
 
     @pytest.mark.parametrize("n", SHAPES)
     def test_float16_exact_on_canonical_domain(self, rng, n):
@@ -97,7 +114,7 @@ class TestLosslessRoundTrips:
         np.testing.assert_array_equal(decoded, canonical)
         # Canonicalization is a projection: applying it twice is a no-op.
         np.testing.assert_array_equal(codec.canonicalize(canonical), canonical)
-        assert codec.lossless and not codec.transparent
+        assert codec.lossless
 
     def test_float16_canonicalization_error_bound(self, rng):
         flat = vectors(rng, 512)
@@ -128,44 +145,6 @@ class TestLossyBounds:
         )
         np.testing.assert_allclose(decoded, flat, atol=1e-7)
 
-    @pytest.mark.parametrize("n", SHAPES)
-    def test_topk_exact_at_kept_coordinates(self, rng, n):
-        codec = TopKDeltaCodec(k_ratio=0.25)
-        parent = vectors(rng, n)
-        flat = parent + rng.normal(scale=0.01, size=n)
-        segment = codec.encode(flat, parent, parent_version=0)
-        decoded = codec.decode(segment, parent)
-        assert decoded.shape == flat.shape
-        if n:
-            k = int(np.ceil(codec.k_ratio * n))
-            moved = np.argsort(np.abs(flat - parent))[-k:]
-            np.testing.assert_array_equal(decoded[moved], flat[moved])
-            bound = codec.max_error_bound(flat, parent)
-            assert np.all(np.abs(decoded - flat) <= bound + 1e-15)
-        assert not codec.lossless and codec.transparent
-
-    def test_topk_without_parent_is_dense_and_exact(self, rng):
-        codec = TopKDeltaCodec()
-        flat = vectors(rng, 101)
-        segment = codec.encode(flat)  # no parent: dense fallback
-        assert segment.parent_version is None
-        np.testing.assert_array_equal(codec.decode(segment), flat)
-
-    def test_topk_delta_needs_parent_to_decode(self, rng):
-        codec = TopKDeltaCodec()
-        parent = vectors(rng, 50)
-        segment = codec.encode(parent + 0.01, parent, parent_version=3)
-        assert segment.parent_version == 3
-        with pytest.raises(ValueError, match="parent"):
-            codec.decode(segment)
-
-    def test_topk_compresses(self, rng):
-        flat = vectors(rng, 10000)
-        parent = flat + vectors(rng, 10000) * 0.01
-        segment = TopKDeltaCodec(k_ratio=0.1).encode(flat, parent, 0)
-        assert segment.nbytes < flat.nbytes / 5
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=0, max_value=600),
@@ -179,18 +158,16 @@ def test_property_roundtrip_over_random_shapes(n, seed, name):
     rng = np.random.default_rng(seed)
     codec = make_codec(name)
     flat = rng.normal(size=n)
-    parent = rng.normal(size=n) if codec.needs_parent else None
-    parent_version = 0 if parent is not None else None
     if codec.lossless:
         flat = codec.canonicalize(flat)
-    segment = codec.encode(flat, parent, parent_version)
-    decoded = codec.decode(segment, parent)
+    segment = codec.encode(flat)
+    decoded = codec.decode(segment)
     assert decoded.shape == (n,)
     assert decoded.dtype == np.float64
     if codec.lossless:
         np.testing.assert_array_equal(decoded, flat)
     wire = CompressedSegment.from_buffer(segment.to_bytes())
-    np.testing.assert_array_equal(decode_segment(wire, parent), decoded)
+    np.testing.assert_array_equal(decode_segment(wire), decoded)
 
 
 class TestRegistry:
@@ -211,13 +188,12 @@ class TestRegistry:
         class NegatingCodec(WeightCodec):
             name = "test-negate"
             lossless = True
-            transparent = True
 
-            def encode(self, flat, parent=None, parent_version=None):
+            def encode(self, flat):
                 flat = np.ascontiguousarray(flat, dtype=np.float64)
                 return CompressedSegment(self.name, len(flat), (-flat).tobytes())
 
-            def decode(self, segment, parent=None):
+            def decode(self, segment):
                 return -np.frombuffer(bytes(segment.payload), dtype=np.float64)
 
         register_codec(NegatingCodec)
@@ -251,6 +227,37 @@ class TestStoreCodecIntegration:
             assert store.bytes_published == flat.nbytes // 4
             assert store.compression_ratio == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    def test_accounting_counts_codec_payload_and_raw_bytes(
+        self, store_cls, name, rng
+    ):
+        codec = make_codec(name)
+        flats = [vectors(rng, 300) for _ in range(3)]
+        with store_cls(codec=codec) as store:
+            for flat in flats:
+                store.publish(flat)
+            assert store.raw_bytes_published == sum(f.nbytes for f in flats)
+            assert store.bytes_published == 3 * payload_bytes(name, 300)
+
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    def test_release_leaves_other_versions_decodable(
+        self, store_cls, name, rng
+    ):
+        """No segment depends on another: releasing versions (a history
+        rollback, an evicted window) never changes how the rest decode."""
+        with store_cls(codec=name) as store:
+            base = vectors(rng, 128)
+            versions = [store.publish_new(base + 0.01 * i) for i in range(4)]
+            decoded = {v: store.get(v).copy() for v in versions}
+            store.release(versions[0])
+            store.release(versions[2])
+            assert store.versions() == [versions[1], versions[3]]
+            for version in store.versions():
+                assert store.refcount(version) == 1
+                np.testing.assert_array_equal(
+                    store.get(version), decoded[version]
+                )
+
     def test_dedup_still_costs_zero_bytes(self, store_cls, rng):
         with store_cls(codec="quantized") as store:
             flat = vectors(rng, 64)
@@ -267,46 +274,12 @@ class TestStoreCodecIntegration:
             err = np.max(np.abs(store.get(version) - flat))
             assert err <= codec.max_error_bound(flat) * 1.001 + 1e-9
 
-    def test_delta_parent_pinned_until_child_evicted(self, store_cls, rng):
-        """The rollback-decodability property: releasing a parent's last
-        *external* reference must not unlink it while a delta child (e.g.
-        a version a straggler validator still holds) depends on it."""
-        with store_cls(codec="topk") as store:
-            base = vectors(rng, 128)
-            child = base.copy()
-            child[:5] += 0.5  # sparse change, within the top-k budget
-            v0 = store.publish_new(base)
-            v1 = store.publish_new(child)  # delta against v0
-            assert store.refcount(v0) == 2  # publisher + child pin
-            store.release(v0)  # the "history rollback" drops its reference
-            assert v0 in store  # pinned by v1
-            np.testing.assert_array_equal(store.get(v1), child)
-            store.release(v1)  # last consumer gone: cascade eviction
-            assert v0 not in store and v1 not in store
-            assert store.versions() == []
-
-    def test_chain_depth_caps_with_dense_rebase(self, store_cls, rng):
-        with store_cls(codec="topk") as store:
-            flat = vectors(rng, 64)
-            versions = [store.publish_new(flat + 0.001 * i) for i in range(2 * MAX_DELTA_CHAIN + 2)]
-            depths = [store._chain_depth[v] for v in versions]
-            assert max(depths) <= MAX_DELTA_CHAIN
-            assert depths.count(0) >= 2  # at least one dense re-base happened
-            for version in versions:
-                assert store.get(version).shape == flat.shape
-
-    def test_length_mismatch_gets_no_parent(self, store_cls, rng):
-        with store_cls(codec="topk") as store:
-            store.publish_new(vectors(rng, 32))
-            v1 = store.publish_new(vectors(rng, 64))
-            assert store._parents.get(v1) is None
-
 
 class TestSharedMemoryCodecLifecycle:
     def test_encode_evict_cycles_unlink_everything(self, rng):
-        """The codec leak gate: publish/evict churn with a delta codec,
-        including pinned parents, must leave /dev/shm clean."""
-        store = SharedMemoryModelStore(codec="topk")
+        """The codec leak gate: publish/evict churn with a lossy codec
+        must leave /dev/shm clean."""
+        store = SharedMemoryModelStore(codec="quantized")
         with store:
             live = []
             for i in range(20):
@@ -320,26 +293,19 @@ class TestSharedMemoryCodecLifecycle:
             assert shm_entries(store.name_prefix) == []
         assert shm_entries(store.name_prefix) == []
 
-    def test_close_unlinks_pinned_parents(self, rng):
-        store = SharedMemoryModelStore(codec="topk")
-        base = vectors(rng, 64)
-        store.publish_new(base)
-        store.publish_new(base + 0.01)
-        assert len(shm_entries(store.name_prefix)) == 2
-        store.close()
-        assert shm_entries(store.name_prefix) == []
-
-    def test_worker_view_decodes_delta_chain(self, rng):
-        with SharedMemoryModelStore(codec="topk") as store:
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    def test_worker_view_decodes_each_segment_alone(self, rng, name):
+        """A worker resolves any version from its own segment, even after
+        the versions published before it are gone."""
+        with SharedMemoryModelStore(codec=name) as store:
             base = vectors(rng, 48)
             v0 = store.publish_new(base)
             v1 = store.publish_new(base + 0.005)
+            expected = store.get(v1).copy()
+            store.release(v0)
             view = store.worker_handle().attach()
-            np.testing.assert_array_equal(view.get(v0, 48), store.get(v0))
-            np.testing.assert_array_equal(view.get(v1, 48), store.get(v1))
-            # One-shot (candidate-style) reads resolve parents too.
-            one_shot = view.get(v1, 48, cache=False)
-            np.testing.assert_array_equal(one_shot, store.get(v1))
+            np.testing.assert_array_equal(view.get(v1), expected)
+            assert view.attach_count == 1
             view.close()
 
     def test_worker_view_decodes_float16(self, rng):
@@ -348,24 +314,24 @@ class TestSharedMemoryCodecLifecycle:
             flat = codec.canonicalize(vectors(rng, 32))
             version = store.publish(flat)
             view = store.worker_handle().attach()
-            np.testing.assert_array_equal(view.get(version, 32), flat)
+            np.testing.assert_array_equal(view.get(version), flat)
             view.close()
 
 
 class TestLosslessGating:
     def test_make_model_store_rejects_lossy_by_default(self):
         with pytest.raises(ValueError, match="lossy"):
-            make_model_store(0, "inprocess", codec="quantized")
+            make_model_store(codec="quantized")
 
     def test_make_model_store_admits_lossy_explicitly(self):
         with make_model_store(
-            0, "inprocess", codec="topk", require_lossless=False
+            codec="quantized", require_lossless=False
         ) as store:
-            assert store.codec.name == "topk"
+            assert store.codec.name == "quantized"
 
     def test_make_engine_rejects_lossy_by_default(self):
         with pytest.raises(ValueError, match="lossy"):
-            make_engine(0, codec="topk")
+            make_engine(0, codec="quantized")
 
     def test_make_engine_carries_codec(self):
         with make_engine(0, codec="float16") as engine:
@@ -408,9 +374,9 @@ class TestLosslessGating:
         from repro.experiments.cli import build_parser
 
         args = build_parser().parse_args(
-            ["detect", "--codec", "topk", "--allow-lossy"]
+            ["detect", "--codec", "quantized", "--allow-lossy"]
         )
-        assert args.codec == "topk" and args.allow_lossy
+        assert args.codec == "quantized" and args.allow_lossy
         assert not build_parser().parse_args(["detect"]).allow_lossy
         with pytest.raises(SystemExit):
             build_parser().parse_args(["detect", "--codec", "middle-out"])
@@ -430,13 +396,11 @@ class TestCodecEngineEquivalence:
         baseline_flat, baseline_records = run_and_snapshot(
             build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
         )
-        for workers, store_cls in [
-            (2, SharedMemoryModelStore),
-            (2, InProcessModelStore),
-        ]:
-            store = store_cls(codec="identity")
-            with store, make_executor(workers, store=store) as executor:
-                flat, records = self._run(store, executor)
+        for engine in ("process", "thread"):
+            with make_engine(2, engine=engine, codec="identity") as round_engine:
+                flat, records = self._run(
+                    round_engine.store, round_engine.executor
+                )
             np.testing.assert_array_equal(baseline_flat, flat)
             assert baseline_records == records
 
@@ -490,79 +454,3 @@ class TestCodecEngineEquivalence:
         sim = build_defended_sim(SequentialExecutor(), store=store)
         report = format_execution_report(sim.run(3))
         assert "codec float16" in report
-
-
-class TestCodecPipeTransport:
-    """The blob (pipe) fallback path compresses through the store codec.
-
-    Satellite of the stacked-cohort PR, closing the ROADMAP "codec-aware
-    pipe transport" item: a process pool over an in-process store ships
-    self-describing codec segments instead of raw float64 blobs, counted
-    as compressed bytes in ``transport_bytes`` with the raw figure in
-    ``raw_transport_bytes``.
-    """
-
-    def test_pipe_blobs_compress_and_count_raw_bytes(self):
-        from tests.fl.test_parallel import build_defended_sim
-
-        store = InProcessModelStore(codec="float16")
-        with store, make_executor(2, store=store) as executor:
-            sim = build_defended_sim(executor, store=store)
-            records = sim.run(6)
-        # float16 payloads: ~4x below raw, less the fixed segment headers
-        # (which loom large over this test's tiny 51-parameter model).
-        total = sum(r.transport_bytes for r in records)
-        raw = sum(r.raw_transport_bytes for r in records)
-        assert 0 < total < raw
-        assert raw / total > 2.5
-        assert all(r.codec == "float16" for r in records)
-
-    def test_identity_pipe_blobs_report_equal_raw(self):
-        from tests.fl.test_parallel import build_defended_sim
-
-        store = InProcessModelStore()
-        with store, make_executor(2, store=store) as executor:
-            sim = build_defended_sim(executor, store=store)
-            records = sim.run(4)
-        for record in records:
-            # Segment headers ride on top of the raw payload.
-            assert record.transport_bytes >= record.raw_transport_bytes > 0
-            assert record.transport_bytes - record.raw_transport_bytes < 4096
-
-    def test_float16_pipes_match_other_float16_engines(self):
-        """The codec'd pipe path stays on the canonicalized trajectory:
-        pool+pipes+float16 commits bit-identically to sequential float16."""
-        from tests.fl.test_parallel import build_defended_sim, run_and_snapshot
-
-        seq_store = InProcessModelStore(codec="float16")
-        seq_executor = SequentialExecutor()
-        seq_executor.bind(store=seq_store)
-        with seq_store:
-            base_flat, base_records = run_and_snapshot(
-                build_defended_sim(seq_executor, store=seq_store)
-            )
-        pipe_store = InProcessModelStore(codec="float16")
-        with pipe_store, make_executor(2, store=pipe_store) as executor:
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=pipe_store)
-            )
-        np.testing.assert_array_equal(base_flat, flat)
-        assert base_records == records
-
-    def test_delta_codec_falls_back_to_dense_blobs(self):
-        """A parentless pipe blob from the topk delta codec decodes exactly
-        (dense fallback), keeping the transparent trajectory intact."""
-        from tests.fl.test_parallel import build_defended_sim, run_and_snapshot
-
-        baseline_flat, baseline_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
-        )
-        store = InProcessModelStore(codec="topk")
-        with store, make_executor(2, store=store) as executor:
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=store)
-            )
-        # topk is transparent; with no usable pipe parent every blob is a
-        # dense exact payload, so the run matches the identity baseline.
-        np.testing.assert_array_equal(baseline_flat, flat)
-        assert baseline_records == records

@@ -1,11 +1,11 @@
 """Tests for deterministic fault injection and the resilience layer.
 
 The headline theorem under test: the full ``{sequential, pool, thread}
-x {inprocess, shared} x {sync, pipelined}`` matrix commits bit-identical
-models and decisions *under injected crashes, stragglers, and dropped
-votes* — recovery is retry-by-replay over per-``(round, entity)`` RNG
-streams, so a fault that was absorbed leaves no trace in the committed
-trajectory (only in the resilience ledger).
+x {sync, pipelined}`` matrix commits bit-identical models and decisions
+*under injected crashes, stragglers, and dropped votes* — recovery is
+retry-by-replay over per-``(round, entity)`` RNG streams, so a fault that
+was absorbed leaves no trace in the committed trajectory (only in the
+resilience ledger).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.fl.model_store import (
     SharedMemoryModelStore,
     reap_orphan_segments,
 )
-from repro.fl.parallel import SequentialExecutor, make_executor
+from repro.fl.parallel import SequentialExecutor, make_engine, make_executor
 from repro.fl.simulation import FederatedSimulation
 from repro.obs.trace import Tracer
 from tests.fl.test_parallel import (
@@ -123,11 +123,11 @@ class TestUnfiredEntries:
     )
     def test_missing_slot_warns_once_at_close(self, workers, engine):
         with pytest.warns(RuntimeWarning, match=r"crash@1\.train\.99") as caught:
-            with make_executor(
-                workers, engine=engine, store=InProcessModelStore(),
-                faults="crash@1.train.99",
-            ) as executor:
-                build_defended_sim(executor, store=executor.store).run(3)
+            with make_engine(
+                workers, engine=engine, faults="crash@1.train.99",
+            ) as round_engine:
+                executor = round_engine.executor
+                build_defended_sim(executor).run(3)
             executor.close()  # idempotent: no second warning
         assert sum("never fired" in str(w.message) for w in caught) == 1
         assert [str(s) for s in executor.fault_plan.unfired()] == [
@@ -410,10 +410,11 @@ CHAOS_FAULTS = (
 
 
 class TestEquivalenceUnderFaults:
-    """The acceptance matrix: ``{pool, thread} x {inprocess, shared} x
-    {sync, pipelined}`` under crashes, stragglers, and a dropped vote
-    (quorum policy ``degrade``) commits bit-identical models and accept
-    decisions to the fault-free sequential baseline."""
+    """The acceptance matrix: ``{pool, thread} x {sync, pipelined}``, each
+    engine on the store ``make_engine`` gives it, under crashes,
+    stragglers, and a dropped vote (quorum policy ``degrade``) commits
+    bit-identical models and accept decisions to the fault-free sequential
+    baseline."""
 
     @pytest.fixture(scope="class")
     def fault_free(self):
@@ -428,18 +429,15 @@ class TestEquivalenceUnderFaults:
 
     @pytest.mark.parametrize("mode", ["sync", "pipelined"])
     @pytest.mark.parametrize("engine", ["process", "thread"])
-    @pytest.mark.parametrize(
-        "store_cls", [InProcessModelStore, SharedMemoryModelStore]
-    )
     def test_faulty_run_matches_fault_free_baseline(
-        self, fault_free, engine, store_cls, mode
+        self, fault_free, engine, mode
     ):
         base_flat, base_decisions = fault_free
-        store = store_cls()
-        with store, make_executor(
-            2, store=store, engine=engine, mode=mode, pipeline_depth=0,
+        with make_engine(
+            2, engine=engine, mode=mode, pipeline_depth=0,
             faults=CHAOS_FAULTS, task_deadline_s=0.5,
-        ) as executor:
+        ) as round_engine:
+            store, executor = round_engine.store, round_engine.executor
             sim = build_policy_sim(executor, policy="degrade", store=store)
             records = sim.run(8)
             flat = sim.global_model.get_flat()
@@ -461,5 +459,4 @@ class TestEquivalenceUnderFaults:
         assert dropped.quorum_size == 2
         assert dropped.decision.quorum_degraded
         assert DROPPED_VALIDATOR not in dropped.decision.client_votes
-        if isinstance(store, SharedMemoryModelStore):
-            assert shm_leftovers(store) == []
+        assert shm_leftovers(store) == []

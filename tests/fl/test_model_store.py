@@ -156,8 +156,8 @@ class TestSharedMemoryLifecycle:
             flat = rng.normal(size=32)
             version = store.publish(flat)
             view = store.worker_handle().attach()
-            np.testing.assert_array_equal(view.get(version, 32), flat)
-            assert not view.get(version, 32).flags.writeable
+            np.testing.assert_array_equal(view.get(version), flat)
+            assert not view.get(version).flags.writeable
             view.evict_below(version + 1)
             view.close()
 
@@ -181,26 +181,27 @@ def _attach_and_die(prefix: str) -> None:
     from repro.fl.model_store import ShmStoreHandle
 
     view = ShmStoreHandle(prefix).attach()
-    view.get(0, 32)
+    view.get(0)
     os._exit(1)  # simulate a hard crash (no interpreter cleanup)
 
 
 class TestMakeModelStore:
-    def test_auto_follows_worker_count(self):
-        with make_model_store(0, "auto") as store:
+    def test_shared_flag_picks_the_arena(self):
+        with make_model_store() as store:
             assert isinstance(store, InProcessModelStore)
-        with make_model_store(2, "auto") as store:
+        with make_model_store(shared=True) as store:
             assert isinstance(store, SharedMemoryModelStore)
 
-    def test_forced_kinds(self):
-        with make_model_store(4, "inprocess") as store:
-            assert isinstance(store, InProcessModelStore)
-        with make_model_store(0, "shared") as store:
-            assert isinstance(store, SharedMemoryModelStore)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_model_store(0, "quantum")
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_codec_and_lossless_gate_apply_to_either_store(self, shared):
+        with make_model_store(shared, codec="float16") as store:
+            assert store.codec.name == "float16"
+        with pytest.raises(ValueError, match="lossy"):
+            make_model_store(shared, codec="quantized")
+        with make_model_store(
+            shared, codec="quantized", require_lossless=False
+        ) as store:
+            assert store.codec.name == "quantized"
 
 
 class TestStoreBackedHistory:

@@ -191,8 +191,10 @@ class TestSequentialParallelEquivalence:
         seq_flat, seq_records = run_and_snapshot(
             build_defended_sim(SequentialExecutor())
         )
-        with make_executor(2) as executor:
-            par_flat, par_records = run_and_snapshot(build_defended_sim(executor))
+        with make_engine(2) as engine:
+            par_flat, par_records = run_and_snapshot(
+                build_defended_sim(engine.executor)
+            )
         np.testing.assert_array_equal(seq_flat, par_flat)
         assert seq_records == par_records
 
@@ -202,9 +204,9 @@ class TestSequentialParallelEquivalence:
         seq_flat, seq_records = run_and_snapshot(
             build_defended_sim(SequentialExecutor())
         )
-        with make_executor(2) as executor:
+        with make_engine(2) as engine:
             par_flat, par_records = run_and_snapshot(
-                build_defended_sim(executor, home_client=1)
+                build_defended_sim(engine.executor, home_client=1)
             )
         np.testing.assert_array_equal(seq_flat, par_flat)
         assert seq_records == par_records
@@ -216,9 +218,9 @@ class TestSequentialParallelEquivalence:
         seq_flat, seq_records = run_and_snapshot(
             build_defended_sim(SequentialExecutor(), prime=False), rounds=3
         )
-        with make_executor(2) as executor:
+        with make_engine(2) as engine:
             par_flat, par_records = run_and_snapshot(
-                build_defended_sim(executor, prime=False), rounds=3
+                build_defended_sim(engine.executor, prime=False), rounds=3
             )
         np.testing.assert_array_equal(seq_flat, par_flat)
         assert seq_records == par_records
@@ -226,11 +228,11 @@ class TestSequentialParallelEquivalence:
     def test_undefended_run_equivalence(self):
         model, clients, _, config = make_world()
         sims = []
-        for executor in (SequentialExecutor(), make_executor(2)):
-            with executor:
+        for workers in (0, 2):
+            with make_engine(workers) as engine:
                 sim = FederatedSimulation(
                     model.clone(), clients, config,
-                    np.random.default_rng(3), executor=executor,
+                    np.random.default_rng(3), executor=engine.executor,
                 )
                 sim.run(4)
                 sims.append(sim.global_model.get_flat())
@@ -263,7 +265,8 @@ class TestParentSideOverlap:
             return real_update(self, *args)
 
         monkeypatch.setattr(StayAtHomeClient, "produce_update", parent_update)
-        with make_executor(workers, engine=engine) as executor:
+        with make_engine(workers, engine=engine) as round_engine:
+            executor = round_engine.executor
             dispatcher = type(executor._dispatcher)
             real_submit = dispatcher.submit
 
@@ -283,28 +286,28 @@ class TestParentSideOverlap:
 class TestExecutorLifecycle:
     def test_bind_after_pool_start_rejected(self):
         model, clients, _, config = make_world()
-        with make_executor(2) as executor:
+        with make_engine(2) as engine:
             sim = FederatedSimulation(
                 model.clone(), clients, config,
-                np.random.default_rng(3), executor=executor,
+                np.random.default_rng(3), executor=engine.executor,
             )
             sim.run_round()
             with pytest.raises(RuntimeError):
-                executor.bind(clients=clients)
+                engine.executor.bind(clients=clients)
 
     def test_executor_reuse_across_simulations_rejected(self):
         """One executor per simulation: a second bind of the same
         population must fail loudly, not silently retrain the wrong world."""
         model, clients, _, config = make_world()
-        with make_executor(2) as executor:
+        with make_engine(2) as engine:
             FederatedSimulation(
                 model.clone(), clients, config,
-                np.random.default_rng(3), executor=executor,
+                np.random.default_rng(3), executor=engine.executor,
             )
             with pytest.raises(RuntimeError, match="one executor per simulation"):
                 FederatedSimulation(
                     model.clone(), clients, config,
-                    np.random.default_rng(4), executor=executor,
+                    np.random.default_rng(4), executor=engine.executor,
                 )
 
     def test_pool_without_template_rejected(self):
@@ -324,8 +327,8 @@ class TestExecutorLifecycle:
 
 
 class TestEngineFactory:
-    """make_executor / make_engine route the store through one factory, so
-    a pool can no longer silently fall back to pipe transport."""
+    """make_engine gives each engine its one store; a process pool refuses
+    any store but the shared-memory arena."""
 
     def test_make_executor_prebinds_store(self):
         store = SharedMemoryModelStore()
@@ -348,7 +351,7 @@ class TestEngineFactory:
     def test_make_engine_pairs_executor_and_store(self):
         from repro.fl.parallel import RoundEngine
 
-        with make_engine(2, store="shared") as engine:
+        with make_engine(2) as engine:
             assert isinstance(engine, RoundEngine)
             assert engine.executor.store is engine.store
             assert isinstance(engine.store, SharedMemoryModelStore)
@@ -361,6 +364,44 @@ class TestEngineFactory:
         with make_engine(2) as engine:
             assert isinstance(engine.store, SharedMemoryModelStore)
             assert isinstance(engine.executor, ProcessPoolRoundExecutor)
+
+    @pytest.mark.parametrize(
+        "workers, engine, executor_cls, store_cls",
+        [
+            (0, "auto", SequentialExecutor, InProcessModelStore),
+            (1, "process", SequentialExecutor, InProcessModelStore),
+            (2, "auto", ProcessPoolRoundExecutor, SharedMemoryModelStore),
+            (2, "process", ProcessPoolRoundExecutor, SharedMemoryModelStore),
+            (2, "thread", ThreadPoolRoundExecutor, InProcessModelStore),
+        ],
+    )
+    def test_make_engine_derives_store_from_engine(
+        self, workers, engine, executor_cls, store_cls
+    ):
+        """One weight path per engine: only the process pool, whose
+        workers live in other address spaces, gets the shared arena."""
+        with make_engine(workers, engine=engine, codec="float16") as round_engine:
+            assert type(round_engine.executor) is executor_cls
+            assert type(round_engine.store) is store_cls
+            assert round_engine.executor.store is round_engine.store
+            assert round_engine.codec.name == "float16"
+        assert round_engine.store.closed
+
+    def test_process_executor_refuses_an_in_process_store(self):
+        """The process engine's one weight path is the shared arena:
+        binding an in-process store raises, directly, through
+        ``make_executor`` or through a simulation's default store."""
+        with pytest.raises(ValueError, match="make_engine"):
+            make_executor(2, store=InProcessModelStore())
+        model, clients, _, config = make_world()
+        with ProcessPoolRoundExecutor(2) as executor:
+            with pytest.raises(ValueError, match="make_engine"):
+                executor.bind(store=InProcessModelStore())
+            with pytest.raises(ValueError, match="make_engine"):
+                FederatedSimulation(
+                    model.clone(), clients, config,
+                    np.random.default_rng(3), executor=executor,
+                )
 
     def test_simulation_adopts_executor_store(self):
         model, clients, _, config = make_world()
@@ -403,16 +444,19 @@ class TestEngineFactory:
 
 
 def shm_leftovers(store) -> list[str]:
+    """``/dev/shm`` segments a store left behind (none for in-process)."""
     from tests.conftest import shm_entries
 
-    return shm_entries(store.name_prefix)
+    prefix = getattr(store, "name_prefix", None)
+    return shm_entries(prefix) if prefix else []
 
 
 class TestStoreExecutorEquivalenceMatrix:
-    """The spine of the refactor: every {executor mode} x {engine} x
-    {store} x {workers} combination commits bit-identical models and round
-    records — {Sequential, ProcessPool, Thread} x {InProcess,
-    SharedMemory}, sync and pipelined.
+    """The spine of the engine: every {executor mode} x {engine} x
+    {workers} combination, each on the store ``make_engine`` gives it,
+    commits bit-identical models and round records — Sequential and
+    Thread on the in-process store, ProcessPool on shared memory, sync and
+    pipelined.
 
     ``pipelined`` runs with ``pipeline_depth=0`` here — the degenerate
     setting that must reproduce synchronous semantics exactly (the
@@ -425,41 +469,33 @@ class TestStoreExecutorEquivalenceMatrix:
         [(1, "process"), (2, "process"), (4, "process"), (2, "thread"),
          (4, "thread")],
     )
-    @pytest.mark.parametrize(
-        "store_cls", [InProcessModelStore, SharedMemoryModelStore]
-    )
-    def test_bit_identical_commits(self, workers, engine, store_cls, mode):
+    def test_bit_identical_commits(self, workers, engine, mode):
         baseline_flat, baseline_records = run_and_snapshot(
             build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
         )
-        store = store_cls()
-        with store, make_executor(
-            workers, store=store, mode=mode, pipeline_depth=0, engine=engine
-        ) as executor:
+        with make_engine(
+            workers, mode=mode, pipeline_depth=0, engine=engine
+        ) as round_engine:
             flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=store)
+                build_defended_sim(round_engine.executor)
             )
         np.testing.assert_array_equal(baseline_flat, flat)
         assert baseline_records == records
-        if isinstance(store, SharedMemoryModelStore):
-            assert shm_leftovers(store) == []
+        assert shm_leftovers(round_engine.store) == []
 
 
 class TestFloat32EquivalenceMatrix:
     """The float32 policy's own contract, mirroring the float64 matrix:
-    {Sequential, ProcessPool, Thread} x {InProcess, SharedMemory} x
-    {sync, pipelined} commit bit-identical *float32* models.  (float32
-    runs are a different trajectory from float64 by construction — the
-    policy is part of the contract's scope, not a violation of it.)"""
+    {Sequential, ProcessPool, Thread} x {sync, pipelined}, each engine on
+    its own store, commit bit-identical *float32* models.  (float32 runs
+    are a different trajectory from float64 by construction — the policy
+    is part of the contract's scope, not a violation of it.)"""
 
     @pytest.mark.parametrize("mode", ["sync", "pipelined"])
     @pytest.mark.parametrize(
         "workers, engine", [(2, "process"), (2, "thread")]
     )
-    @pytest.mark.parametrize(
-        "store_cls", [InProcessModelStore, SharedMemoryModelStore]
-    )
-    def test_bit_identical_float32_commits(self, workers, engine, store_cls, mode):
+    def test_bit_identical_float32_commits(self, workers, engine, mode):
         from repro.nn.precision import dtype_policy
 
         with dtype_policy("float32"):
@@ -469,18 +505,16 @@ class TestFloat32EquivalenceMatrix:
                 )
             )
             assert baseline_flat.dtype == np.float32
-            store = store_cls()
-            with store, make_executor(
-                workers, store=store, mode=mode, pipeline_depth=0, engine=engine
-            ) as executor:
+            with make_engine(
+                workers, mode=mode, pipeline_depth=0, engine=engine
+            ) as round_engine:
                 flat, records = run_and_snapshot(
-                    build_defended_sim(executor, store=store)
+                    build_defended_sim(round_engine.executor)
                 )
         assert flat.dtype == np.float32
         np.testing.assert_array_equal(baseline_flat, flat)
         assert baseline_records == records
-        if isinstance(store, SharedMemoryModelStore):
-            assert shm_leftovers(store) == []
+        assert shm_leftovers(round_engine.store) == []
 
     def test_float32_halves_shared_memory_transport(self):
         """The point of the policy: the shm arena ships 4-byte scalars."""
@@ -522,15 +556,12 @@ class TestRegistryEngineEquivalence:
     )
     def test_registry_commits_match_sequential(self, workers, engine):
         sims = []
-        for executor in (
-            SequentialExecutor(),
-            make_executor(workers, engine=engine),
-        ):
+        for round_engine in (make_engine(0), make_engine(workers, engine=engine)):
             model, registry, config = self._registry_world()
-            with executor:
+            with round_engine:
                 sim = FederatedSimulation(
                     model, registry, config, np.random.default_rng(3),
-                    executor=executor,
+                    executor=round_engine.executor,
                 )
                 sim.run(4)
                 sims.append(sim.global_model.get_flat())
@@ -554,9 +585,27 @@ class TestTransportAccounting:
             records = sim.run(6)
         assert [r.transport_bytes for r in records] == [model_bytes] * 6
 
+    def test_thread_engine_moves_no_bytes(self):
+        """Threads read the parent's in-process store: nothing is copied."""
+        with make_engine(2, engine="thread") as engine:
+            records = build_defended_sim(engine.executor).run(4)
+        assert all(
+            r.transport_bytes == r.raw_transport_bytes == 0 for r in records
+        )
+
+    def test_identity_arena_transport_equals_raw_bytes(self):
+        """Under the identity codec the arena's compressed and raw
+        counters agree: segment headers are not counted as transport."""
+        with make_engine(2) as engine:
+            records = build_defended_sim(engine.executor).run(4)
+        assert all(r.codec == "identity" for r in records)
+        assert all(
+            r.transport_bytes == r.raw_transport_bytes > 0 for r in records
+        )
+
     def test_shared_memory_transport_independent_of_history_and_fanout(self):
         """The acceptance criterion: shm bytes/round do not grow with the
-        look-back window or the validator count (pipe bytes do)."""
+        look-back window or the validator count."""
         per_round = {}
         for label, lookback, validators in (
             ("small", 4, 2),
@@ -571,30 +620,6 @@ class TestTransportAccounting:
                 records = sim.run(8)
             per_round[label] = [r.transport_bytes for r in records]
         assert per_round["small"] == per_round["large"]
-
-    def test_pipe_transport_grows_with_history(self):
-        with make_executor(2) as executor:
-            sim = build_defended_sim(executor, store=InProcessModelStore())
-            model_bytes = sim.global_model.get_flat().nbytes
-            records = sim.run(6)
-        pipe_bytes = [r.transport_bytes for r in records]
-        # Per round: the global model per remote client plus, once voting
-        # starts, (candidate + history) per remote validator.
-        assert all(b >= model_bytes for b in pipe_bytes)
-        assert pipe_bytes[-1] > pipe_bytes[0]  # history growth shows up
-
-    def test_pipes_ship_more_than_shared_memory(self):
-        totals = {}
-        for label, store_cls in (
-            ("pipes", InProcessModelStore),
-            ("shm", SharedMemoryModelStore),
-        ):
-            store = store_cls()
-            with store, make_executor(2) as executor:
-                sim = build_defended_sim(executor, store=store)
-                records = sim.run(6)
-            totals[label] = sum(r.transport_bytes for r in records)
-        assert totals["shm"] < totals["pipes"]
 
 
 class TestSharedProfileTable:
@@ -620,33 +645,35 @@ class TestSharedProfileTable:
 
 
 class TestWorkerTaskProfileFlow:
-    """Exercise the worker-side task function in-process: hints suppress
-    recomputation, computed profiles flow back, caches evict retired
-    versions."""
+    """Exercise the worker-side task function in-process, over version keys
+    into a real shared-memory arena: hints suppress recomputation,
+    computed profiles flow back, caches evict retired versions."""
 
-    def _worker_world(self):
+    @pytest.fixture
+    def worker(self):
+        """``(parallel module, store, model, validator)`` with the worker
+        globals initialized in this process, attached to ``store``."""
         from repro.fl import parallel as parallel_mod
 
-        model, clients, server_data, _ = make_world()
+        model, _, server_data, _ = make_world()
         validator = MisclassificationValidator(server_data, min_history=4)
-        parallel_mod._init_worker({}, {0: validator}, model.clone(), None)
-        return parallel_mod, model, validator
+        with SharedMemoryModelStore() as store:
+            parallel_mod._init_worker(
+                {}, {0: validator}, model.clone(), store.worker_handle()
+            )
+            try:
+                yield parallel_mod, store, model, validator
+            finally:
+                parallel_mod._W_STORE.close()
 
     @staticmethod
-    def _blob(model):
-        """A pipe blob in the wire format: a codec-encoded segment."""
-        from repro.fl.compression import IdentityCodec
-
-        return IdentityCodec().encode(model.get_flat()).to_bytes()
-
-    def _refs(self, model, versions, rng):
-        refs = []
-        for version in versions:
-            perturbed = model.clone()
-            flat = perturbed.get_flat()
-            perturbed.set_flat(flat + rng.normal(0.0, 1e-3, size=flat.shape))
-            refs.append((version, self._blob(perturbed)))
-        return refs
+    def _publish(store, model, count, rng):
+        """Versions of ``count`` perturbed copies of ``model``."""
+        flat = model.get_flat()
+        return [
+            store.publish_new(flat + rng.normal(0.0, 1e-3, size=flat.shape))
+            for _ in range(count)
+        ]
 
     @staticmethod
     def _vote(parallel_mod, candidate, history, round_idx, seed, hints):
@@ -658,19 +685,21 @@ class TestWorkerTaskProfileFlow:
         assert row[0] == 0
         return row[1:]
 
-    def test_hints_suppress_recomputation_and_new_profiles_return(self, rng):
+    def test_hints_suppress_recomputation_and_new_profiles_return(
+        self, worker, rng
+    ):
         from repro.core import validation as validation_mod
 
-        parallel_mod, model, validator = self._worker_world()
-        history = self._refs(model, range(6), rng)
-        candidate = (None, self._blob(model))
+        parallel_mod, store, model, validator = worker
+        history = self._publish(store, model, 6, rng)
+        candidate = store.publish_new(model.get_flat())
         seed = np.random.SeedSequence(0)
 
         vote, new_profiles, candidate_profile = self._vote(
             parallel_mod, candidate, history, 0, seed, {}
         )
         assert vote in (0, 1)
-        assert set(new_profiles) == set(range(6))
+        assert set(new_profiles) == set(history)
         assert candidate_profile is not None
 
         # Second vote over the same history, hints supplied: nothing new to
@@ -693,20 +722,16 @@ class TestWorkerTaskProfileFlow:
         assert second_new == {}
         assert len(profiled) == 1  # the candidate only
 
-    def test_worker_caches_evict_retired_versions(self, rng):
-        parallel_mod, model, validator = self._worker_world()
-        candidate = (None, self._blob(model))
+    def test_worker_caches_evict_retired_versions(self, worker, rng):
+        parallel_mod, store, model, validator = worker
+        versions = self._publish(store, model, 8, rng)
+        candidate = store.publish_new(model.get_flat())
         seed = np.random.SeedSequence(0)
-        self._vote(
-            parallel_mod, candidate, self._refs(model, range(6), rng), 0, seed, {}
-        )
+        self._vote(parallel_mod, candidate, versions[:6], 0, seed, {})
         # The window slides forward by two versions.
-        self._vote(
-            parallel_mod, candidate, self._refs(model, range(2, 8), rng), 1,
-            seed, {},
-        )
-        assert set(parallel_mod._W_MODELS) == set(range(2, 8))
-        assert set(validator._profile_cache) <= set(range(2, 8))
+        self._vote(parallel_mod, candidate, versions[2:], 1, seed, {})
+        assert set(parallel_mod._W_MODELS) == set(versions[2:]) | {candidate}
+        assert set(validator._profile_cache) <= set(versions[2:])
 
 
 class TestThreadEngine:
@@ -724,9 +749,6 @@ class TestThreadEngine:
         with make_engine(2, engine="thread") as engine:
             assert isinstance(engine.executor, ThreadPoolRoundExecutor)
             assert isinstance(engine.store, InProcessModelStore)
-        # An explicit store kind is still honored.
-        with make_engine(2, engine="thread", store="shared") as engine:
-            assert isinstance(engine.store, SharedMemoryModelStore)
 
     def test_parent_fallback_clients_preserve_equivalence(self):
         seq_flat, seq_records = run_and_snapshot(
@@ -795,7 +817,7 @@ class TestWarmAttachCaching:
 
             def round_task(vids, cand, hist, round_idx):
                 return parallel_mod._validator_slice_task(
-                    vids, (cand, None), [(v, None) for v in hist], round_idx,
+                    vids, cand, hist, round_idx,
                     [np.random.SeedSequence(round_idx * 100 + vid)
                      for vid in vids],
                     {}, min(hist),
@@ -827,11 +849,12 @@ class TestWarmAttachCaching:
 
 
 class TestStandaloneContextOnSharedStore:
-    def test_unstaged_history_falls_back_to_blob_transport(self):
+    def test_unstaged_history_is_adopted_into_the_arena(self):
         """Regression: a context whose candidate/history never touched the
         executor's shared store (defense bound without a store) must still
-        validate — unresolvable versions travel as blobs, not as dangling
-        arena keys."""
+        validate — history versions the arena lacks are adopted under their
+        own versions, not shipped as dangling arena keys, and released with
+        the phase's holds."""
         from repro.core.validation import ValidationContext
 
         model, clients, server_data, config = make_world()
@@ -850,4 +873,7 @@ class TestStandaloneContextOnSharedStore:
                 validator_pool, [0, 1], context, 0, RngStreams.from_seed(0)
             )
             assert set(votes) == {0, 1}
-            assert store.versions() == []  # ephemeral candidate released
+            # Six adopted history models and the published candidate...
+            assert store.bytes_published == 7 * model.get_flat().nbytes
+            # ...all released once the phase's tasks finished.
+            assert store.versions() == []

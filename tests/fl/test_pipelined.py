@@ -1,7 +1,7 @@
 """Tests for the pipelined round loop: optimistic commit, rollback, replay.
 
 The headline guarantee extends PR 2's: a pipelined run — any
-``pipeline_depth``, any store, any worker count, even runs containing
+``pipeline_depth``, any engine, any worker count, even runs containing
 rollbacks — commits **bit-identical** global models and defense decisions
 to the synchronous sequential engine.  Rollback edge cases get dedicated
 coverage: a rejection arriving after later rounds already built on the

@@ -2,7 +2,7 @@
 
 The hard contract: tracing is pure observation.  A traced run commits
 bit-identical models and round records to an untraced run of the same
-seed, in every cell of the executor/store/mode matrix — and the trace
+seed, in every cell of the engine/mode matrix — and the trace
 itself carries worker-side spans merged onto the server timeline, plus
 rollback/replay spans when the pipeline unwinds.
 """
@@ -53,8 +53,8 @@ def build_sim(executor, store=None, tracer=None, reject_rounds=None, seed=7):
 
 class TestTracedUntracedBitIdentity:
     """Tracing must not perturb a single committed bit, anywhere in the
-    {sequential, pool, thread} x {inprocess, shared} x {sync, pipelined}
-    matrix (one traced run per engine family; the untraced cross-cell
+    {sequential, pool, thread} x {sync, pipelined} matrix (one traced
+    run per engine family, each on its own store; the untraced cross-cell
     equivalence is tests/fl/test_parallel.py's job)."""
 
     @pytest.mark.parametrize(
