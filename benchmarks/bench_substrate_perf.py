@@ -64,10 +64,13 @@ def setup():
     model = make_mlp(task.flat_dim, 10, rng, hidden=(64,))
     local_train(model, shard, LocalTrainingConfig(epochs=5, lr=0.1), rng)
     history = []
-    for version in range(21):
+    for version in range(31):
         local_train(model, shard, LocalTrainingConfig(epochs=1, lr=0.02), rng)
         history.append((version, model.clone()))
-    return {"task": task, "shard": shard, "model": model, "history": history, "rng": rng}
+    return {
+        "task": task, "shard": shard, "model": model, "history": history[:21],
+        "long_history": history, "rng": rng,
+    }
 
 
 def test_perf_local_training_round(benchmark, setup):
@@ -96,10 +99,12 @@ def test_perf_validation_cold(benchmark, setup):
     benchmark(validate)
 
 
-def test_perf_validation_warm(benchmark, setup):
-    """Algorithm 2 with cached profiles (the steady-state per-round cost)."""
+@pytest.mark.parametrize("lookback", [20, 30])
+def test_perf_validation_warm(benchmark, setup, lookback):
+    """Algorithm 2 with cached profiles (the steady-state per-round cost),
+    over a history of ``lookback + 1`` models."""
     shard = setup["shard"]
-    history = setup["history"]
+    history = setup["long_history"][: lookback + 1]
     candidate = setup["model"]
     validator = MisclassificationValidator(shard)
     validator.explain(ValidationContext(candidate, history))  # warm up
@@ -110,6 +115,8 @@ def test_perf_validation_warm(benchmark, setup):
 
 
 def test_perf_lof(benchmark):
+    """One single-query LOF call (no pipeline path makes these any more:
+    Algorithm 2 scores all of a vote's windows in one batched call)."""
     rng = np.random.default_rng(0)
     reference = rng.normal(size=(14, 20))
     query = rng.normal(size=20)

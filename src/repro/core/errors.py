@@ -17,6 +17,7 @@ which the LOF test of Algorithm 2 picks up.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +145,22 @@ def stacked_error_profiles(
     ]
 
 
+def error_variations(profiles: Sequence[ErrorProfile]) -> np.ndarray:
+    """Eqs. (2)-(3) over a history: row ``i`` is ``v(profiles[i], profiles[i+1])``.
+
+    Stacks every profile's ``[source | target]`` errors and subtracts each
+    newer row from the older one, so a history of ``n`` profiles gives the
+    ``(n - 1, 2|Y|)`` matrix of consecutive error-variation vectors.
+    """
+    classes = sorted({p.num_classes for p in profiles})
+    if len(classes) > 1:
+        raise ValueError(f"profiles disagree on classes: {classes}")
+    errors = np.stack(
+        [np.concatenate([p.source_errors, p.target_errors]) for p in profiles]
+    )
+    return errors[:-1] - errors[1:]
+
+
 def error_variation_vector(older: ErrorProfile, newer: ErrorProfile) -> np.ndarray:
     """``v(f, f', D)`` of eqs. (2)-(3): older-minus-newer per-class errors."""
-    if older.num_classes != newer.num_classes:
-        raise ValueError(
-            f"profiles disagree on classes: {older.num_classes} vs {newer.num_classes}"
-        )
-    v_source = older.source_errors - newer.source_errors
-    v_target = older.target_errors - newer.target_errors
-    return np.concatenate([v_source, v_target])
+    return error_variations([older, newer])[0]

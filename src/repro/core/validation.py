@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.errors import (
     ErrorProfile,
-    error_variation_vector,
+    error_variations,
     model_error_profile,
     stacked_error_profiles,
 )
@@ -109,7 +109,8 @@ class MisclassificationValidator:
         spread than GPU-scale training, which makes the literal rule
         knife-edged for validators with large (non-quantised) validation
         sets.  Backdoor injections overshoot the threshold by 10-100x, so
-        the slack costs no detection power (see EXPERIMENTS.md).
+        the slack costs no detection power (see the ``slack=1.0`` and
+        ``slack=1.3`` rows of ``benchmarks/bench_ablation_validation.py``).
     features:
         Which error views feed the LOF feature vector: ``"both"`` (the
         paper's ``v = [v_s | v_t]``), ``"source"`` (eq. 2 only) or
@@ -183,15 +184,8 @@ class MisclassificationValidator:
                 context.candidate, self.dataset, normalize=self.normalize
             )
         self._pending_candidate = (context.candidate, candidate_profile)
-        variations = [
-            self._select_features(
-                error_variation_vector(profiles[i - 1], profiles[i])
-            )
-            for i in range(1, len(profiles))
-        ]
-        new_variation = self._select_features(
-            error_variation_vector(profiles[-1], candidate_profile)
-        )
+        # v_1 .. v_l, then the candidate's v_{l+1} (1-indexed as points[i-1])
+        points = self._select_features(error_variations([*profiles, candidate_profile]))
 
         k = max(1, int(np.ceil(lookback / 2)))
         h = int(np.ceil(lookback * 3 / 4))
@@ -200,31 +194,29 @@ class MisclassificationValidator:
             return ValidationReport(0, None, None, (), abstained=True)
         k = min(k, window - 1)
 
-        points = np.stack(variations)  # v_1 .. v_l (1-indexed as v[i-1])
-        trusted_lofs = [
-            local_outlier_factor(points[i - 1], points[i - window - 1 : i - 1], k)
-            for i in range(h, lookback + 1)
-        ]
-        threshold = float(np.mean(trusted_lofs))
-        candidate_lof = local_outlier_factor(new_variation, points[-window:], k)
+        # One batched call scores v_h .. v_{l+1}, each against the window
+        # of variations just before it: the trusted LOFs, then the candidate's.
+        lofs = local_outlier_factor(points[window:], points[:window], k)
+        threshold = float(np.mean(lofs[:-1]))
+        candidate_lof = float(lofs[-1])
         vote = 1 if candidate_lof > self.threshold_slack * threshold else 0
         self._prune_cache(min(version for version, _ in history))
         return ValidationReport(
             vote=vote,
             candidate_lof=candidate_lof,
             threshold=threshold,
-            trusted_lofs=tuple(trusted_lofs),
+            trusted_lofs=tuple(lofs[:-1].tolist()),
             abstained=False,
         )
 
-    def _select_features(self, variation: np.ndarray) -> np.ndarray:
-        """Slice ``[v_s | v_t]`` according to the feature-ablation setting."""
+    def _select_features(self, variations: np.ndarray) -> np.ndarray:
+        """Slice the ``[v_s | v_t]`` columns per the feature-ablation setting."""
         if self.features == "both":
-            return variation
-        half = len(variation) // 2
+            return variations
+        half = variations.shape[1] // 2
         if self.features == "source":
-            return variation[:half]
-        return variation[half:]
+            return variations[:, :half]
+        return variations[:, half:]
 
     def _fill_profiles_stacked(
         self, context: ValidationContext, history: Sequence[tuple[int, Network]]

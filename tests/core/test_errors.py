@@ -8,6 +8,7 @@ import pytest
 from repro.core.errors import (
     ErrorProfile,
     error_variation_vector,
+    error_variations,
     model_error_profile,
 )
 from repro.data.dataset import Dataset
@@ -88,6 +89,27 @@ class TestErrorVariationVector:
         np.testing.assert_array_equal(
             error_variation_vector(p1, p2), np.zeros(6)
         )
+
+
+class TestErrorVariations:
+    def test_rows_are_consecutive_older_minus_newer_vectors(self, rng):
+        profiles = [
+            profile_from_vectors(rng.random(5), rng.random(5)) for _ in range(8)
+        ]
+        expected = np.stack([
+            np.concatenate([
+                older.source_errors - newer.source_errors,
+                older.target_errors - newer.target_errors,
+            ])
+            for older, newer in zip(profiles, profiles[1:])
+        ])
+        assert np.array_equal(error_variations(profiles), expected)
+
+    def test_class_count_mismatch_anywhere_rejected(self):
+        profiles = [profile_from_vectors(np.zeros(3), np.zeros(3)) for _ in range(4)]
+        profiles.append(profile_from_vectors(np.zeros(4), np.zeros(4)))
+        with pytest.raises(ValueError):
+            error_variations(profiles)
 
 
 class TestStackedErrorProfiles:

@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import validation
+from repro.core.errors import ErrorProfile
 from repro.core.validation import (
     ConstantVoteValidator,
     MisclassificationValidator,
     ValidationContext,
+    ValidationReport,
 )
 from repro.data.dataset import Dataset
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import make_mlp
 from repro.nn.optim import SGD
+from tests.core.test_lof import oracle_lof
 
 
 @pytest.fixture
@@ -237,3 +245,83 @@ class TestStackedProfileValidation:
             dataset, min_history=4, stack_profiles=False
         ).explain(ValidationContext(template.clone(), history))
         assert report == reference
+
+
+def per_window_algorithm2(profiles, candidate, features, slack):
+    """Algorithm 2 as one oracle LOF call per window on per-pair vectors."""
+
+    def variation(older, newer):
+        v = np.concatenate(
+            [older.source_errors - newer.source_errors,
+             older.target_errors - newer.target_errors]
+        )
+        half = len(v) // 2
+        return {"both": v, "source": v[:half], "target": v[half:]}[features]
+
+    lookback = len(profiles) - 1
+    points = np.stack([variation(profiles[i - 1], profiles[i])
+                       for i in range(1, len(profiles))])
+    new = variation(profiles[-1], candidate)
+    k = max(1, int(np.ceil(lookback / 2)))
+    h = int(np.ceil(lookback * 3 / 4))
+    window = h - 1
+    k = min(k, window - 1)
+    trusted = [
+        oracle_lof(points[i - 1], points[i - window - 1 : i - 1], k)
+        for i in range(h, lookback + 1)
+    ]
+    threshold = float(np.mean(trusted))
+    candidate_lof = oracle_lof(new, points[-window:], k)
+    vote = 1 if candidate_lof > slack * threshold else 0
+    return ValidationReport(vote, candidate_lof, threshold, tuple(trusted), False)
+
+
+def random_profile(rng, num_classes, num_samples, pool):
+    """Error rates of a small validation set: counts over its size, often
+    repeating a previous model's exactly (a stable model's predictions)."""
+    if pool and rng.random() < 0.5:
+        return pool[int(rng.integers(0, len(pool)))]
+    counts = rng.integers(0, 4, size=(2, num_classes))
+    profile = ErrorProfile(
+        source_errors=counts[0] / num_samples,
+        target_errors=counts[1] / num_samples,
+        num_samples=num_samples,
+        num_classes=num_classes,
+    )
+    pool.append(profile)
+    return profile
+
+
+class TestBatchedAlgorithm2:
+    """``explain`` scores every window in one batched LOF call and must
+    report exactly what one LOF call per window reports."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lookback=st.integers(5, 30),
+        features=st.sampled_from(["both", "source", "target"]),
+        num_classes=st.integers(2, 10),
+    )
+    def test_explain_equals_per_window_algorithm2(
+        self, seed, lookback, features, num_classes
+    ):
+        rng = np.random.default_rng(seed)
+        pool = []
+        profiles = [random_profile(rng, num_classes, 40, pool)
+                    for _ in range(lookback + 1)]
+        candidate = random_profile(rng, num_classes, 40, pool)
+        dataset = Dataset(np.zeros((4, 2)), np.arange(4) % 2, 2)
+        validator = MisclassificationValidator(dataset, features=features)
+        validator.seed_profile_cache(dict(enumerate(profiles)))
+        history = [(version, object()) for version in range(lookback + 1)]
+        # Every history profile is cached; the candidate's comes from here.
+        with mock.patch.object(
+            validation, "model_error_profile", return_value=candidate
+        ) as profile_call:
+            report = validator.explain(ValidationContext(object(), history))
+        profile_call.assert_called_once()
+        assert report == per_window_algorithm2(
+            profiles, candidate, features, validator.threshold_slack
+        )
+        assert len(report.trusted_lofs) == lookback - int(np.ceil(lookback * 3 / 4)) + 1
