@@ -1,8 +1,8 @@
 """Shared benchmark utilities.
 
 Every benchmark regenerates one of the paper's tables or figures as text,
-prints it, and archives it under ``benchmarks/results/`` so EXPERIMENTS.md
-can quote the measured numbers.
+prints it, and archives it under ``benchmarks/results/`` so the README's
+"Scale and deviations from the paper" can quote the measured numbers.
 
 Scaling knobs (environment variables):
 
@@ -18,8 +18,9 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).parent / "results"
 
 #: The benchmark experiment scale: ~1/3 of the paper's client population,
-#: synthetic data (see DESIGN.md substitution table), identical protocol
-#: structure (10 contributors + 10 validators, injections at 30/35/40).
+#: synthetic data (see the README's "Scale and deviations from the
+#: paper"), identical protocol structure (10 contributors + 10
+#: validators, injections at 30/35/40).
 BENCH_SCALE_NOTE = (
     "scale: 30 clients, synthetic data, protocol structure as in the paper"
 )

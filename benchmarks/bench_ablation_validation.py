@@ -1,4 +1,5 @@
-"""Ablations of the validation function (our additions; see DESIGN.md).
+"""Ablations of the validation function (our additions; see the README's
+"Scale and deviations from the paper").
 
 Three axes the paper fixes by fiat, probed here:
 

@@ -1,4 +1,4 @@
-"""Round-throughput benchmark: engines, execution modes, codecs.
+"""Round-throughput benchmark: engines and codecs.
 
 Runs one defended federated world once per engine row, each engine on the
 store :func:`~repro.fl.parallel.make_engine` gives it —
@@ -12,10 +12,6 @@ store :func:`~repro.fl.parallel.make_engine` gives it —
   :class:`SharedMemoryModelStore`, shipping version keys into a
   shared-memory arena: O(1 new model) per round, independent of history
   length and fan-out width;
-- ``pipelined+shm``: the shared-memory pool under the pipelined round
-  loop — the server commits optimistically and overlaps round ``r + 1``
-  client training with round ``r`` validator votes, taking validation
-  latency off the training critical path;
 - ``pool+shm+f16`` / ``pool+shm+quant``: the shared-memory pool with a
   weight-compression codec on the store path
   (:mod:`repro.fl.compression`) — the paper's Sec. VI-D feasibility
@@ -25,17 +21,17 @@ store :func:`~repro.fl.parallel.make_engine` gives it —
   count, demonstrating that the paired speedup scales with workers —
 
 and reports rounds/second, per-round transport bytes (compressed and
-raw), the codec compression ratio, mean acceptance lag, the max absolute
+raw), the codec compression ratio, the max absolute
 committed-weight divergence against the sequential run, and each row's
 final-model accuracy on a held-out set.  Divergence must be 0.0 for every
 losslessly transported row (the bit-identical equivalence guarantee);
 lossy codec rows report their divergence and accuracy delta instead —
 that is the measured cost of the transport reduction.
 
-A fault-injection pass forces quorum rejections mid-pipeline and audits
+A fault-injection pass forces quorum rejections on the pool and audits
 the store afterwards: every version outside the retained history —
-withdrawn commits, straggler references, parked evictions — must be
-released (refcount audit).
+rejected candidates, task references, staged profiles — must be released
+(refcount audit).
 
 Besides the text table, a full-setting run emits ``BENCH_parallel.json``
 under ``benchmarks/results/`` — a machine-readable per-row record
@@ -50,8 +46,7 @@ Usage::
 
 Speedups are measured with a drift-robust paired estimator: each row runs
 alongside a private sequential reference simulation, alternating blocks of
-rounds (block size = pipeline depth, so pipelined rows amortize their
-drain), and ``speedup_vs_sequential`` is the median of the per-block
+two rounds, and ``speedup_vs_sequential`` is the median of the per-block
 (reference time / row time) ratios.  Ratios of independently timed runs
 are NOT comparable on shared hosts — throughput drifts 1.5x+ over tens of
 seconds — which is why every row carries its own time-adjacent reference.
@@ -60,11 +55,9 @@ The default world is the FedAvg regime (local batch 10, wide fan-out):
 stacked cohort training amortizes per-step Python overhead across models,
 so the engines win even on a single core.  Gates: ``pool+shm`` paired
 speedup >= 1.0x always; ``thread`` >= 1.2x in the full setting (>= 1.0x
-under ``--quick``); ``pipelined+shm`` >= 0.95x the synchronous pool's
-speedup (full setting, >= 2 cores); divergence 0.0 for every lossless
-row.  The transport numbers are host-independent, including the codec
-ratios (the gate: quantized must cut per-round transport >= 5x vs the
-identity codec).
+under ``--quick``); divergence 0.0 for every lossless row.  The transport
+numbers are host-independent, including the codec ratios (the gate:
+quantized must cut per-round transport >= 5x vs the identity codec).
 """
 
 from __future__ import annotations
@@ -171,9 +164,7 @@ def timed_run(
     ref_store = InProcessModelStore()
     ref_executor = SequentialExecutor()
     ref_executor.bind(store=ref_store)
-    # Blocks must span the pipeline depth, or draining between blocks
-    # would serialize the pipelined rows.
-    block = max(1, args.pipeline_depth)
+    block = 2
     with store, executor, ref_store:
         sim = build_sim(args, executor, store)
         ref = build_sim(args, ref_executor, ref_store)
@@ -208,41 +199,30 @@ def timed_run(
             "raw_transport": float(
                 np.mean([r.raw_transport_bytes for r in records])
             ),
-            "lag": float(np.mean([r.validation_lag for r in records])),
             "codec": store.codec.name,
             "lossless": store.codec.lossless,
         }
 
 
-def rollback_audit(args: argparse.Namespace) -> list[str]:
-    """Force rollbacks mid-pipeline; audit store refcounts afterwards.
+def rejection_audit(args: argparse.Namespace) -> list[str]:
+    """Force quorum rejections on the pool; audit store refcounts afterwards.
 
-    Returns failure lines (empty = pass): after a pipelined run containing
-    forced quorum rejections, the store must hold exactly the retained
-    history versions, one reference each, and nothing else: no withdrawn
-    commit, straggler reference, staged profile or parked eviction may
-    leak.  Closing the store must then unlink every ``/dev/shm`` segment.
+    Returns failure lines (empty = pass): after a shared-memory pool run
+    containing forced quorum rejections, the store must hold exactly the
+    retained history versions, one reference each, and nothing else: no
+    rejected candidate, task reference or staged profile may leak.
+    Closing the store must then unlink every ``/dev/shm`` segment.
     """
     reject_rounds = (2, 4)
     store = SharedMemoryModelStore()
     failures: list[str] = []
-    label = "rollback audit"
+    label = "rejection audit"
     with store:
-        executor = make_executor(
-            args.workers, store=store, mode="pipelined",
-            pipeline_depth=args.pipeline_depth,
-        )
+        executor = make_executor(args.workers, store=store)
         with executor:
             sim = build_sim(args, executor, store, reject_rounds=reject_rounds)
             records = sim.run(max(6, args.rounds))
-            replays = sum(r.rollback_count for r in records)
             rejected = sum(1 for r in records if not r.accepted)
-            # Depth 0 resolves every round before a successor builds on it,
-            # so rejections legitimately cause no replays there.
-            if replays == 0 and args.pipeline_depth > 0:
-                failures.append(
-                    f"{label}: forced rejections triggered no replays"
-                )
             executor.close()  # drops the executor's held global reference
             history_versions = sim.defense.history.versions()
             live = store.versions()
@@ -267,8 +247,8 @@ def rollback_audit(args: argparse.Namespace) -> list[str]:
         failures.append(f"{label}: /dev/shm segments survived close: {leftovers}")
     if not failures:
         print(
-            f"{label}: {rejected} forced rejections, {replays} round "
-            "replays, store clean (refcount + segment audit passed)"
+            f"{label}: {rejected} forced rejections, store clean "
+            "(refcount + segment audit passed)"
         )
     return failures
 
@@ -358,9 +338,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch", type=int, default=10,
                         help="local minibatch size (FedAvg's canonical "
                              "B=10 regime: many small steps per client)")
-    parser.add_argument("--pipeline-depth", type=int, default=2,
-                        dest="pipeline_depth",
-                        help="speculation depth of the pipelined engine")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke setting: small world, 2 workers")
     args = parser.parse_args(argv)
@@ -374,37 +351,35 @@ def main(argv: list[str] | None = None) -> int:
         args.hidden = [32]
     args.hidden = tuple(args.hidden)
 
-    #: engine row -> (store codec, executor mode, engine kind, workers);
-    #: ``workers=None`` means ``args.workers``; codec rows reuse the
-    #: synchronous shared-memory pool so the codec is the only variable.
-    #: Each row runs on the store ``make_engine`` pairs with its engine.
-    #: The sequential row is the classic unstacked per-model loop — the
-    #: pool and thread rows additionally exercise their cohort-stacking
-    #: default, which is part of what those engines buy.
+    #: engine row -> (store codec, engine kind, workers); engine ``None``
+    #: is the sequential loop and ``workers=None`` means ``args.workers``;
+    #: codec rows reuse the shared-memory pool so the codec is the only
+    #: variable.  Each row runs on the store ``make_engine`` pairs with its
+    #: engine.  The sequential row is the classic unstacked per-model
+    #: loop — the pool and thread rows additionally exercise their
+    #: cohort-stacking default, which is part of what those engines buy.
     ROWS = {
-        "sequential": ("identity", "sequential", None, None),
-        "thread": ("identity", "sync", "thread", None),
-        "pool+shm": ("identity", "sync", "process", None),
-        "pipelined+shm": ("identity", "pipelined", "process", None),
-        "pool+shm+f16": ("float16", "sync", "process", None),
-        "pool+shm+quant": ("quantized", "sync", "process", None),
+        "sequential": ("identity", None, None),
+        "thread": ("identity", "thread", None),
+        "pool+shm": ("identity", "process", None),
+        "pool+shm+f16": ("float16", "process", None),
+        "pool+shm+quant": ("quantized", "process", None),
     }
     # Worker-scaling rows: the same engines at half fan-out, so the report
     # shows throughput moving with worker count.  Redundant under --quick
     # (the smoke setting already runs 2 workers).
     scaled = max(2, args.workers // 2)
     if scaled != args.workers:
-        ROWS[f"thread+w{scaled}"] = ("identity", "sync", "thread", scaled)
-        ROWS[f"pool+shm+w{scaled}"] = ("identity", "sync", "process", scaled)
+        ROWS[f"thread+w{scaled}"] = ("identity", "thread", scaled)
+        ROWS[f"pool+shm+w{scaled}"] = ("identity", "process", scaled)
 
     def engine_for(name):
-        codec, mode, engine, workers = ROWS[name]
-        if mode == "sequential":
+        codec, engine, workers = ROWS[name]
+        if engine is None:
             return make_engine(0, codec=codec)
         return make_engine(
             workers if workers is not None else args.workers,
-            mode=mode, pipeline_depth=args.pipeline_depth, engine=engine,
-            codec=codec, require_lossless=False,
+            engine=engine, codec=codec, require_lossless=False,
         )
 
     results = {}
@@ -431,18 +406,17 @@ def main(argv: list[str] | None = None) -> int:
         return float((template.predict(eval_data.x) == eval_data.y).mean())
 
     lines = [
-        "Parallel round engine: transport paths, execution modes, codecs",
+        "Parallel round engine: transport paths, codecs",
         f"world: {args.clients} clients ({args.per_round}/round, "
         f"{args.epochs} local epochs, batch={args.batch}, "
         f"shard={args.shard}), {args.validators} validators, "
-        f"lookback={args.lookback}, hidden={args.hidden}, "
-        f"pipeline_depth={args.pipeline_depth}",
+        f"lookback={args.lookback}, hidden={args.hidden}",
         f"host: {os.cpu_count()} cpu core(s); measured over {args.rounds} "
         f"rounds after 1 warmup; model = {model_bytes} bytes (float64); "
         "speedups are medians of paired adjacent-in-time blocks against a "
         "private sequential reference run",
         f"{'engine':<15} {'codec':>9} {'rounds/s':>9} {'speedup':>8} "
-        f"{'transport B/rd':>15} {'ratio':>6} {'mean lag':>9} "
+        f"{'transport B/rd':>15} {'ratio':>6} "
         f"{'divergence':>11} {'acc':>6}",
     ]
     seq_acc = accuracy_of(seq_flat)
@@ -463,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         lines.append(
             f"{name:<15} {row['codec']:>9} {row['rounds_per_s']:9.3f} "
             f"{row['speedup']:7.2f}x {row['transport']:15.1f} "
-            f"{ratio:5.1f}x {row['lag']:9.2f} {row_divergence:11.1e} "
+            f"{ratio:5.1f}x {row_divergence:11.1e} "
             f"{acc:6.3f}"
         )
         json_rows.append(
@@ -471,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
                 "engine": name,
                 "workers": (
                     1 if name == "sequential"
-                    else ROWS[name][3] if ROWS[name][3] is not None
+                    else ROWS[name][2] if ROWS[name][2] is not None
                     else args.workers
                 ),
                 "codec": row["codec"],
@@ -481,7 +455,6 @@ def main(argv: list[str] | None = None) -> int:
                 "transport_bytes_per_round": round(row["transport"], 1),
                 "raw_bytes_per_round": round(row["raw_transport"], 1),
                 "compression_ratio": round(ratio, 3),
-                "mean_acceptance_lag": round(row["lag"], 3),
                 "weight_divergence_vs_sequential": row_divergence,
                 "accuracy": round(acc, 4),
                 "accuracy_delta_vs_sequential": round(acc - seq_acc, 4),
@@ -493,7 +466,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     shm_transport = results["pool+shm"]["transport"]
     sync_speed = results["pool+shm"]["speedup"]
-    pipelined_speed = results["pipelined+shm"]["speedup"]
     thread_speed = results["thread"]["speedup"]
     quant_transport = results["pool+shm+quant"]["transport"]
     codec_reduction = (
@@ -503,12 +475,6 @@ def main(argv: list[str] | None = None) -> int:
         "pool+shm ships "
         f"{shm_transport / model_bytes:.2f} models/round regardless of "
         "history length and fan-out width (O(1) new-model transport)."
-    )
-    lines.append(
-        f"pipelined vs sync pool wall-clock: "
-        f"{pipelined_speed / sync_speed:.2f}x (validation overlapped with "
-        f"next-round training, mean acceptance lag "
-        f"{results['pipelined+shm']['lag']:.2f} rounds)"
     )
     lines.append(
         f"thread engine: {thread_speed:.2f}x sequential with zero "
@@ -542,7 +508,6 @@ def main(argv: list[str] | None = None) -> int:
                 "shard": args.shard,
                 "lookback": args.lookback,
                 "hidden": list(args.hidden),
-                "pipeline_depth": args.pipeline_depth,
                 "rounds": args.rounds,
                 "workers": args.workers,
                 "quick": False,
@@ -553,12 +518,11 @@ def main(argv: list[str] | None = None) -> int:
             "tracing_overhead": trace_stats,
         })
 
-    failures = rollback_audit(args)
+    failures = rejection_audit(args)
     failures += trace_failures
     if divergence != 0.0:
         failures.append(
-            "engines diverged — sequential/parallel/pipelined equivalence "
-            "broken"
+            "engines diverged — sequential/parallel equivalence broken"
         )
     if shm_transport > model_bytes + 4096:
         failures.append(
@@ -588,21 +552,6 @@ def main(argv: list[str] | None = None) -> int:
             f"thread engine below its floor (paired speedup "
             f"{thread_speed:.3f}x; floor {thread_floor:.1f}x): zero-IPC "
             "fan-out should beat the sequential loop"
-        )
-    # Wall-clock gate: pipelined must not lose to the synchronous pool in
-    # the default bench world.  Skipped under --quick (a tiny world on a
-    # loaded CI box is noise) and on single-core hosts, where there is no
-    # idle worker to overlap validation into — the same caveat as the
-    # pool-speedup target; the gate binds on multi-core machines.
-    if args.quick or (os.cpu_count() or 1) < 2:
-        print(
-            "note: pipelined wall-clock gate skipped "
-            f"(quick={args.quick}, cpus={os.cpu_count()})"
-        )
-    elif pipelined_speed < 0.95 * sync_speed:
-        failures.append(
-            f"pipelined wall-clock regressed vs sync pool "
-            f"(paired speedups {pipelined_speed:.3f}x vs {sync_speed:.3f}x)"
         )
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -115,12 +115,12 @@ def test_perf_validation_warm(benchmark, setup, lookback):
 
 
 def test_perf_lof(benchmark):
-    """One single-query LOF call (no pipeline path makes these any more:
-    Algorithm 2 scores all of a vote's windows in one batched call)."""
+    """One vote's batched LOF call at l=20: 21 error-variation vectors,
+    every trailing window scored from one distance matrix (the shape
+    ``MisclassificationValidator.explain`` builds)."""
     rng = np.random.default_rng(0)
-    reference = rng.normal(size=(14, 20))
-    query = rng.normal(size=20)
-    benchmark(lambda: local_outlier_factor(query, reference, k=10))
+    points = rng.normal(size=(21, 20))
+    benchmark(lambda: local_outlier_factor(points[14:], points[:14], k=10))
 
 
 def test_perf_secure_aggregation(benchmark, setup):

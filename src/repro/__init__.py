@@ -21,7 +21,8 @@ Package layout
 - :mod:`repro.baselines` — Byzantine-robust aggregation baselines (Krum,
   trimmed mean, median, norm clipping, FoolsGold, RFA).
 - :mod:`repro.experiments` — the evaluation harness reproducing every
-  table and figure (see DESIGN.md / EXPERIMENTS.md).
+  table and figure (see the README's "Scale and deviations from the
+  paper").
 
 Quickstart
 ----------

@@ -37,8 +37,9 @@ def rejection_bursts(records: Sequence[RoundRecord]) -> list[tuple[int, int]]:
     """Maximal runs of consecutive rejected rounds as ``(start, length)``.
 
     Long bursts on clean rounds are the signature of the threshold
-    death-spiral discussed in EXPERIMENTS.md (the history freezes on
-    rejection, so a borderline threshold keeps rejecting).
+    death-spiral the README's "Scale and deviations from the paper"
+    discusses (the history freezes on rejection, so a borderline threshold
+    keeps rejecting).
     """
     bursts: list[tuple[int, int]] = []
     start: int | None = None

@@ -1,7 +1,7 @@
 """Static determinism lint: the bit-identity contract, machine-checked.
 
 Every engine this repo ships ({Sequential, ProcessPool, Thread} x
-{sync, pipelined} x cohort stacking) commits bit-identical models
+cohort stacking) commits bit-identical models
 only because of invariants the type system cannot see: randomness flows
 exclusively from per-``(round, entity)`` :class:`~repro.fl.rng.RngStreams`
 keys, dtypes survive end to end, worker payloads pickle, shared-memory

@@ -2,7 +2,7 @@
 
 Each check is a small AST pass over one file.  They are deliberately
 repo-specific: the point is not generic style, it is the handful of
-invariants the equivalence matrix (sequential == pool == pipelined, in
+invariants the equivalence matrix (sequential == pool == thread, in
 bits) rests on — stated once in prose in ``repro/fl/rng.py`` and
 ``repro/fl/parallel.py``, enforced here at parse time.
 

@@ -15,28 +15,6 @@ Every round the server:
 On rejection the simulation keeps the previous global model (Algorithm 1:
 ``G_{r+1} <- G_{r-1}``) and the candidate is **not** added to the history.
 
-Asynchronous (pipelined) reviews
---------------------------------
-The paper's feedback loop is naturally asynchronous: validators report in
-the round *after* the update was aggregated (Sec. IV).  The synchronous
-:meth:`BaffleDefense.review` compresses that into one blocking call; the
-pipelined engine instead splits it:
-
-1. :meth:`BaffleDefense.review_async` makes every server-side random draw
-   (validator sampling, dropout) *now* — keeping the sequential RNG stream
-   byte-identical to a synchronous run — stages the candidate and submits
-   the votes without waiting;
-2. :meth:`BaffleDefense.commit_optimistic` adopts the candidate into the
-   history provisionally, so training continues on it immediately;
-3. when the quorum resolves (:meth:`BaffleDefense.resolve_review`, rounds
-   resolve strictly in FIFO order), the round is either promoted
-   (:meth:`finalize_review`) or withdrawn (:meth:`rollback_review`, which
-   unwinds the provisional history suffix, invalidates staged and cached
-   profiles of the withdrawn versions, and leaves in-flight straggler
-   validators to the store's refcounts); speculative successors of a
-   withdrawn round are cancelled (:meth:`cancel_review`) and replayed by
-   the simulation.
-
 The three paper configurations map to ``mode``:
 
 - ``"clients"``  -> BaFFLe-C  (feedback loop only),
@@ -48,7 +26,7 @@ The three paper configurations map to ``mode``:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +39,7 @@ from repro.core.validation import (
 from repro.data.dataset import Dataset
 from repro.fl.faults import QUORUM_POLICIES, QuorumStallError
 from repro.fl.model_store import ModelStore, ValidatorProfileTable
-from repro.fl.parallel import PendingVotes, RoundExecutor
+from repro.fl.parallel import RoundExecutor
 from repro.fl.rng import RngStreams
 from repro.fl.simulation import DefenseDecision
 from repro.nn.network import Network
@@ -196,33 +174,6 @@ class ValidatorPool:
     def as_dict(self) -> dict[int, Validator]:
         """The ``{client_id: validator}`` population (a copy)."""
         return dict(self._validators)
-
-
-@dataclass
-class PendingReview:
-    """One round's in-flight review: draws are done, votes are not.
-
-    Created by :meth:`BaffleDefense.review_async`.  ``active_ids`` records
-    the sampled (post-dropout) validating clients of this round (a replay
-    re-derives the same sample from its restored RNG snapshot);
-    ``epoch`` is the history's rollback generation at submission, letting
-    consumers detect that the context this review was built on has been
-    withdrawn.  ``override_accept`` is a fault-injection seam
-    (:class:`ForcedRejectDefense`, chaos tests, the rollback benchmark):
-    when set, it replaces the quorum outcome after the votes resolved.
-    """
-
-    round_idx: int
-    candidate: Network
-    context: ValidationContext
-    candidate_version: int
-    active_ids: list[int] = field(default_factory=list)
-    votes: PendingVotes | None = None
-    epoch: int = 0
-    #: The newest history version preceding this round's optimistic commit
-    #: — the rollback anchor (set by :meth:`BaffleDefense.commit_optimistic`).
-    prev_version: int | None = None
-    override_accept: bool | None = None
 
 
 class BaffleDefense:
@@ -473,145 +424,6 @@ class BaffleDefense:
                 note(candidate, version)
 
     # ------------------------------------------------------------------
-    # Asynchronous (pipelined) review protocol
-    # ------------------------------------------------------------------
-    def review_async(
-        self,
-        candidate: Network,
-        round_idx: int,
-        rng: np.random.Generator,
-    ) -> "PendingReview | DefenseDecision":
-        """Draw, stage and submit — but do not wait for the quorum.
-
-        Consumes exactly the server-side random draws the synchronous
-        :meth:`review` would (validator sampling and dropout), so a
-        pipelined run's sequential RNG stream stays byte-identical to a
-        synchronous run's.  The rollback-replay path passes a detached
-        generator restored to the original round's state as ``rng``, so a
-        replay re-derives the same sample without consuming fresh
-        randomness.  Pre-``start_round`` rounds return their
-        :class:`DefenseDecision` directly (nothing to await); the caller
-        then applies :meth:`record_outcome` as usual.
-        """
-        if round_idx < self.config.start_round:
-            return DefenseDecision(accepted=True)
-        if self._executor is None or self._streams is None:
-            raise RuntimeError(
-                "review_async needs bind_runtime(...); pipelined execution "
-                "runs through FederatedSimulation"
-            )
-        context = ValidationContext(
-            candidate=candidate,
-            history=self.history.entries(),
-            candidate_version=self.history.stage_candidate(candidate),
-        )
-        active: list[int] = []
-        votes: PendingVotes | None = None
-        if self.config.mode in ("clients", "both"):
-            assert self.validator_pool is not None
-            active = self._sample_active(rng)
-            votes = self._executor.submit_validators(
-                self.validator_pool, active, context, round_idx, self._streams
-            )
-        assert context.candidate_version is not None
-        return PendingReview(
-            round_idx=round_idx,
-            candidate=candidate,
-            context=context,
-            candidate_version=context.candidate_version,
-            active_ids=active,
-            votes=votes,
-            epoch=self.history.epoch,
-        )
-
-    def commit_optimistic(self, pending: PendingReview) -> int:
-        """Adopt the pending round's candidate provisionally.
-
-        Records the rollback anchor (the newest history version preceding
-        this commit) on the pending review, then commits the staged
-        candidate optimistically — subsequent rounds train on it while its
-        quorum is still open.
-        """
-        pending.prev_version = self.history.newest_version()
-        version = self.history.commit_optimistic()
-        assert version == pending.candidate_version
-        return version
-
-    def resolve_review(self, pending: PendingReview) -> DefenseDecision:
-        """Collect the votes and apply the quorum rule (blocks).
-
-        Rounds must resolve in FIFO order — the server validator's vote is
-        computed here, and its per-version profile caching assumes the
-        same monotonically advancing history a synchronous run sees.
-        """
-        if pending.epoch != self.history.epoch:
-            raise RuntimeError(
-                f"stale pending review for round {pending.round_idx}: its "
-                "history snapshot was rolled back (epoch "
-                f"{pending.epoch} != {self.history.epoch}); cancel and "
-                "replay instead of resolving"
-            )
-        with self._tracer.span(
-            "validate.collect", round_idx=pending.round_idx,
-            validators=len(pending.active_ids),
-        ):
-            client_votes = (
-                pending.votes.collect() if pending.votes is not None else {}
-            )
-        server_vote: int | None = None
-        if self.config.mode in ("server", "both"):
-            assert self.server_validator is not None
-            assert self._streams is not None
-            with self._tracer.span(
-                "validate.server_vote", round_idx=pending.round_idx
-            ):
-                server_vote = self.server_validator.vote(
-                    pending.context, self._streams.server_rng(pending.round_idx)
-                )
-        decision = self._decide(
-            client_votes, server_vote, expected=len(pending.active_ids),
-            round_idx=pending.round_idx,
-        )
-        if pending.override_accept is not None:
-            decision = replace(decision, accepted=pending.override_accept)
-        return decision
-
-    def finalize_review(self, pending: PendingReview) -> None:
-        """Promote an accepted round's optimistic commit (FIFO)."""
-        self.history.finalize(pending.candidate_version)
-        self.profile_table.commit_staged(pending.candidate_version)
-        self._note_committed(pending.candidate, pending.candidate_version)
-
-    def rollback_review(self, pending: PendingReview) -> list[int]:
-        """Withdraw a rejected round's commit and every commit after it.
-
-        Returns the withdrawn versions.  The history rollback fires the
-        eviction listeners (clearing the shared profile table); staged
-        profiles of the rejected candidate and validator-local caches of
-        every withdrawn version are invalidated here.  Store references
-        held by in-flight validator tasks keep the withdrawn versions
-        resolvable until those stragglers finish.
-        """
-        rolled_back = self.history.rollback_to(pending.prev_version)
-        self.profile_table.discard_staged(pending.candidate_version)
-        for validator in self._validators():
-            invalidate = getattr(validator, "invalidate_profiles", None)
-            if callable(invalidate):
-                invalidate(rolled_back)
-        return rolled_back
-
-    def cancel_review(self, pending: PendingReview) -> None:
-        """Abandon a speculative successor of a rolled-back round.
-
-        Its in-flight votes are discarded (references released when the
-        straggler tasks finish) and its staged profiles dropped; the
-        simulation replays the round against the rolled-back history.
-        """
-        if pending.votes is not None:
-            pending.votes.abandon()
-        self.profile_table.discard_staged(pending.candidate_version)
-
-    # ------------------------------------------------------------------
     # Bootstrapping
     # ------------------------------------------------------------------
     def prime(self, model: Network) -> None:
@@ -628,14 +440,12 @@ class BaffleDefense:
 class ForcedRejectDefense(BaffleDefense):
     """A :class:`BaffleDefense` whose quorum outcome is scripted per round.
 
-    Fault injection for rollback testing and the pipelined benchmark's
+    Fault injection for rejection testing and the parallel benchmark's
     refcount audit: rounds in ``reject_rounds`` are rejected regardless of
     the collected votes (the votes still flow — sampling, transport and
-    profile bookkeeping are exercised unchanged), so a rollback can be
-    forced at a known round in both execution modes and the resulting
-    trajectories compared.  Synchronous and pipelined runs with the same
-    ``reject_rounds`` commit bit-identical models: the pipelined engine
-    replays the speculative suffix a forced rejection invalidates.
+    profile bookkeeping are exercised unchanged), so a rejection can be
+    forced at a known round on every engine and the resulting trajectories
+    compared.
     """
 
     def __init__(self, *args, reject_rounds: Sequence[int] = (), **kwargs) -> None:
@@ -649,16 +459,3 @@ class ForcedRejectDefense(BaffleDefense):
         if round_idx in self.reject_rounds:
             return replace(decision, accepted=False)
         return decision
-
-    def review_async(
-        self,
-        candidate: Network,
-        round_idx: int,
-        rng: np.random.Generator,
-    ) -> "PendingReview | DefenseDecision":
-        pending = super().review_async(candidate, round_idx, rng)
-        if round_idx in self.reject_rounds:
-            if isinstance(pending, DefenseDecision):
-                return replace(pending, accepted=False)
-            pending.override_accept = False
-        return pending

@@ -24,26 +24,9 @@ ships only its version key to workers), then :meth:`commit_staged` adopts
 that exact stored vector into the history — commit is a refcount transfer,
 not another copy — or :meth:`discard_staged` releases it on rejection.
 
-Optimistic commits (pipelined execution)
-----------------------------------------
-The pipelined round loop commits a candidate *before* its validator quorum
-resolves: :meth:`commit_optimistic` adopts the staged vector provisionally,
-:meth:`finalize` promotes it once the quorum accepts, and
-:meth:`rollback_to` withdraws the provisional suffix when a late rejection
-arrives.  Two properties make the rollback safe:
-
-- **Deferred eviction**: an entry displaced from the look-back window by a
-  provisional commit is *parked*, not released — if the displacing commit
-  rolls back, the parked entry is restored to the window bit-for-bit; only
-  :meth:`finalize` actually releases it (and fires eviction listeners).
-- **Epoch tags**: every rollback bumps :attr:`epoch`; each retained version
-  remembers the epoch it was committed under (:meth:`version_epoch`), so
-  consumers holding pre-rollback state (in-flight validator votes, cached
-  contexts) can detect that their snapshot was withdrawn.
-
-Store refcounts carry the rest: a rolled-back version stays resolvable for
-in-flight validators (who hold their own store references, see
-:class:`~repro.fl.parallel.PendingVotes`) until the last reference drops.
+An evicted version stays resolvable for a validator task still running
+past its deadline: such a task holds its own store reference (see
+:class:`~repro.fl.parallel.PendingVotes`) until it finishes.
 """
 
 from __future__ import annotations
@@ -68,13 +51,6 @@ class ModelHistory:
         self._template: Network | None = None
         self._staged: int | None = None
         self._evict_listeners: list[Callable[[int], None]] = []
-        #: Optimistically committed versions awaiting quorum, oldest first.
-        self._provisional: list[int] = []
-        #: ``provisional version -> entries its commit displaced`` (their
-        #: eviction is deferred until that commit is finalized).
-        self._parked: dict[int, list[int]] = {}
-        self._epoch = 0
-        self._version_epoch: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._versions)
@@ -124,30 +100,14 @@ class ModelHistory:
         version, self._staged = self._staged, None
         self.store.release(version)
 
-    def _commit(self, version: int, provisional: bool = False) -> int:
-        if not provisional and self._provisional:
-            raise RuntimeError(
-                "cannot mix plain commits with unresolved optimistic commits; "
-                "finalize or roll back the provisional suffix first"
-            )
+    def _commit(self, version: int) -> int:
         self._versions.append(version)
-        self._version_epoch[version] = self._epoch
-        if provisional:
-            self._provisional.append(version)
-            self._parked[version] = []
         while len(self._versions) > self.max_models:
-            evicted = self._versions.popleft()
-            if provisional:
-                # Deferred eviction: the displaced entry must be restorable
-                # if this commit rolls back; finalize() releases it.
-                self._parked[version].append(evicted)
-            else:
-                self._evict(evicted)
+            self._evict(self._versions.popleft())
         return version
 
     def _evict(self, version: int) -> None:
         self._materialized.pop(version, None)
-        self._version_epoch.pop(version, None)
         self.store.release(version)
         for listener in self._evict_listeners:
             listener(version)
@@ -155,86 +115,6 @@ class ModelHistory:
     def _ensure_template(self, model: Network) -> None:
         if self._template is None:
             self._template = model.clone()
-
-    # ------------------------------------------------------------------
-    # Optimistic commits / rollback (pipelined execution)
-    # ------------------------------------------------------------------
-    def commit_optimistic(self) -> int:
-        """Adopt the staged candidate *provisionally* (quorum still open).
-
-        The version enters the window immediately — subsequent rounds'
-        validation contexts see it, exactly as they would after a regular
-        commit — but any entry it displaces is parked rather than released,
-        and the commit can be withdrawn by :meth:`rollback_to` until
-        :meth:`finalize` promotes it.
-        """
-        if self._staged is None:
-            raise RuntimeError("no candidate is staged")
-        version, self._staged = self._staged, None
-        return self._commit(version, provisional=True)
-
-    def finalize(self, version: int) -> None:
-        """Promote the oldest provisional commit after quorum acceptance.
-
-        Finalization is FIFO (quorums resolve in round order): ``version``
-        must be the oldest outstanding optimistic commit.  The entries its
-        commit displaced are released now — this is the deferred half of
-        the optimistic eviction — and eviction listeners fire for them.
-        """
-        if not self._provisional or self._provisional[0] != version:
-            raise RuntimeError(
-                f"version {version} is not the oldest provisional commit "
-                f"(outstanding: {self._provisional})"
-            )
-        self._provisional.pop(0)
-        for evicted in self._parked.pop(version):
-            self._evict(evicted)
-
-    def rollback_to(self, version: int | None) -> list[int]:
-        """Withdraw every provisional commit newer than ``version``.
-
-        ``version`` is the newest entry that should survive (``None``
-        withdraws the whole provisional suffix).  Withdrawn versions leave
-        the window, their parked (displaced) entries are restored in place,
-        their history references are released — refcounts keep them alive
-        in the store for any in-flight consumer holding its own reference —
-        and eviction listeners fire for them.  Bumps :attr:`epoch` when
-        anything was withdrawn.  Returns the withdrawn versions, ascending.
-        """
-        rolled_back: list[int] = []
-        while self._provisional and (
-            version is None or self._provisional[-1] > version
-        ):
-            withdrawn = self._provisional.pop()
-            self._versions.remove(withdrawn)
-            for parked in reversed(self._parked.pop(withdrawn)):
-                self._versions.appendleft(parked)
-            self._materialized.pop(withdrawn, None)
-            self._version_epoch.pop(withdrawn, None)
-            self.store.release(withdrawn)
-            for listener in self._evict_listeners:
-                listener(withdrawn)
-            rolled_back.append(withdrawn)
-        if rolled_back:
-            self._epoch += 1
-        return rolled_back[::-1]
-
-    @property
-    def epoch(self) -> int:
-        """Rollback generation counter (bumped by every :meth:`rollback_to`)."""
-        return self._epoch
-
-    def version_epoch(self, version: int) -> int:
-        """The epoch a retained version was committed under."""
-        return self._version_epoch[version]
-
-    def provisional_versions(self) -> list[int]:
-        """Optimistic commits still awaiting their quorum, oldest first."""
-        return list(self._provisional)
-
-    def newest_version(self) -> int | None:
-        """The newest retained version (rollback anchor), if any."""
-        return self._versions[-1] if self._versions else None
 
     # ------------------------------------------------------------------
     # Views
@@ -278,10 +158,6 @@ class ModelHistory:
             return
         if self._staged is not None:
             raise RuntimeError("cannot rebind the store while a candidate is staged")
-        if self._provisional:
-            raise RuntimeError(
-                "cannot rebind the store while optimistic commits are unresolved"
-            )
         for version in self._versions:
             store.adopt(version, self.store.get(version))
             self.store.release(version)

@@ -290,17 +290,6 @@ class MisclassificationValidator:
         pending = self._pending_candidate
         return pending[1] if pending is not None else None
 
-    def invalidate_profiles(self, versions: Sequence[int]) -> None:
-        """Drop cached profiles of versions withdrawn by a history rollback.
-
-        Version numbers are never reused, so a stale entry could not be
-        *mis*used — but a rolled-back optimistic commit's version would
-        otherwise linger in the cache until the look-back window's minimum
-        passed it.  The defense calls this from its rollback path.
-        """
-        for version in versions:
-            self._profile_cache.pop(version, None)
-
     def _profile_for(self, version: int, model: Network) -> ErrorProfile:
         profile = self._profile_cache.get(version)
         if profile is None:

@@ -48,11 +48,7 @@ from repro.experiments.runner import (
 )
 from repro.fl.compression import codec_names
 from repro.fl.faults import QUORUM_POLICIES
-from repro.fl.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
-    ENGINE_KINDS,
-    EXECUTION_MODES,
-)
+from repro.fl.parallel import ENGINE_KINDS
 from repro.nn.precision import DTYPE_POLICIES
 from repro.experiments.scenarios import run_early_scenario, run_error_trace
 
@@ -77,7 +73,6 @@ def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
     subcommand shares, plus the subcommand's own ``fields``."""
     return ExperimentConfig(
         workers=args.workers, engine=args.engine,
-        execution_mode=args.exec_mode, pipeline_depth=args.pipeline_depth,
         cohort_size=args.cohort_size,
         codec=args.codec, allow_lossy=args.allow_lossy,
         sanitize=args.sanitize, trace=args.trace,
@@ -232,17 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-workers", type=int, default=0, dest="seed_workers",
                        help="processes fanning out independent seeds "
                             "(0/1 = serial; results are identical)")
-        p.add_argument("--exec-mode", choices=EXECUTION_MODES, default="sync",
-                       dest="exec_mode",
-                       help="round loop: sync blocks each round on its "
-                            "validator quorum; pipelined commits "
-                            "optimistically and overlaps validation with "
-                            "the next round (results are identical)")
-        p.add_argument("--pipeline-depth", type=int,
-                       default=DEFAULT_PIPELINE_DEPTH, dest="pipeline_depth",
-                       help="rounds the pipelined mode may run ahead of "
-                            "open quorums (>= 1; use --exec-mode sync for "
-                            "synchronous semantics)")
         p.add_argument("--cohort-size", type=int, default=None,
                        dest="cohort_size",
                        help="stack up to this many of a round's honest "

@@ -5,7 +5,7 @@ paper's shape-defining structure is preserved exactly — 10 contributors and
 10 validators per round, 2 local epochs, Dirichlet(0.9) non-IID splits,
 20 defended warm-up rounds, injections at rounds 30/35/40 of a 50-round
 defended window — while population and dataset sizes are scaled to CPU
-budgets (see DESIGN.md, substitution table).
+budgets (see the README's "Scale and deviations from the paper").
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 from repro.fl.compression import codec_names, make_codec
 from repro.fl.faults import QUORUM_POLICIES, FaultPlan
-from repro.fl.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
-    ENGINE_KINDS,
-    EXECUTION_MODES,
-)
+from repro.fl.parallel import ENGINE_KINDS
 from repro.nn.precision import DTYPE_POLICIES
 
 #: Client-server validation-data splits evaluated in Table I / Fig. 3.
@@ -90,13 +86,9 @@ class ExperimentConfig:
     # Model.
     hidden: tuple[int, ...] = (64,)
     # Execution engine: worker processes for client training and validator
-    # votes (0/1 = in-process sequential).  ``execution_mode`` selects the
-    # round loop: "sync" blocks each round on its validator quorum,
-    # "pipelined" commits optimistically and runs up to ``pipeline_depth``
-    # rounds ahead of their open quorums (late rejections roll back and
-    # replay).  Every executor/mode/depth combination commits bit-identical
-    # models, so all three are pure throughput knobs and deliberately
-    # excluded from ``environment_key``.
+    # votes (0/1 = in-process sequential).  Every worker count commits
+    # bit-identical models, so it is a pure throughput knob and
+    # deliberately excluded from ``environment_key``.
     workers: int = 0
     # Multi-worker backend: "process" fans out over worker processes
     # (weights travel through a shared-memory arena), "thread" over
@@ -104,8 +96,6 @@ class ExperimentConfig:
     # "auto" resolves to "process".  Another pure throughput knob: every
     # engine commits bit-identical models.
     engine: str = "auto"
-    execution_mode: str = "sync"
-    pipeline_depth: int = DEFAULT_PIPELINE_DEPTH
     # Stacked cohort execution (repro.fl.cohort): gather up to this many of
     # a round's honest clients into one batched training stack (0/1 = one
     # model at a time; None = each executor's default — pool and thread
@@ -196,21 +186,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"cohort_size must be >= 0, got {self.cohort_size}"
             )
-        if self.execution_mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution_mode must be one of {EXECUTION_MODES}, got "
-                f"{self.execution_mode!r}"
-            )
-        # Fail here, not deep inside make_engine: a depth-0 "pipelined"
-        # config is pure overhead (it degenerates to sync semantics), and
-        # an unknown or unauthorized codec should abort before any
-        # environment is pretrained.
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth} "
-                "(a depth below 1 degenerates to execution_mode='sync'; "
-                "use that instead)"
-            )
+        # Fail here, not deep inside make_engine: an unknown or
+        # unauthorized codec should abort before any environment is
+        # pretrained.
         if self.codec not in codec_names():
             raise ValueError(
                 f"codec must be one of {codec_names()}, got {self.codec!r}"

@@ -101,9 +101,6 @@ def _record_to_dict(record) -> dict:
             record, "raw_transport_bytes", getattr(record, "transport_bytes", 0)
         ),
         "codec": getattr(record, "codec", "identity"),
-        "accepted_at_round": getattr(record, "accepted_at_round", record.round_idx),
-        "validation_lag": getattr(record, "validation_lag", 0),
-        "rollback_count": getattr(record, "rollback_count", 0),
         "peak_rss_kb": getattr(record, "peak_rss_kb", 0),
         "materialized_clients": getattr(record, "materialized_clients", 0),
         "metrics": {k: float(v) for k, v in getattr(record, "metrics", {}).items()},

@@ -126,13 +126,11 @@ def format_execution_report(
     records: Sequence["object"],
     resilience: Mapping[str, int] | None = None,
 ) -> str:
-    """Render the round loop's execution telemetry (pipelined or sync).
+    """Render the round loop's execution telemetry.
 
-    Summarizes the :class:`~repro.fl.simulation.RoundRecord` fields the
-    pipelined engine fills in: per-round acceptance lag (rounds of training
-    that ran between a candidate's aggregation and its quorum resolution),
-    replay counts from rollbacks, and transport volume.  A synchronous run
-    reports all-zero lag and rollbacks.
+    Summarizes the :class:`~repro.fl.simulation.RoundRecord` telemetry:
+    accepted/rejected rounds, transport volume, population and memory
+    figures, and per-phase wall-clock on traced runs.
 
     ``resilience`` is the executor's recovery ledger
     (:meth:`repro.fl.faults.ResilienceStats.as_dict`); when any counter is
@@ -142,8 +140,6 @@ def format_execution_report(
     """
     if not records:
         return "execution report: no rounds"
-    lags = [r.validation_lag for r in records]
-    rollbacks = [r.rollback_count for r in records]
     rejected = [r for r in records if not r.accepted]
     transport = [r.transport_bytes for r in records]
     raw = [getattr(r, "raw_transport_bytes", r.transport_bytes) for r in records]
@@ -158,10 +154,6 @@ def format_execution_report(
         "Execution report",
         f"rounds: {len(records)} "
         f"({len(records) - len(rejected)} accepted, {len(rejected)} rejected)",
-        f"validation lag (rounds): mean {np.mean(lags):.2f}, "
-        f"max {max(lags)}",
-        f"rollback replays: {sum(rollbacks)} "
-        f"(rounds replayed at least once: {sum(1 for c in rollbacks if c)})",
         f"transport: {np.mean(transport):.0f} B/round mean "
         f"(codec {codec}: {np.mean(raw):.0f} B/round raw, "
         f"{ratio} compression)",
@@ -189,18 +181,6 @@ def format_execution_report(
             for name, total in sorted(phase_totals.items())
         )
         lines.append(f"phase wall-clock (mean/round): {parts}")
-    laggy = [r for r in records if r.validation_lag or r.rollback_count]
-    if laggy:
-        lines.append(
-            f"{'round':>6} {'accepted':>9} {'resolved@':>10} {'lag':>4} "
-            f"{'replays':>8}"
-        )
-        for r in laggy:
-            lines.append(
-                f"{r.round_idx:>6} {str(r.accepted):>9} "
-                f"{r.accepted_at_round:>10} {r.validation_lag:>4} "
-                f"{r.rollback_count:>8}"
-            )
     # Resilience (repro.fl.faults): what the recovery machinery did.
     # Shown whenever anything fired — a crash that was absorbed by a
     # retry still belongs in the run summary.

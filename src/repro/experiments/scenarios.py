@@ -351,8 +351,8 @@ def run_error_trace(
 def _engine(config: ExperimentConfig):
     """The round-execution engine a scenario config asks for.
 
-    One factory decides workers, engine kind, execution mode and the
-    engine's one store together (:func:`repro.fl.parallel.make_engine`).
+    One factory decides workers, engine kind and the engine's one store
+    together (:func:`repro.fl.parallel.make_engine`).
 
     ``config.sanitize`` turns the runtime sanitizer on for the engine's
     whole lifetime via :func:`repro.analysis.sanitize.scope` — the scope
@@ -364,8 +364,6 @@ def _engine(config: ExperimentConfig):
     with sanitize.scope(config.sanitize):
         with make_engine(
             config.workers,
-            mode=config.execution_mode,
-            pipeline_depth=config.pipeline_depth,
             codec=config.codec,
             require_lossless=not config.allow_lossy,
             cohort_size=config.cohort_size,

@@ -59,9 +59,7 @@ from repro.fl.model_store import (
     reap_orphan_segments,
 )
 from repro.fl.parallel import (
-    DEFAULT_PIPELINE_DEPTH,
     ENGINE_KINDS,
-    EXECUTION_MODES,
     PendingVotes,
     ProcessPoolRoundExecutor,
     RoundEngine,
@@ -89,11 +87,9 @@ __all__ = [
     "cohort_updates",
     "is_cohortable",
     "plan_cohorts",
-    "DEFAULT_PIPELINE_DEPTH",
     "Defense",
     "DefenseDecision",
     "ENGINE_KINDS",
-    "EXECUTION_MODES",
     "FLConfig",
     "Float16Codec",
     "IdentityCodec",

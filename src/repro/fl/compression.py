@@ -127,10 +127,10 @@ class WeightCodec:
     """Strategy interface for weight-vector compression.
 
     ``encode``/``decode`` must be deterministic pure functions (engine
-    equivalence and pipelined replay both rely on it), and ``decode`` must
-    depend only on the segment content — never on this instance's
-    constructor parameters — so any process holding the registry can
-    reconstruct any segment.
+    equivalence and fault-recovery replays both rely on it), and
+    ``decode`` must depend only on the segment content — never on this
+    instance's constructor parameters — so any process holding the
+    registry can reconstruct any segment.
     """
 
     #: Registry key; also stored in every segment header.

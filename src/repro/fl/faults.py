@@ -57,9 +57,8 @@ dispatch of a slot takes that slot's next matching entry, so ``n`` equal
 entries fail the slot ``n`` times in a row, and the replay that recovers
 from the last one is clean.  Per-``(round, entity)`` RNG streams make every
 replay bit-identical.  Drop entries are **pure** functions of the
-round (:meth:`FaultPlan.dropped`): a pipelined replay or a re-collected
-quorum sees the same loss, so fault placement never depends on execution
-order.
+round (:meth:`FaultPlan.dropped`): a re-collected quorum sees the same
+loss, so fault placement never depends on execution order.
 """
 
 from __future__ import annotations
@@ -260,8 +259,8 @@ class FaultPlan:
     def dropped(self, round_idx: int) -> frozenset[int]:
         """Validator ids whose round-``round_idx`` votes are lost.
 
-        Pure (never consumes): a pipelined replay of the round observes
-        the identical loss, keeping the plan order-independent.
+        Pure (never consumes): every collection of the round's votes
+        observes the identical loss, keeping the plan order-independent.
         """
         return frozenset(
             spec.index

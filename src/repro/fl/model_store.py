@@ -197,13 +197,13 @@ class ModelStore:
     def min_live_version(self) -> int | None:
         """The oldest live version (workers' attachment-eviction floor).
 
-        Rollback safety: every consumer that ships a version key to a
+        Straggler safety: every consumer that ships a version key to a
         worker first ``acquire``-s that version and releases it only after
         the worker task completed (see
         :class:`~repro.fl.parallel.PendingVotes`).  The floor is therefore
         always <= any version an in-flight task may still resolve, even
-        while a rollback is releasing the history's own references to a
-        withdrawn suffix — eviction can never race a straggler.
+        while the history releases its own reference to an evicted
+        version — eviction can never race a straggler.
         """
         return min(self._refs) if self._refs else None
 
@@ -553,18 +553,15 @@ class ValidatorProfileTable:
     return the profiles they compute; the executor files committed-version
     profiles directly (:meth:`put`) and *stages* candidate profiles
     (:meth:`stage`) until the server decides the round.  Staged entries are
-    keyed by the candidate's staged store version, so several rounds may be
-    pending at once (the pipelined engine overlaps validation of round
-    ``r`` with round ``r + 1``) without their candidate profiles
-    cross-filing.  On acceptance the defense calls :meth:`commit_staged`
-    with that version — commit is a refcount-style key transfer, the staged
-    version *is* the committed history version — and the next round ships
-    those profiles back to whichever worker votes for that validator,
-    saving the forward pass ``note_committed`` saves on the sequential
-    path.  On rejection (or rollback of an optimistic commit)
+    keyed by the candidate's staged store version.  On acceptance the
+    defense calls :meth:`commit_staged` with that version — commit is a
+    refcount-style key transfer, the staged version *is* the committed
+    history version — and the next round ships those profiles back to
+    whichever worker votes for that validator, saving the forward pass
+    ``note_committed`` saves on the sequential path.  On rejection
     :meth:`discard_staged` drops that round's entries, and
-    :meth:`evict_version` follows the history's eviction/rollback so
-    rejected, rolled-back or retired profiles never accumulate.
+    :meth:`evict_version` follows the history's eviction so rejected or
+    retired profiles never accumulate.
     """
 
     def __init__(self) -> None:
@@ -583,17 +580,12 @@ class ValidatorProfileTable:
     def hints(self, validator_id: int, versions: Iterable[int]) -> dict[int, object]:
         """Known profiles of ``validator_id`` for the given versions.
 
-        Staged entries count as known: a staged profile is a deterministic
-        function of the weight bytes stored under its (unique) version, so
-        a pipelined round whose history contains a still-pending optimistic
-        commit reuses the pending candidate's profile instead of
-        recomputing it per validator.
+        Only committed entries count: every round's staged profiles are
+        committed or discarded before a later round asks for hints.
         """
         hints: dict[int, object] = {}
         for version in versions:
             profile = self._profiles.get((validator_id, version))
-            if profile is None:
-                profile = self._staged.get((validator_id, version))
             if profile is not None:
                 hints[version] = profile
         return hints

@@ -45,19 +45,18 @@ loop unless a ``cohort_size`` is requested; :class:`ThreadPoolRoundExecutor`
 and :class:`ProcessPoolRoundExecutor` stack the whole eligible fan-out by
 default (``cohort_size=None``), the process pool spreading the stack over
 its workers.  Threads share the live clients and validators (the kernels
-are BLAS-bound and release the GIL); a per-validator lock serializes votes
-of one validator across overlapping pipelined rounds.
+are BLAS-bound and release the GIL); a per-validator lock serializes a
+written-off straggler's vote with its parent-side replay, which uses the
+same validator object.
 
-Pipelined rounds
-----------------
-:meth:`RoundExecutor.submit_validators` returns a :class:`PendingVotes`
-handle instead of blocking.  An executor whose ``pipeline_depth`` is set
-(``make_executor(mode="pipelined")``) makes
-:class:`~repro.fl.simulation.FederatedSimulation` run round ``r + 1``'s
-client slices while round ``r``'s votes are still in flight.  A handle
-released while any of its tasks still runs (a rolled-back round, a
-written-off straggler) moves to a deferred-release list, reaped at the
-next fan-out and drained on :meth:`RoundExecutor.close`.
+Stragglers
+----------
+Each phase runs behind a :class:`PendingVotes` handle that holds the
+store versions the phase shipped.  A straggler written off past
+``task_deadline_s`` keeps running after its phase returned and still
+reads those versions, so a handle with a task still running moves to a
+deferred-release list, reaped at the next fan-out and drained on
+:meth:`RoundExecutor.close`.
 
 Weight paths
 ------------
@@ -70,16 +69,16 @@ parallel-safe populations, a template network and the arena's attachment
 handle once, at pool start, and per phase only integer version keys
 travel (O(1 new model) per round).  A history version the arena lacks is
 ``adopt``-ed under its own version.  Every shipped version is held in the
-store until the phase's last task finished, so a rollback can never unlink
-a segment a straggler still reads.  Workers return the validator error
-profiles they computed; the server files them in its
+store until the phase's last task finished, so a history eviction can
+never unlink a segment a straggler still reads.  Workers return the
+validator error profiles they computed; the server files them in its
 :class:`~repro.fl.model_store.ValidatorProfileTable` and ships them back as
 hints, so each profile is computed once process-wide.  Closing or rebuilding
 the pool unlinks ``/dev/shm`` segments stranded by dead processes.
 
 Because every slice draws from keyed streams and weights travel losslessly
-in the precision-policy dtype, every engine/mode combination commits
-**bit-identical** models and round records for the same seed and policy.
+in the precision-policy dtype, every engine commits **bit-identical**
+models and round records for the same seed and policy.
 """
 
 from __future__ import annotations
@@ -131,20 +130,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard: this module is
     from repro.core.validation import ValidationContext, Validator
 
 
-#: Round-loop execution modes accepted by :func:`make_executor` /
-#: :func:`make_engine` (also the config validation set and the CLI
-#: ``--exec-mode`` choices).
-EXECUTION_MODES = ("sync", "pipelined")
-
 #: Multi-worker engine kinds accepted by :func:`make_executor` /
 #: :func:`make_engine` (and the CLI ``--engine`` choices): ``"process"``
 #: fans out over worker processes, ``"thread"`` over in-process threads,
 #: ``"auto"`` resolves to ``"process"``.
 ENGINE_KINDS = ("auto", "process", "thread")
-
-#: Default speculation depth of the pipelined mode: how many rounds may
-#: run ahead of their unresolved validator quorums (0 = synchronous).
-DEFAULT_PIPELINE_DEPTH = 1
 
 #: Failures the recovery loop absorbs: an in-process task crash, and a
 #: pool that died or refused work (its pending futures break or cancel).
@@ -614,12 +604,12 @@ class PendingVotes:
     """Handle for one phase's in-flight slices (a round's votes, usually).
 
     ``collect()`` blocks until every result is in and returns it (for
-    votes, ``{validator_id: vote}``).  ``abandon()`` discards a handle
-    whose round was rolled back.  Either way the handle's store holds
-    drop only once no task of it runs any more: until then the handle
-    waits on the executor's deferred-release list, and the errors of its
-    written-off tasks are counted (``abandoned_task_errors``) when it is
-    finally released.
+    votes, ``{validator_id: vote}``).  The handle's store holds drop only
+    once no task of it runs any more: a straggler written off past the
+    deadline keeps running after ``collect()`` returned, so until it
+    finishes the handle waits on the executor's deferred-release list, and
+    the errors of its written-off tasks are counted
+    (``abandoned_task_errors``) when it is finally released.
     """
 
     def __init__(self, gather, futures, cleanup, on_defer, on_error) -> None:
@@ -633,7 +623,6 @@ class PendingVotes:
         self._votes = None
         self._deferred = False
         self._released = False
-        self.abandoned = False
 
     def done(self) -> bool:
         """Whether no task of this handle is still executing."""
@@ -641,21 +630,12 @@ class PendingVotes:
 
     def collect(self):
         """The phase's result (blocks; idempotent)."""
-        if self.abandoned:
-            raise RuntimeError("cannot collect abandoned votes")
         if self._votes is None:
             try:
                 self._votes = self._gather()
             finally:
                 self._release()
         return self._votes
-
-    def abandon(self) -> None:
-        """Discard the result; defer the release until tasks finish."""
-        if not self.abandoned:
-            self.abandoned = True
-            if self._votes is None:
-                self._release()
 
     def reap(self) -> bool:
         """Release a deferred handle if its tasks finished."""
@@ -678,7 +658,7 @@ class PendingVotes:
                 self._on_defer(self)
             return
         self._released = True
-        if self.abandoned or self._deferred:
+        if self._deferred:
             for future in self._futures:
                 if not future.cancelled() and future.exception() is not None:
                     self._on_error(future.exception())
@@ -689,13 +669,11 @@ class RoundExecutor:
     """One round executor over a dispatcher (see the module docstring).
 
     ``bind`` hands the executor the static populations before the first
-    fan-out; ``run_clients`` and ``run_validators`` (or
-    ``submit_validators``) execute one round phase and return results in
-    request order.  ``bind_faults`` arms the resilience layer: a
-    :class:`~repro.fl.faults.FaultPlan` to replay failures from and a
-    per-task straggler deadline; :attr:`resilience` records what recovery
-    did.  ``pipeline_depth`` (``None`` = synchronous) selects the pipelined
-    round loop of :class:`~repro.fl.simulation.FederatedSimulation`.
+    fan-out; ``run_clients`` and ``run_validators`` execute one round phase
+    and return results in request order.  ``bind_faults`` arms the
+    resilience layer: a :class:`~repro.fl.faults.FaultPlan` to replay
+    failures from and a per-task straggler deadline; :attr:`resilience`
+    records what recovery did.
     """
 
     #: Whether the workers read weights from the shared arena: the bound
@@ -712,9 +690,6 @@ class RoundExecutor:
             raise ValueError(f"cohort_size must be >= 0, got {cohort_size}")
         self.workers = workers
         self.cohort_size = cohort_size
-        #: Rounds the pipelined loop may run ahead of their open quorums
-        #: (``None`` = synchronous round loop).
-        self.pipeline_depth: int | None = None
         #: Injected-failure schedule (empty = fault-free).
         self.fault_plan: FaultPlan = FaultPlan.empty()
         #: Per-task deadline in seconds (``None`` = wait forever); a task
@@ -722,9 +697,6 @@ class RoundExecutor:
         self.task_deadline_s: float | None = None
         #: Recovery-incident ledger: one per run, whatever the dispatcher.
         self.resilience = ResilienceStats()
-        # Vote drops already accounted for, as (round, validator) pairs —
-        # a pipelined replay re-submits the round and must not re-count.
-        self._counted_drops: set[tuple[int, int]] = set()
         self._dispatcher = dispatcher(workers)
         #: Bumped on every teardown, so the futures of one breakage
         #: trigger exactly one rebuild.
@@ -903,16 +875,16 @@ class RoundExecutor:
 
         return self._launch("train", round_idx, tasks, parent, finish, holds).collect()
 
-    def submit_validators(
+    def run_validators(
         self,
         pool: "ValidatorPool",
         validator_ids: Sequence[int],
         context: ValidationContext,
         round_idx: int,
         streams: RngStreams,
-    ) -> PendingVotes:
-        """Launch one round's votes; the handle's ``collect()`` returns
-        ``{validator_id: vote}`` for every vote that was not dropped."""
+    ) -> dict[int, int]:
+        """Collect votes ``{validator_id: vote}`` for the given context,
+        one per requested validator whose vote was not dropped."""
         dispatcher = self._begin()
         dropped = self._dropped_votes(round_idx, validator_ids)
         voters = [vid for vid in validator_ids if vid not in dropped]
@@ -962,20 +934,7 @@ class RoundExecutor:
                     table.stage(vid, context.candidate_version, candidate_profile)
             return {vid: votes[vid] for vid in voters}
 
-        return self._launch("validate", round_idx, tasks, parent, finish, holds)
-
-    def run_validators(
-        self,
-        pool: "ValidatorPool",
-        validator_ids: Sequence[int],
-        context: ValidationContext,
-        round_idx: int,
-        streams: RngStreams,
-    ) -> dict[int, int]:
-        """Collect votes ``{validator_id: vote}`` for the given context."""
-        return self.submit_validators(
-            pool, validator_ids, context, round_idx, streams
-        ).collect()
+        return self._launch("validate", round_idx, tasks, parent, finish, holds).collect()
 
     def close(self) -> None:
         """Release executor resources (idempotent).
@@ -1129,13 +1088,11 @@ class RoundExecutor:
             return frozenset()
         dropped = self.fault_plan.dropped(round_idx) & set(validator_ids)
         for vid in sorted(dropped):
-            if (round_idx, vid) not in self._counted_drops:
-                self._counted_drops.add((round_idx, vid))
-                self._note("dropped_votes", round_idx=round_idx, validator=vid)
+            self._note("dropped_votes", round_idx=round_idx, validator=vid)
         return dropped
 
     def _count_abandoned_error(self, error: BaseException) -> None:
-        """A written-off task died after abandonment: count + log it."""
+        """A written-off task died after its phase returned: count + log it."""
         self._note("abandoned_task_errors", error=repr(error)[:200])
 
 
@@ -1189,8 +1146,6 @@ class ProcessPoolRoundExecutor(RoundExecutor):
 def make_executor(
     workers: int,
     store: ModelStore | None = None,
-    mode: str = "sync",
-    pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     cohort_size: int | None = None,
     engine: str = "auto",
     faults: "FaultPlan | str | None" = None,
@@ -1201,20 +1156,16 @@ def make_executor(
     ``engine`` picks the multi-worker dispatcher (:data:`ENGINE_KINDS`).
     ``store`` binds a model store at construction (a process pool accepts
     only a shared-memory store; :func:`make_engine` builds the matching
-    one).  ``mode="pipelined"`` sets ``pipeline_depth``.
-    ``cohort_size`` controls stacked cohort training (:mod:`repro.fl.cohort`):
-    ``None`` keeps each executor's default, ``>= 2`` forces that chunk size,
-    ``0``/``1`` disables stacking.  ``faults`` and ``task_deadline_s`` arm
-    the resilience layer (:meth:`RoundExecutor.bind_faults`).
+    one).  ``cohort_size`` controls stacked cohort training
+    (:mod:`repro.fl.cohort`): ``None`` keeps each executor's default,
+    ``>= 2`` forces that chunk size, ``0``/``1`` disables stacking.
+    ``faults`` and ``task_deadline_s`` arm the resilience layer
+    (:meth:`RoundExecutor.bind_faults`).
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if mode not in EXECUTION_MODES:
-        raise ValueError(f"mode must be one of {EXECUTION_MODES}, got {mode!r}")
     if engine not in ENGINE_KINDS:
         raise ValueError(f"engine must be one of {ENGINE_KINDS}, got {engine!r}")
-    if mode == "pipelined" and pipeline_depth < 0:
-        raise ValueError(f"pipeline_depth must be >= 0, got {pipeline_depth}")
     executor: RoundExecutor
     if workers <= 1:
         executor = SequentialExecutor(cohort_size=cohort_size)
@@ -1222,8 +1173,6 @@ def make_executor(
         executor = ThreadPoolRoundExecutor(workers, cohort_size=cohort_size)
     else:
         executor = ProcessPoolRoundExecutor(workers, cohort_size=cohort_size)
-    if mode == "pipelined":
-        executor.pipeline_depth = pipeline_depth
     if store is not None:
         executor.bind(store=store)
     executor.bind_faults(plan=faults, task_deadline_s=task_deadline_s)
@@ -1262,8 +1211,6 @@ class RoundEngine:
 
 def make_engine(
     workers: int,
-    mode: str = "sync",
-    pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
     codec: str | None = None,
     require_lossless: bool = True,
     cohort_size: int | None = None,
@@ -1287,8 +1234,6 @@ def make_engine(
     """
     executor = make_executor(
         workers,
-        mode=mode,
-        pipeline_depth=pipeline_depth,
         cohort_size=cohort_size,
         engine=engine,
         faults=faults,

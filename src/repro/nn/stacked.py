@@ -14,8 +14,8 @@ model axis ``M``, so ``M`` forwards/backwards collapse into single batched
 
 Bit-identity contract
 ---------------------
-The repo's engine-equivalence guarantee (sequential == parallel ==
-pipelined, bit-identical committed models) extends to stacking: a stacked
+The repo's engine-equivalence guarantee (sequential == parallel,
+bit-identical committed models) extends to stacking: a stacked
 pass must produce **bit-identical** floats to the per-model pass.  Two
 empirical properties of the BLAS backend make this possible, and the test
 suite re-verifies both on every host (``tests/nn/test_stacked.py``):

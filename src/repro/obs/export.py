@@ -163,8 +163,7 @@ def summarize_trace(
         accepted = counters.get("rounds_accepted", 0)
         lines.append(
             f"rounds: {rounds} ({accepted} accepted, "
-            f"{counters.get('rounds_rejected', 0)} rejected, "
-            f"{counters.get('rollback_replays', 0)} rollback replays)"
+            f"{counters.get('rounds_rejected', 0)} rejected)"
         )
     if "rounds_per_s" in gauges:
         lines.append(f"throughput: {gauges['rounds_per_s']:.2f} rounds/s")

@@ -2,8 +2,8 @@
 
 One :class:`MetricsRegistry` per traced run unifies the ad-hoc telemetry
 previously scattered across ``RoundRecord`` fields, executor byte
-counters and the model store: rounds/s, per-phase wall-clock, acceptance
-lag, rollback rate, transport volume and compression, shared-memory
+counters and the model store: rounds/s, per-phase wall-clock,
+transport volume and compression, shared-memory
 attach cache hits, materialized clients, peak RSS.  ``snapshot()``
 returns one JSON-serializable dict — the API a future streaming server
 polls, and what :mod:`repro.experiments.persistence` embeds in saved

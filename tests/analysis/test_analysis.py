@@ -13,7 +13,6 @@ from repro.analysis import (
     vote_summary,
 )
 from repro.core.validation import MisclassificationValidator
-from repro.data.dataset import Dataset
 from repro.fl.client import HonestClient, LocalTrainingConfig, local_train
 from repro.fl.simulation import DefenseDecision, RoundRecord
 from repro.nn.models import make_mlp

@@ -77,7 +77,6 @@ class TestModelReplacementClient:
 
     def test_backdoor_learned_by_crafted_model(self, attack_setup, rng):
         client, model, backdoor = attack_setup
-        from tests.conftest import train_briefly
 
         # give the global model basic competence first
         from repro.fl.client import LocalTrainingConfig as LTC, local_train

@@ -42,7 +42,6 @@ class TestSemanticBackdoor:
     def test_backdoor_accuracy_of_clean_model_low(self, cifar_task, rng):
         """An honestly trained model does not exhibit the backdoor."""
         from repro.nn.models import make_mlp
-        from tests.conftest import train_briefly
 
         train = cifar_task.sample(1500, rng)
         model = make_mlp(cifar_task.flat_dim, 10, rng, hidden=(32,))

@@ -56,144 +56,16 @@ class TestModelHistory:
         with pytest.raises(ValueError):
             ModelHistory(max_models=0)
 
-
-def _distinct(model, rng):
-    """A clone with perturbed weights (distinct store content per commit)."""
-    clone = model.clone()
-    flat = clone.get_flat()
-    clone.set_flat(flat + rng.normal(0.0, 1e-3, size=flat.shape))
-    return clone
-
-
-class TestOptimisticCommits:
-    """The rollback-aware API behind the pipelined round loop."""
-
-    def test_commit_optimistic_enters_window_immediately(self, model, rng):
-        history = ModelHistory(max_models=3)
-        history.append(model)
-        history.stage_candidate(_distinct(model, rng))
-        version = history.commit_optimistic()
-        assert history.versions() == [0, version]
-        assert history.provisional_versions() == [version]
-
-    def test_finalize_promotes_and_releases_displaced(self, model, rng):
-        history = ModelHistory(max_models=2)
-        evicted: list[int] = []
-        history.add_eviction_listener(evicted.append)
-        history.append(model)
-        history.append(model)  # window full: [0, 1]
-        history.stage_candidate(_distinct(model, rng))
-        version = history.commit_optimistic()  # displaces 0 — deferred
-        assert evicted == []
-        assert 0 in history.store  # parked, not released
-        history.finalize(version)
-        assert evicted == [0]
-        assert 0 not in history.store
-        assert history.provisional_versions() == []
-
-    def test_rollback_restores_displaced_entries(self, model, rng):
-        history = ModelHistory(max_models=2)
-        evicted: list[int] = []
-        history.add_eviction_listener(evicted.append)
-        history.append(model)
-        history.append(model)
-        before = history.versions()
-        anchor = history.newest_version()
-        for _ in range(2):
-            history.stage_candidate(_distinct(model, rng))
-            history.commit_optimistic()
-        assert history.versions() == [2, 3]
-        rolled = history.rollback_to(anchor)
-        assert rolled == [2, 3]
-        assert history.versions() == before
-        assert evicted == [3, 2]  # withdrawn (listener order: newest first)
-        assert 2 not in history.store and 3 not in history.store
-        assert 0 in history.store and 1 in history.store
-
-    def test_rollback_to_intermediate_version(self, model, rng):
-        history = ModelHistory(max_models=4)
-        history.append(model)
-        history.stage_candidate(_distinct(model, rng))
-        first = history.commit_optimistic()
-        history.stage_candidate(_distinct(model, rng))
-        second = history.commit_optimistic()
-        assert history.rollback_to(first) == [second]
-        assert history.versions() == [0, first]
-        assert history.provisional_versions() == [first]
-
-    def test_rollback_bumps_epoch_and_tags_versions(self, model, rng):
-        history = ModelHistory(max_models=3)
-        history.append(model)
-        assert history.epoch == 0
-        assert history.version_epoch(0) == 0
-        history.stage_candidate(_distinct(model, rng))
-        version = history.commit_optimistic()
-        history.rollback_to(0)
-        assert history.epoch == 1
-        history.stage_candidate(_distinct(model, rng))
-        retry = history.commit_optimistic()
-        assert retry > version  # versions are never reused
-        assert history.version_epoch(retry) == 1
-        history.rollback_to(None)  # no provisional left after another look
-        assert history.epoch == 2
-
-    def test_empty_rollback_keeps_epoch(self, model):
-        history = ModelHistory(max_models=3)
-        history.append(model)
-        assert history.rollback_to(None) == []
-        assert history.epoch == 0
-
-    def test_finalize_is_fifo(self, model, rng):
-        history = ModelHistory(max_models=4)
-        history.append(model)
-        history.stage_candidate(_distinct(model, rng))
-        first = history.commit_optimistic()
-        history.stage_candidate(_distinct(model, rng))
-        second = history.commit_optimistic()
-        with pytest.raises(RuntimeError, match="oldest provisional"):
-            history.finalize(second)
-        history.finalize(first)
-        history.finalize(second)
-
-    def test_plain_commit_with_open_provisional_rejected(self, model, rng):
-        history = ModelHistory(max_models=3)
-        history.append(model)
-        history.stage_candidate(_distinct(model, rng))
-        history.commit_optimistic()
-        with pytest.raises(RuntimeError, match="optimistic"):
-            history.append(model)
-
-    def test_commit_optimistic_without_stage_rejected(self):
-        with pytest.raises(RuntimeError, match="staged"):
-            ModelHistory(max_models=2).commit_optimistic()
-
-    def test_provisional_suffix_deeper_than_window(self, model, rng):
-        """A pipeline deeper than the look-back window parks provisional
-        entries themselves; a full rollback still restores the original
-        window exactly."""
-        history = ModelHistory(max_models=2)
-        history.append(model)
-        history.append(model)
-        before = history.versions()
-        anchor = history.newest_version()
-        for _ in range(3):  # provisional suffix exceeds max_models
-            history.stage_candidate(_distinct(model, rng))
-            history.commit_optimistic()
-        assert len(history) == 2
-        rolled = history.rollback_to(anchor)
-        assert rolled == [2, 3, 4]
-        assert history.versions() == before
-
-    def test_straggler_reference_survives_rollback(self, model, rng):
-        """An in-flight consumer's store reference keeps a withdrawn
+    def test_straggler_reference_survives_eviction(self, model):
+        """An in-flight consumer's store reference keeps an evicted
         version readable until released (the deferred-release contract)."""
-        history = ModelHistory(max_models=3)
+        history = ModelHistory(max_models=2)
+        oldest = history.append(model)
+        history.store.acquire(oldest)  # the in-flight validator's hold
         history.append(model)
-        history.stage_candidate(_distinct(model, rng))
-        version = history.commit_optimistic()
-        history.store.acquire(version)  # the in-flight validator's hold
-        history.rollback_to(0)
-        assert version in history.store  # still resolvable for stragglers
-        history.store.get(version)
-        history.store.release(version)
-        assert version not in history.store
+        history.append(model)  # evicts ``oldest`` from the window
+        assert oldest not in history.versions()
+        assert oldest in history.store  # still resolvable for the straggler
+        history.store.get(oldest)
+        history.store.release(oldest)
+        assert oldest not in history.store

@@ -10,12 +10,9 @@ assigned at commit time.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import validation as validation_mod
 from repro.core.baffle import BaffleConfig, BaffleDefense
 from repro.core.validation import MisclassificationValidator
-from repro.nn.models import make_mlp
 
 
 def _perturbed(model, rng, scale=1e-3):

@@ -106,18 +106,17 @@ class TestDegradePolicy:
             with pytest.raises(QuorumStallError, match="quorum_min"):
                 sim.run(8)
 
-    def test_pipelined_drop_commits_identical_models_when_quorum_accepts(self):
+    def test_drop_commits_identical_models_when_quorum_accepts(self):
         """A dropped vote whose surviving quorum still accepts changes
-        nothing about the committed models — even pipelined, where the
-        dropped round's quorum resolves while later rounds already run."""
+        nothing about the committed models, and the ledger counts the
+        loss exactly once."""
         with SequentialExecutor() as executor:
             sim = build_policy_sim(executor, store=InProcessModelStore())
             base_records = sim.run(8)
             base_flat = sim.global_model.get_flat()
         assert base_records[DROPPED_ROUND].accepted
 
-        with make_executor(0, mode="pipelined", pipeline_depth=2,
-                           faults=DROP) as executor:
+        with make_executor(0, faults=DROP) as executor:
             sim = build_policy_sim(
                 executor, policy="degrade", store=InProcessModelStore()
             )
@@ -129,6 +128,5 @@ class TestDegradePolicy:
             r.accepted for r in base_records
         ]
         assert records[DROPPED_ROUND].decision.quorum_degraded
-        # The pipelined quorum replay observes the loss exactly once.
         assert stats["dropped_votes"] == 1
         assert stats["quorum_degradations"] == 1

@@ -46,15 +46,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_execution_mode_flags(self):
-        args = build_parser().parse_args(
-            ["detect", "--exec-mode", "pipelined", "--pipeline-depth", "3"]
-        )
-        assert args.exec_mode == "pipelined"
-        assert args.pipeline_depth == 3
-        assert build_parser().parse_args(["detect"]).exec_mode == "sync"
+    @pytest.mark.parametrize(
+        "flag", [["--exec-mode", "sync"], ["--pipeline-depth", "2"]]
+    )
+    def test_round_loop_flags_rejected(self, flag):
+        """The round loop is synchronous only: neither flag parses."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["detect", "--exec-mode", "warp"])
+            build_parser().parse_args(["detect", *flag])
 
 
 class TestSharedExecutionFlags:
@@ -70,7 +68,6 @@ class TestSharedExecutionFlags:
         with pytest.raises(_ConfigBuilt) as built:
             main([
                 command, "--workers", "3", "--engine", "thread",
-                "--exec-mode", "pipelined", "--pipeline-depth", "4",
                 "--cohort-size", "5", "--codec", "quantized", "--allow-lossy",
                 "--dtype", "float32", "--virtual-clients", "--sanitize",
                 "--trace", str(tmp_path), "--faults", "crash@3.train",
@@ -79,7 +76,6 @@ class TestSharedExecutionFlags:
             ])
         config = built.value.args[0]
         assert (config.workers, config.engine) == (3, "thread")
-        assert (config.execution_mode, config.pipeline_depth) == ("pipelined", 4)
         assert config.cohort_size == 5
         assert (config.codec, config.allow_lossy) == ("quantized", True)
         assert config.dtype_policy == "float32"

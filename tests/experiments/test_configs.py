@@ -31,8 +31,6 @@ class TestExperimentConfig:
             {"client_share": 1.0},
             {"defense_start": 50, "total_rounds": 50},
             {"attack_rounds": (99,)},
-            {"execution_mode": "turbo"},
-            {"pipeline_depth": -1},
             {"engine": "quantum"},
             {"workers": -1},
             {"cohort_size": -1},
@@ -48,12 +46,11 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs)
 
     def test_environment_key_ignores_engine_knobs(self):
-        """workers/engine/mode/depth are pure throughput knobs: engines
-        commit bit-identical models, so cached environments are shared."""
+        """workers/engine are pure throughput knobs: engines commit
+        bit-identical models, so cached environments are shared."""
         base = ExperimentConfig()
         assert base.environment_key(0) == base.with_updates(
             workers=4, engine="thread",
-            execution_mode="pipelined", pipeline_depth=3,
         ).environment_key(0)
 
     def test_with_updates_returns_modified_copy(self):

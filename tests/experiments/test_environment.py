@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.attacks.label_flip import LabelFlipBackdoor
 from repro.attacks.semantic_backdoor import SemanticBackdoor

@@ -88,12 +88,9 @@ class FakeRecord:
 
     round_idx: int = 0
     accepted: bool = True
-    validation_lag: int = 0
-    rollback_count: int = 0
     transport_bytes: int = 0
     raw_transport_bytes: int = 0
     codec: str = "identity"
-    accepted_at_round: int = 0
     phase_times: dict = field(default_factory=dict)
 
 

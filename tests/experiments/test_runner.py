@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.runner import (
     run_adaptive_experiment,
     run_detection_experiment,

@@ -2,7 +2,7 @@
 executor integration.
 
 The headline guarantee: a cohort-enabled engine — any executor, any
-execution mode, any cohort size — commits **bit-identical** models and
+cohort size — commits **bit-identical** models and
 round records to the seed-baseline sequential per-model engine.
 """
 
@@ -20,9 +20,11 @@ from repro.fl.rng import RngStreams
 from repro.nn.models import make_mlp, make_resnet_lite
 from tests.fl.test_parallel import (
     build_defended_sim,
+    build_forced_sim,
     make_world,
     run_and_snapshot,
     shm_leftovers,
+    snapshot,
 )
 
 
@@ -227,9 +229,8 @@ class TestExecutorIntegration:
 
 class TestCohortEquivalenceMatrix:
     """Cohort-enabled engines commit bit-identical models and records to
-    the seed-baseline per-model sequential engine — the full
-    {Sequential, ProcessPool} x {sync, pipelined} grid, each engine on the
-    store ``make_engine`` gives it."""
+    the seed-baseline per-model sequential engine — Sequential and
+    ProcessPool, each engine on the store ``make_engine`` gives it."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -237,47 +238,38 @@ class TestCohortEquivalenceMatrix:
             build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
         )
 
-    @pytest.mark.parametrize("mode", ["sync", "pipelined"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_bit_identical_commits(self, baseline, workers, mode):
+    def test_bit_identical_commits(self, baseline, workers):
         baseline_flat, baseline_records = baseline
-        with make_engine(
-            workers, mode=mode, pipeline_depth=2, cohort_size=3
-        ) as engine:
+        with make_engine(workers, cohort_size=3) as engine:
             flat, records = run_and_snapshot(build_defended_sim(engine.executor))
         # Committed models match the seed-baseline sequential engine.
         np.testing.assert_array_equal(baseline_flat, flat)
         assert shm_leftovers(engine.store) == []
-        # Full records (including lag telemetry, which legitimately differs
-        # between sync and deep-pipelined runs) match the same engine
-        # without cohorting: stacking changes throughput only.
-        with make_engine(
-            workers, mode=mode, pipeline_depth=2, cohort_size=1
-        ) as twin:
+        # Full records match the same engine without cohorting: stacking
+        # changes throughput only.
+        with make_engine(workers, cohort_size=1) as twin:
             twin_flat, twin_records = run_and_snapshot(
                 build_defended_sim(twin.executor)
             )
         np.testing.assert_array_equal(twin_flat, flat)
         assert twin_records == records
 
-    def test_cohort_survives_forced_rollback(self):
-        """Pipelined + cohort + forced late rejections: the replayed rounds
-        re-enter the cohort path and still commit bit-identically."""
-        from tests.fl.test_pipelined import build_forced_sim, snapshot
-
+    def test_cohort_survives_forced_rejections(self):
+        """Pool + cohort + forced rejections: rounds after a rejected one
+        train on the kept model through the cohort path and commit
+        bit-identically to the per-model sequential run."""
         reject = (3, 5)
         sync_sim = build_forced_sim(SequentialExecutor(), reject_rounds=reject)
         sync_records = sync_sim.run(8)
         sync_flat = sync_sim.global_model.get_flat()
 
         store = SharedMemoryModelStore()
-        with store, make_executor(
-            2, store=store, mode="pipelined", pipeline_depth=2, cohort_size=3
-        ) as executor:
+        with store, make_executor(2, store=store, cohort_size=3) as executor:
             sim = build_forced_sim(executor, store=store, reject_rounds=reject)
             records = sim.run(8)
             flat = sim.global_model.get_flat()
         np.testing.assert_array_equal(sync_flat, flat)
         assert snapshot(sync_records) == snapshot(records)
-        assert any(r.rollback_count > 0 for r in records)
+        assert [r.round_idx for r in records if not r.accepted] == list(reject)
         assert shm_leftovers(store) == []

@@ -1,7 +1,7 @@
 """Tests for deterministic fault injection and the resilience layer.
 
-The headline theorem under test: the full ``{sequential, pool, thread}
-x {sync, pipelined}`` matrix commits bit-identical models and decisions
+The headline theorem under test: the full ``{sequential, pool, thread}``
+matrix commits bit-identical models and decisions
 *under injected crashes, stragglers, and dropped votes* — recovery is
 retry-by-replay over per-``(round, entity)`` RNG streams, so a fault that
 was absorbed leaves no trace in the committed trajectory (only in the
@@ -103,7 +103,7 @@ class TestFaultPlanSemantics:
     def test_dropped_is_pure_and_per_round(self):
         plan = FaultPlan.parse("drop@5.vote.7;drop@5.vote.2;drop@6.vote.1")
         assert plan.dropped(5) == frozenset({2, 7})
-        # Pure: a pipelined replay of the round sees the identical loss.
+        # Pure: asking again for the round sees the identical loss.
         assert plan.dropped(5) == frozenset({2, 7})
         assert plan.dropped(4) == frozenset()
 
@@ -235,17 +235,6 @@ class TestBindFaults:
         assert isinstance(executor.fault_plan, FaultPlan)
         with pytest.raises(ValueError, match="fault"):
             executor.bind_faults(plan="explode@1.train")
-
-    def test_pipelined_executor_keeps_faults_and_ledger(self):
-        """The pipelined loop runs on the engine's own executor: its fault
-        plan fires there and recovery lands in that executor's ledger."""
-        with make_executor(
-            0, mode="pipelined", pipeline_depth=2, faults="crash@1.train"
-        ) as executor:
-            assert executor.fault_plan
-            build_defended_sim(executor, store=InProcessModelStore()).run(3)
-        assert executor.resilience.retries == 1
-        assert executor.fault_plan.unfired() == ()
 
     def test_injected_worker_crash_is_a_runtime_error(self):
         assert issubclass(InjectedWorkerCrash, RuntimeError)
@@ -410,11 +399,10 @@ CHAOS_FAULTS = (
 
 
 class TestEquivalenceUnderFaults:
-    """The acceptance matrix: ``{pool, thread} x {sync, pipelined}``, each
-    engine on the store ``make_engine`` gives it, under crashes,
-    stragglers, and a dropped vote (quorum policy ``degrade``) commits
-    bit-identical models and accept decisions to the fault-free sequential
-    baseline."""
+    """The acceptance matrix: ``{pool, thread}``, each engine on the store
+    ``make_engine`` gives it, under crashes, stragglers, and a dropped vote
+    (quorum policy ``degrade``) commits bit-identical models and accept
+    decisions to the fault-free sequential baseline."""
 
     @pytest.fixture(scope="class")
     def fault_free(self):
@@ -427,15 +415,11 @@ class TestEquivalenceUnderFaults:
             for r in records
         ]
 
-    @pytest.mark.parametrize("mode", ["sync", "pipelined"])
     @pytest.mark.parametrize("engine", ["process", "thread"])
-    def test_faulty_run_matches_fault_free_baseline(
-        self, fault_free, engine, mode
-    ):
+    def test_faulty_run_matches_fault_free_baseline(self, fault_free, engine):
         base_flat, base_decisions = fault_free
         with make_engine(
-            2, engine=engine, mode=mode, pipeline_depth=0,
-            faults=CHAOS_FAULTS, task_deadline_s=0.5,
+            2, engine=engine, faults=CHAOS_FAULTS, task_deadline_s=0.5,
         ) as round_engine:
             store, executor = round_engine.store, round_engine.executor
             sim = build_policy_sim(executor, policy="degrade", store=store)

@@ -314,9 +314,9 @@ class TestValidatorProfileTable:
         table.commit_staged(version=7)
         assert len(table) == 0
 
-    def test_concurrent_rounds_stage_independently(self):
-        """Pipelined rounds overlap: staging is keyed by candidate version,
-        so resolving round r must not touch round r+1's staged profiles."""
+    def test_staging_is_keyed_by_version(self):
+        """Staging is keyed by candidate version: committing or discarding
+        one version's profiles never touches another version's."""
         table = ValidatorProfileTable()
         table.stage(1, 7, "r-candidate")
         table.stage(1, 8, "r+1-candidate")
@@ -327,14 +327,14 @@ class TestValidatorProfileTable:
         assert table.staged_count == 0
         assert table.get(1, 8) is None
 
-    def test_staged_profiles_serve_as_hints(self):
-        """A still-pending optimistic commit's profile is reusable by the
-        next round's validators (versions are unique, content is fixed)."""
+    def test_only_committed_profiles_serve_as_hints(self):
+        """A round's staged profiles are committed or discarded before a
+        later round asks for hints, so hints read committed entries only."""
         table = ValidatorProfileTable()
-        table.stage(1, 7, "pending")
-        assert table.hints(1, [7]) == {7: "pending"}
-        table.put(1, 7, "committed")
-        assert table.hints(1, [7]) == {7: "committed"}
+        table.stage(1, 7, "staged")
+        assert table.hints(1, [7]) == {}
+        table.commit_staged(version=7)
+        assert table.hints(1, [7]) == {7: "staged"}
 
     def test_eviction_tracks_history(self):
         table = ValidatorProfileTable()

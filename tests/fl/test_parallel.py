@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.baffle import BaffleConfig, BaffleDefense, ValidatorPool
+from repro.core.baffle import (
+    BaffleConfig,
+    BaffleDefense,
+    ForcedRejectDefense,
+    ValidatorPool,
+)
 from repro.core.validation import MisclassificationValidator
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
@@ -98,11 +103,46 @@ def run_and_snapshot(sim, rounds: int = 8):
             r.decision.reject_votes,
             dict(r.decision.client_votes),
             r.decision.server_vote,
-            # Telemetry must agree too: a sync run and a depth-0 pipelined
-            # run both resolve every round within itself.
-            r.accepted_at_round,
-            r.validation_lag,
-            r.rollback_count,
+        )
+        for r in records
+    ]
+
+
+def build_forced_sim(
+    executor,
+    store=None,
+    reject_rounds=(),
+    seed: int = 8,
+    lookback: int = 4,
+):
+    """A defended world whose quorum outcome is scripted per round."""
+    model, clients, server_data, config = make_world(seed)
+    validator_pool = ValidatorPool.from_datasets(
+        {c.client_id: c.dataset for c in clients}, min_history=4
+    )
+    defense = ForcedRejectDefense(
+        BaffleConfig(lookback=lookback, quorum=2, num_validators=3, mode="both"),
+        validator_pool,
+        MisclassificationValidator(server_data, min_history=4),
+        reject_rounds=reject_rounds,
+    )
+    defense.prime(model)
+    return FederatedSimulation(
+        model.clone(), clients, config, np.random.default_rng(seed + 1),
+        defense=defense, executor=executor, model_store=store,
+    )
+
+
+def snapshot(records):
+    """Decision-relevant record fields (telemetry asserted separately)."""
+    return [
+        (
+            r.round_idx,
+            tuple(r.contributor_ids),
+            r.accepted,
+            r.decision.reject_votes,
+            dict(r.decision.client_votes),
+            r.decision.server_vote,
         )
         for r in records
     ]
@@ -424,24 +464,6 @@ class TestEngineFactory:
                     model_store=InProcessModelStore(),
                 )
 
-    def test_pipelined_mode_sets_depth_and_validates(self):
-        """Pipelining is an executor attribute the simulation reads: the
-        sync default leaves it unset, ``mode="pipelined"`` sets the depth
-        on the engine's own executor."""
-        assert make_executor(0).pipeline_depth is None
-        executor = make_executor(0, mode="pipelined", pipeline_depth=2)
-        assert isinstance(executor, SequentialExecutor)
-        assert executor.pipeline_depth == 2
-        with make_executor(
-            2, mode="pipelined", pipeline_depth=3, engine="thread"
-        ) as threaded:
-            assert isinstance(threaded, ThreadPoolRoundExecutor)
-            assert threaded.pipeline_depth == 3
-        with pytest.raises(ValueError, match="mode"):
-            make_executor(0, mode="warp")
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            make_executor(0, mode="pipelined", pipeline_depth=-1)
-
 
 def shm_leftovers(store) -> list[str]:
     """``/dev/shm`` segments a store left behind (none for in-process)."""
@@ -452,30 +474,22 @@ def shm_leftovers(store) -> list[str]:
 
 
 class TestStoreExecutorEquivalenceMatrix:
-    """The spine of the engine: every {executor mode} x {engine} x
-    {workers} combination, each on the store ``make_engine`` gives it,
-    commits bit-identical models and round records — Sequential and
-    Thread on the in-process store, ProcessPool on shared memory, sync and
-    pipelined.
-
-    ``pipelined`` runs with ``pipeline_depth=0`` here — the degenerate
-    setting that must reproduce synchronous semantics exactly (the
-    deeper-pipeline equivalence lives in tests/fl/test_pipelined.py).
+    """The spine of the engine: every {engine} x {workers} combination,
+    each on the store ``make_engine`` gives it, commits bit-identical
+    models and round records — Sequential and Thread on the in-process
+    store, ProcessPool on shared memory.
     """
 
-    @pytest.mark.parametrize("mode", ["sync", "pipelined"])
     @pytest.mark.parametrize(
         "workers, engine",
         [(1, "process"), (2, "process"), (4, "process"), (2, "thread"),
          (4, "thread")],
     )
-    def test_bit_identical_commits(self, workers, engine, mode):
+    def test_bit_identical_commits(self, workers, engine):
         baseline_flat, baseline_records = run_and_snapshot(
             build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
         )
-        with make_engine(
-            workers, mode=mode, pipeline_depth=0, engine=engine
-        ) as round_engine:
+        with make_engine(workers, engine=engine) as round_engine:
             flat, records = run_and_snapshot(
                 build_defended_sim(round_engine.executor)
             )
@@ -484,18 +498,73 @@ class TestStoreExecutorEquivalenceMatrix:
         assert shm_leftovers(round_engine.store) == []
 
 
+class TestPhaseHandleHolds:
+    """A vote phase holds every store version it shipped until its last
+    task finished — also a straggler written off past the deadline, which
+    keeps running after ``run_validators`` returned."""
+
+    def _context(self, store, executor):
+        from repro.core.validation import ValidationContext
+
+        model, clients, _, _ = make_world()
+        validator_pool = ValidatorPool.from_datasets(
+            {c.client_id: c.dataset for c in clients}, min_history=4
+        )
+        executor.bind(
+            clients=clients, template=model.clone(),
+            validator_pool=validator_pool,
+        )
+        versions = [store.publish_new(model.get_flat()) for _ in range(6)]
+        candidate_version = store.publish_new(model.get_flat())
+        context = ValidationContext(
+            candidate=model.clone(),
+            history=[(v, model.clone()) for v in versions],
+            candidate_version=candidate_version,
+        )
+        return validator_pool, context, versions + [candidate_version]
+
+    def test_clean_phase_releases_its_holds(self):
+        store = SharedMemoryModelStore()
+        with store, make_executor(2, store=store) as executor:
+            pool, context, versions = self._context(store, executor)
+            votes = executor.run_validators(
+                pool, [0, 1], context, 0, RngStreams.from_seed(0)
+            )
+            assert set(votes) == {0, 1}
+            assert all(store.refcount(v) == 1 for v in versions)
+        assert shm_leftovers(store) == []
+
+    def test_straggler_holds_outlive_the_phase_until_close(self):
+        store = SharedMemoryModelStore()
+        with store, make_executor(
+            2, store=store, faults="delay@0.validate.0=1.0", task_deadline_s=0.2
+        ) as executor:
+            pool, context, versions = self._context(store, executor)
+            votes = executor.run_validators(
+                pool, [0, 1], context, 0, RngStreams.from_seed(0)
+            )
+            assert set(votes) == {0, 1}
+            assert executor.resilience.straggler_reassignments == 1
+            for version in versions:  # the server drops its own references
+                store.release(version)
+            assert all(v in store for v in versions)  # the straggler's holds
+            executor.close()  # waits the straggler out, then releases
+            assert store.versions() == []
+            assert executor.resilience.abandoned_task_errors == 0
+        assert shm_leftovers(store) == []
+
+
 class TestFloat32EquivalenceMatrix:
     """The float32 policy's own contract, mirroring the float64 matrix:
-    {Sequential, ProcessPool, Thread} x {sync, pipelined}, each engine on
-    its own store, commit bit-identical *float32* models.  (float32 runs
+    {Sequential, ProcessPool, Thread}, each engine on its own store,
+    commit bit-identical *float32* models.  (float32 runs
     are a different trajectory from float64 by construction — the policy
     is part of the contract's scope, not a violation of it.)"""
 
-    @pytest.mark.parametrize("mode", ["sync", "pipelined"])
     @pytest.mark.parametrize(
         "workers, engine", [(2, "process"), (2, "thread")]
     )
-    def test_bit_identical_float32_commits(self, workers, engine, mode):
+    def test_bit_identical_float32_commits(self, workers, engine):
         from repro.nn.precision import dtype_policy
 
         with dtype_policy("float32"):
@@ -505,9 +574,7 @@ class TestFloat32EquivalenceMatrix:
                 )
             )
             assert baseline_flat.dtype == np.float32
-            with make_engine(
-                workers, mode=mode, pipeline_depth=0, engine=engine
-            ) as round_engine:
+            with make_engine(workers, engine=engine) as round_engine:
                 flat, records = run_and_snapshot(
                     build_defended_sim(round_engine.executor)
                 )

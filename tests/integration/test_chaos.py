@@ -1,7 +1,7 @@
 """Chaos smoke: the full stack under injected faults.
 
-One scenario-shaped run — process pool, shared-memory store, pipelined
-round loop — with a crash and a straggler injected mid-run.  It must
+One scenario-shaped run — process pool, shared-memory store — with a
+crash and a straggler injected mid-run.  It must
 commit bit-identically to the fault-free sequential run, leak nothing in
 ``/dev/shm``, and surface the recovery work in the resilience ledger,
 the metrics snapshot, and the execution report (mirrors the CI chaos
@@ -26,14 +26,13 @@ CHAOS = "crash@1.train;delay@3.validate.0=1.5"
 
 
 class TestChaosSmoke:
-    def test_pool_shm_pipelined_survives_crash_and_straggler(self):
+    def test_pool_shm_survives_crash_and_straggler(self):
         base_flat, base_records = run_and_snapshot(
             build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
         )
         store = SharedMemoryModelStore()
         with store, make_executor(
-            2, store=store, mode="pipelined", pipeline_depth=0,
-            faults=CHAOS, task_deadline_s=0.5,
+            2, store=store, faults=CHAOS, task_deadline_s=0.5,
         ) as executor:
             flat, records = run_and_snapshot(
                 build_defended_sim(executor, store=store)

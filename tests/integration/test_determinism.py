@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.data.synthetic_cifar import SyntheticCifar
 from repro.data.synthetic_femnist import SyntheticFemnist

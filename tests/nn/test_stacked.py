@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.nn.activations import Tanh
 from repro.nn.batchnorm import BatchNorm1d
-from repro.nn.layers import Dense, Parameter, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import make_cnn, make_mlp, make_resnet_lite
 from repro.nn.network import Network

@@ -2,9 +2,9 @@
 
 The hard contract: tracing is pure observation.  A traced run commits
 bit-identical models and round records to an untraced run of the same
-seed, in every cell of the engine/mode matrix — and the trace
-itself carries worker-side spans merged onto the server timeline, plus
-rollback/replay spans when the pipeline unwinds.
+seed, in every cell of the engine matrix — and the trace itself carries
+worker-side spans merged onto the server timeline, plus a reject span for
+every rejected round.
 """
 
 from __future__ import annotations
@@ -53,19 +53,19 @@ def build_sim(executor, store=None, tracer=None, reject_rounds=None, seed=7):
 
 class TestTracedUntracedBitIdentity:
     """Tracing must not perturb a single committed bit, anywhere in the
-    {sequential, pool, thread} x {sync, pipelined} matrix (one traced
-    run per engine family, each on its own store; the untraced cross-cell
-    equivalence is tests/fl/test_parallel.py's job)."""
+    {sequential, pool, thread} matrix (one traced run per engine family,
+    each on its own store; the untraced cross-cell equivalence is
+    tests/fl/test_parallel.py's job)."""
 
     @pytest.mark.parametrize(
-        "workers, engine, store_cls, mode",
+        "workers, engine, store_cls",
         [
-            (0, None, InProcessModelStore, "sync"),
-            (2, "process", SharedMemoryModelStore, "pipelined"),
-            (2, "thread", InProcessModelStore, "sync"),
+            (0, None, InProcessModelStore),
+            (2, "process", SharedMemoryModelStore),
+            (2, "thread", InProcessModelStore),
         ],
     )
-    def test_traced_run_matches_untraced(self, workers, engine, store_cls, mode):
+    def test_traced_run_matches_untraced(self, workers, engine, store_cls):
         untraced_flat, untraced_records = run_and_snapshot(
             build_sim(SequentialExecutor(), store=InProcessModelStore()),
             rounds=ROUNDS,
@@ -73,9 +73,7 @@ class TestTracedUntracedBitIdentity:
         tracer = Tracer()
         store = store_cls()
         kwargs = {} if engine is None else {"engine": engine}
-        with store, make_executor(
-            workers, store=store, mode=mode, pipeline_depth=0, **kwargs
-        ) as executor:
+        with store, make_executor(workers, store=store, **kwargs) as executor:
             flat, records = run_and_snapshot(
                 build_sim(executor, store=store, tracer=tracer), rounds=ROUNDS
             )
@@ -145,30 +143,22 @@ class TestRoundLifecycleSpans:
         untraced = build_sim(SequentialExecutor()).run(ROUNDS)
         assert all(r.phase_times == {} for r in untraced)
 
-    def test_forced_rollback_emits_rollback_and_replay_spans(self):
+    def test_forced_rejection_emits_reject_span(self):
         tracer = Tracer()
-        with make_executor(0, mode="pipelined", pipeline_depth=2) as executor:
+        with SequentialExecutor() as executor:
             sim = build_sim(
                 executor, tracer=tracer, reject_rounds=frozenset({3})
             )
             records = sim.run(ROUNDS)
-        assert any(r.rollback_count for r in records), "rollback must occur"
-        spans = tracer.finalized_spans()
-        by_name = {}
-        for span in spans:
-            by_name.setdefault(span.name, []).append(span)
-        assert by_name.get("rollback"), "rollback span missing"
-        assert by_name.get("replay"), "replay span missing"
-        assert all(s.round_idx > 3 for s in by_name["replay"])
+        rejected = [r.round_idx for r in records if not r.accepted]
+        assert 3 in rejected
         reject_spans = [
-            s for s in spans if s.cat == "round" and s.name == "reject"
+            s.round_idx for s in tracer.finalized_spans()
+            if s.cat == "round" and s.name == "reject"
         ]
-        assert any(s.round_idx == 3 for s in reject_spans)
+        assert sorted(reject_spans) == rejected
         counters = tracer.metrics.snapshot()["counters"]
-        assert counters["rollback_replays"] == sum(
-            r.rollback_count for r in records
-        )
-        assert counters["rounds_rejected"] >= 1
+        assert counters["rounds_rejected"] == len(rejected)
 
 
 class TestRunPersistence:

@@ -181,11 +181,11 @@ class TestMetricsRegistry:
         registry.counter("rounds_total").inc(2)
         registry.gauge("rounds_per_s").set(3.5)
         for value in (1.0, 3.0):
-            registry.histogram("acceptance_lag_rounds").observe(value)
+            registry.histogram("phase.train_s").observe(value)
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"rounds_total": 3}
         assert snapshot["gauges"] == {"rounds_per_s": 3.5}
-        hist = snapshot["histograms"]["acceptance_lag_rounds"]
+        hist = snapshot["histograms"]["phase.train_s"]
         assert hist == {"count": 2, "sum": 4.0, "min": 1.0, "max": 3.0,
                         "mean": 2.0}
 
