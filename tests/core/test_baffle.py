@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.baffle import BaffleConfig, BaffleDefense, ValidatorPool
+from repro.core.baffle import (
+    BaffleConfig,
+    BaffleDefense,
+    ForcedRejectDefense,
+    ValidatorPool,
+)
 from repro.core.validation import ConstantVoteValidator
 from repro.data.dataset import Dataset
 from repro.nn.models import make_mlp
@@ -133,6 +138,148 @@ class TestHistoryMaintenance:
         defense = BaffleDefense(config, pool)
         defense.prime(model)
         assert len(defense.history) == 1
+
+
+class _RecordingValidator(ConstantVoteValidator):
+    """A constant voter that logs the commits it is told about."""
+
+    def __init__(self, vote_value: int) -> None:
+        super().__init__(vote_value)
+        self.committed: list[tuple[object, int]] = []
+
+    def note_committed(self, candidate, version: int) -> None:
+        self.committed.append((candidate, version))
+
+
+class TestReviewCommitCycle:
+    """One review path: ``review`` stages the candidate in the store and
+    ``record_outcome`` commits or discards exactly that staged version."""
+
+    def make_defense(self, model, votes=None, **config):
+        votes = votes or {0: 0, 1: 0}
+        validators = {cid: _RecordingValidator(v) for cid, v in votes.items()}
+        defense = BaffleDefense(
+            BaffleConfig(
+                lookback=4, quorum=2, num_validators=len(validators),
+                mode="clients", **config,
+            ),
+            ValidatorPool(validators),
+        )
+        defense.prime(model)
+        return defense, validators
+
+    def test_review_stages_without_committing(self, model, rng):
+        defense, _ = self.make_defense(model)
+        defense.review(model.clone(), 0, rng)
+        staged = defense.history.staged_version
+        assert staged is not None
+        assert staged in defense.history.store
+        assert defense.history.versions() == [0]
+
+    def test_acceptance_commits_the_staged_version(self, model, rng):
+        defense, _ = self.make_defense(model)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        staged = defense.history.staged_version
+        defense.record_outcome(candidate, accepted=True)
+        assert defense.history.versions() == [0, staged]
+        assert defense.history.staged_version is None
+
+    def test_rejection_releases_the_staged_version(self, model, rng):
+        defense, _ = self.make_defense(model)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        staged = defense.history.staged_version
+        defense.record_outcome(candidate, accepted=False)
+        assert defense.history.versions() == [0]
+        assert defense.history.staged_version is None
+        assert staged not in defense.history.store
+
+    def test_pre_start_rounds_accept_without_staging(self, model, rng):
+        defense, _ = self.make_defense(model, votes={0: 1, 1: 1}, start_round=3)
+        decision = defense.review(model.clone(), 0, rng)
+        assert decision.accepted and decision.num_validators == 0
+        assert defense.history.staged_version is None
+        defense.record_outcome(model.clone(), accepted=True)
+        assert len(defense.history) == 2  # appended without a review
+
+    def test_acceptance_files_the_staged_profiles(self, model, rng):
+        defense, _ = self.make_defense(model)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        staged = defense.history.staged_version
+        defense.profile_table.stage(0, staged, "profile")  # a worker's result
+        defense.record_outcome(candidate, accepted=True)
+        assert defense.profile_table.get(0, staged) == "profile"
+        assert defense.profile_table.staged_count == 0
+
+    def test_rejection_drops_the_staged_profiles(self, model, rng):
+        defense, _ = self.make_defense(model)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        staged = defense.history.staged_version
+        defense.profile_table.stage(0, staged, "profile")
+        defense.record_outcome(candidate, accepted=False)
+        assert defense.profile_table.get(0, staged) is None
+        assert defense.profile_table.staged_count == 0
+
+    def test_acceptance_tells_every_validator_the_committed_version(
+        self, model, rng
+    ):
+        defense, validators = self.make_defense(model)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        staged = defense.history.staged_version
+        defense.record_outcome(candidate, accepted=True)
+        for validator in validators.values():
+            assert validator.committed == [(candidate, staged)]
+
+    def test_rejection_tells_no_validator(self, model, rng):
+        defense, validators = self.make_defense(model)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        defense.record_outcome(candidate, accepted=False)
+        assert all(v.committed == [] for v in validators.values())
+
+
+class TestForcedRejectDefense:
+    """The scripted-rejection defense the engine tests and the parallel
+    benchmark's audit rely on: scripted rounds are rejected whatever the
+    votes, every other round follows the quorum rule."""
+
+    @staticmethod
+    def make_defense(model, votes, reject_rounds):
+        defense = ForcedRejectDefense(
+            BaffleConfig(
+                lookback=4, quorum=2, num_validators=len(votes), mode="clients"
+            ),
+            constant_pool(votes),
+            reject_rounds=reject_rounds,
+        )
+        defense.prime(model)
+        return defense
+
+    def test_scripted_round_rejected_despite_accepting_votes(self, model, rng):
+        votes = {0: 0, 1: 0, 2: 0}
+        defense = self.make_defense(model, votes, reject_rounds=(1,))
+        decision = defense.review(model.clone(), 1, rng)
+        assert not decision.accepted
+        assert decision.reject_votes == 0
+        assert decision.client_votes == votes  # the votes still flowed
+
+    def test_other_rounds_follow_the_quorum_rule(self, model, rng):
+        accepting = self.make_defense(model, {0: 0, 1: 0, 2: 1}, reject_rounds=(1,))
+        assert accepting.review(model.clone(), 0, rng).accepted
+        rejecting = self.make_defense(model, {0: 1, 1: 1, 2: 0}, reject_rounds=(1,))
+        assert not rejecting.review(model.clone(), 2, rng).accepted
+
+    def test_forced_rejection_leaves_history_and_store_as_before(self, model, rng):
+        defense = self.make_defense(model, {0: 0, 1: 0}, reject_rounds=(0,))
+        candidate = model.clone()
+        decision = defense.review(candidate, 0, rng)
+        defense.record_outcome(candidate, decision.accepted)
+        assert defense.history.versions() == [0]
+        assert defense.history.store.versions() == [0]
 
 
 class TestValidatorPool:

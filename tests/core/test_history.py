@@ -69,3 +69,99 @@ class TestModelHistory:
         history.store.get(oldest)
         history.store.release(oldest)
         assert oldest not in history.store
+
+
+def _distinct(model, rng):
+    """A clone of ``model`` with perturbed weights."""
+    other = model.clone()
+    flat = model.get_flat()
+    other.set_flat(flat + rng.normal(0.0, 0.1, size=flat.shape))
+    return other
+
+
+class TestStagedCommits:
+    """The one commit path of a reviewed round: stage the candidate, then
+    commit it (accepted) or discard it (rejected)."""
+
+    def test_commit_evicts_the_oldest_only_when_full(self, model, rng):
+        history = ModelHistory(max_models=2)
+        evicted: list[int] = []
+        history.add_eviction_listener(evicted.append)
+        history.append(model)
+        history.append(model)
+        version = history.stage_candidate(_distinct(model, rng))
+        assert evicted == []  # staging alone displaces nothing
+        assert history.commit_staged() == version
+        assert history.versions() == [1, version]
+        assert evicted == [0]
+        assert 0 not in history.store
+
+    def test_discard_leaves_the_window_untouched(self, model, rng):
+        history = ModelHistory(max_models=2)
+        evicted: list[int] = []
+        history.add_eviction_listener(evicted.append)
+        history.append(model)
+        history.append(model)
+        before = history.versions()
+        version = history.stage_candidate(_distinct(model, rng))
+        history.discard_staged()
+        assert history.versions() == before
+        assert evicted == []
+        assert version not in history.store
+        assert history.staged_version is None
+
+    def test_discard_without_a_stage_is_a_noop(self, model):
+        history = ModelHistory(max_models=2)
+        history.append(model)
+        history.discard_staged()
+        assert history.versions() == [0]
+        assert history.store.versions() == [0]
+
+    def test_discarded_versions_are_never_reused(self, model, rng):
+        history = ModelHistory(max_models=3)
+        history.append(model)
+        rejected = history.stage_candidate(_distinct(model, rng))
+        history.discard_staged()
+        accepted = history.stage_candidate(_distinct(model, rng))
+        assert accepted > rejected
+        assert history.commit_staged() == accepted
+        assert history.versions() == [0, accepted]
+
+    def test_staged_candidate_is_not_an_entry(self, model, rng):
+        history = ModelHistory(max_models=3)
+        history.append(model)
+        history.stage_candidate(_distinct(model, rng))
+        assert [version for version, _ in history.entries()] == [0]
+        assert history.latest()[0] == 0
+
+    def test_latest_is_the_committed_candidate(self, model, rng):
+        history = ModelHistory(max_models=3)
+        history.append(model)
+        candidate = _distinct(model, rng)
+        version = history.stage_candidate(candidate)
+        history.commit_staged()
+        latest_version, latest = history.latest()
+        assert latest_version == version
+        np.testing.assert_array_equal(latest.get_flat(), candidate.get_flat())
+
+    def test_entries_read_back_each_committed_model(self, model, rng):
+        history = ModelHistory(max_models=3)
+        models = [_distinct(model, rng) for _ in range(3)]
+        for accepted in models:
+            history.append(accepted)
+        for (_, stored), accepted in zip(history.entries(), models):
+            np.testing.assert_array_equal(stored.get_flat(), accepted.get_flat())
+
+    def test_straggler_reference_survives_discard(self, model, rng):
+        """A vote still running on a rejected candidate holds its own store
+        reference: discarding the candidate keeps it readable until that
+        vote releases it."""
+        history = ModelHistory(max_models=3)
+        history.append(model)
+        version = history.stage_candidate(_distinct(model, rng))
+        history.store.acquire(version)  # the in-flight validator's hold
+        history.discard_staged()
+        assert version in history.store
+        history.store.get(version)
+        history.store.release(version)
+        assert version not in history.store

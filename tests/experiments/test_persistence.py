@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.metrics import AggregateStats
-from repro.experiments.persistence import load_results, save_results
+from repro.experiments.persistence import (
+    load_results,
+    load_run,
+    save_results,
+    save_run,
+)
+from repro.fl.simulation import DefenseDecision, RoundRecord
 
 
 def stats(fp=0.1, fn=0.2):
@@ -53,3 +61,52 @@ class TestRoundTrip:
         path.write_text('{"format_version": 99, "results": {}}')
         with pytest.raises(ValueError):
             load_results(path)
+
+
+class TestRunFiles:
+    def test_round_records_round_trip(self, tmp_path):
+        records = [
+            RoundRecord(
+                round_idx=0, contributor_ids=[1, 2], malicious_present=False,
+                accepted=True, decision=DefenseDecision(True, 1, 4),
+                metrics={"accuracy": 0.5}, transport_bytes=80,
+                raw_transport_bytes=160, codec="float32",
+            ),
+            RoundRecord(
+                round_idx=1, contributor_ids=[0, 3], malicious_present=True,
+                accepted=False, decision=DefenseDecision(False, 3, 4),
+            ),
+        ]
+        rounds, metrics, metadata = load_run(
+            save_run(records, tmp_path / "run.json", metadata={"seed": 3})
+        )
+        assert metrics == {} and metadata == {"seed": 3}
+        assert [r["round_idx"] for r in rounds] == [0, 1]
+        assert [r["accepted"] for r in rounds] == [True, False]
+        assert [r["reject_votes"] for r in rounds] == [1, 3]
+        assert rounds[0]["transport_bytes"] == 80
+        assert rounds[0]["raw_transport_bytes"] == 160
+        assert rounds[0]["codec"] == "float32"
+        assert rounds[0]["metrics"] == {"accuracy": 0.5}
+        assert "phase_times" not in rounds[0]  # untraced rounds carry none
+
+    def test_files_with_retired_round_keys_still_load(self, tmp_path):
+        """Run files written while the round loop could run pipelined
+        carry three more keys per round; they load unchanged."""
+        old_round = {
+            "round_idx": 0, "accepted": True, "reject_votes": 0,
+            "accepted_at_round": 2, "validation_lag": 2, "rollback_count": 1,
+        }
+        path = tmp_path / "old.run.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "metadata": {}, "metrics": {},
+            "rounds": [old_round],
+        }))
+        rounds, _, _ = load_run(path)
+        assert rounds == [old_round]
+
+    def test_unsupported_run_version_rejected(self, tmp_path):
+        path = tmp_path / "bad.run.json"
+        path.write_text('{"format_version": 99, "rounds": []}')
+        with pytest.raises(ValueError, match="run-file version"):
+            load_run(path)

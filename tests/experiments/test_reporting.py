@@ -92,6 +92,9 @@ class FakeRecord:
     raw_transport_bytes: int = 0
     codec: str = "identity"
     phase_times: dict = field(default_factory=dict)
+    retries: int = 0
+    materialized_clients: int = 0
+    peak_rss_kb: int = 0
 
 
 class TestExecutionReport:
@@ -140,3 +143,43 @@ class TestExecutionReport:
     def test_untraced_records_render_no_phase_line(self):
         text = format_execution_report([FakeRecord()])
         assert "phase wall-clock" not in text
+
+    def test_no_rounds(self):
+        assert format_execution_report([]) == "execution report: no rounds"
+
+    def test_rounds_line_counts_rejections(self):
+        records = [
+            FakeRecord(),
+            FakeRecord(round_idx=1, accepted=False),
+            FakeRecord(round_idx=2),
+        ]
+        text = format_execution_report(records)
+        assert "rounds: 3 (2 accepted, 1 rejected)" in text.splitlines()
+
+    def test_population_and_memory_lines(self):
+        records = [
+            FakeRecord(materialized_clients=4, peak_rss_kb=1024),
+            FakeRecord(round_idx=1, materialized_clients=6, peak_rss_kb=2048),
+        ]
+        lines = format_execution_report(records).splitlines()
+        assert "materialized clients: 6/round peak (5.0 mean)" in lines
+        assert "peak RSS: 2.0 MiB" in lines  # the last round's high-water mark
+
+    def test_resilience_section_lists_only_counters_that_fired(self):
+        text = format_execution_report(
+            [FakeRecord()],
+            resilience={"straggler_reassignments": 2, "pool_rebuilds": 0},
+        )
+        lines = text.splitlines()
+        assert "resilience:" in lines
+        assert "  straggler reassignments: 2" in lines
+        assert "pool rebuilds" not in text
+
+    def test_record_retries_render_as_recovery_incidents(self):
+        records = [
+            FakeRecord(retries=3),
+            FakeRecord(round_idx=1),
+            FakeRecord(round_idx=2, retries=1),
+        ]
+        lines = format_execution_report(records).splitlines()
+        assert "  recovery incidents: 4 (rounds touched: 2)" in lines

@@ -8,6 +8,9 @@ defends that property.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,7 @@ from repro.fl.model_store import (
     SharedMemoryModelStore,
 )
 from repro.fl.parallel import (
+    PendingVotes,
     ProcessPoolRoundExecutor,
     SequentialExecutor,
     ThreadPoolRoundExecutor,
@@ -34,7 +38,7 @@ from repro.fl.parallel import (
     make_executor,
 )
 from repro.fl.rng import RngStreams
-from repro.fl.simulation import FederatedSimulation
+from repro.fl.simulation import DefenseDecision, FederatedSimulation
 from repro.nn.models import make_mlp
 
 
@@ -552,6 +556,303 @@ class TestPhaseHandleHolds:
             assert store.versions() == []
             assert executor.resilience.abandoned_task_errors == 0
         assert shm_leftovers(store) == []
+
+
+class TestPendingVotes:
+    """The phase handle's release rules, on hand-driven futures: holds
+    drop once, and only when no task of the phase runs any more."""
+
+    @staticmethod
+    def _handle(futures, gather=lambda: {0: 1}):
+        log = {"cleanups": 0, "deferred": [], "errors": []}
+
+        def cleanup():
+            log["cleanups"] += 1
+
+        handle = PendingVotes(
+            gather, futures, cleanup, log["deferred"].append, log["errors"].append
+        )
+        return handle, log
+
+    @staticmethod
+    def _finished(result=None, error=None) -> Future:
+        future = Future()
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
+        return future
+
+    def test_collect_gathers_once(self):
+        calls = []
+
+        def gather():
+            calls.append(1)
+            return {0: 1, 1: 0}
+
+        handle, log = self._handle([self._finished()], gather)
+        votes = handle.collect()
+        assert votes == {0: 1, 1: 0}
+        assert handle.collect() is votes
+        assert len(calls) == 1
+        assert log["cleanups"] == 1
+
+    def test_finished_phase_releases_at_collect(self):
+        handle, log = self._handle([self._finished(), self._finished()])
+        handle.collect()
+        assert handle.done()
+        assert log["cleanups"] == 1
+        assert log["deferred"] == []
+
+    def test_running_task_defers_release_to_the_executor(self):
+        straggler = Future()
+        handle, log = self._handle([self._finished(), straggler])
+        handle.collect()
+        assert not handle.done()
+        assert log["cleanups"] == 0
+        assert log["deferred"] == [handle]
+        handle.collect()  # still running: not deferred a second time
+        assert log["deferred"] == [handle]
+
+    def test_reap_releases_once_the_straggler_finished(self):
+        straggler = Future()
+        handle, log = self._handle([straggler])
+        handle.collect()
+        assert handle.reap() is False
+        assert log["cleanups"] == 0
+        straggler.set_result(None)
+        assert handle.reap() is True
+        assert handle.reap() is True
+        assert log["cleanups"] == 1
+
+    def test_written_off_task_error_is_counted_at_release(self):
+        straggler = Future()
+        handle, log = self._handle([straggler])
+        handle.collect()
+        error = RuntimeError("worker died after the deadline")
+        straggler.set_exception(error)
+        handle.reap()
+        assert log["errors"] == [error]
+        assert log["cleanups"] == 1
+
+    def test_errors_of_a_settled_phase_are_not_counted_again(self):
+        """A failed future the phase already settled (retried or replayed
+        while gathering) is not an abandoned task's error."""
+        handle, log = self._handle([self._finished(error=RuntimeError("lost"))])
+        handle.collect()
+        assert log["errors"] == []
+        assert log["cleanups"] == 1
+
+    def test_cancelled_straggler_counts_no_error(self):
+        straggler = Future()
+        handle, log = self._handle([straggler])
+        handle.collect()
+        assert straggler.cancel()
+        assert handle.reap() is True
+        assert log["errors"] == []
+        assert log["cleanups"] == 1
+
+    def test_failed_gather_still_releases_the_holds(self):
+        def gather():
+            raise ValueError("quorum stalled")
+
+        handle, log = self._handle([self._finished()], gather)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="quorum stalled"):
+                handle.collect()
+        assert log["cleanups"] == 1
+
+    def test_wait_blocks_until_the_tasks_finish(self):
+        straggler = Future()
+        handle, log = self._handle([straggler])
+        timer = threading.Timer(0.05, straggler.set_result, args=(None,))
+        timer.start()
+        try:
+            handle.wait()
+        finally:
+            timer.join()
+        assert handle.done()
+        assert log["cleanups"] == 1
+
+
+class TestSyncRoundLoop:
+    """One synchronous loop: each round's decision is final before the
+    next round trains, so a run split into bursts or single steps, on any
+    engine, commits the trajectory of one ``run`` call."""
+
+    @pytest.mark.parametrize(
+        "workers, engine", [(0, "process"), (2, "process"), (2, "thread")]
+    )
+    def test_bursts_continue_where_the_last_one_stopped(self, workers, engine):
+        baseline = build_defended_sim(SequentialExecutor())
+        base_records = baseline.run(8)
+        with make_engine(workers, engine=engine) as round_engine:
+            sim = build_defended_sim(round_engine.executor)
+            records = sim.run(3) + sim.run(5)
+            np.testing.assert_array_equal(
+                baseline.global_model.get_flat(), sim.global_model.get_flat()
+            )
+        assert snapshot(records) == snapshot(base_records)
+        assert [r.round_idx for r in records] == list(range(8))
+        assert shm_leftovers(round_engine.store) == []
+
+    def test_run_round_steps_match_one_run(self):
+        baseline = build_defended_sim(SequentialExecutor())
+        base_records = baseline.run(4)
+        sim = build_defended_sim(SequentialExecutor())
+        records = [sim.run_round() for _ in range(4)]
+        assert snapshot(records) == snapshot(base_records)
+        assert sim.history == records
+        assert sim.round_idx == 4
+
+
+class TestForcedRejections:
+    """Scripted rejections on the synchronous loop: a rejected round keeps
+    the previous global model, its candidate never enters the history, the
+    store or a profile cache, and every engine lands on the sequential
+    trajectory."""
+
+    ROUNDS = 8
+
+    def _sequential(self, reject_rounds):
+        sim = build_forced_sim(SequentialExecutor(), reject_rounds=reject_rounds)
+        records = sim.run(self.ROUNDS)
+        return sim.global_model.get_flat(), snapshot(records)
+
+    @staticmethod
+    def _spy_staged(sim, monkeypatch) -> dict[int, int]:
+        """``{round_idx: candidate version}`` for every reviewed round."""
+        history = sim.defense.history
+        staged: dict[int, int] = {}
+        real_stage = history.stage_candidate
+
+        def stage(model):
+            staged[sim.round_idx] = real_stage(model)
+            return staged[sim.round_idx]
+
+        monkeypatch.setattr(history, "stage_candidate", stage)
+        return staged
+
+    @pytest.mark.parametrize("engine", ["thread", "process"])
+    @pytest.mark.parametrize("reject_rounds", [(3,), (3, 4), (3, 5)])
+    def test_engines_match_sequential(self, reject_rounds, engine):
+        seq_flat, seq_records = self._sequential(reject_rounds)
+        with make_engine(2, engine=engine) as round_engine:
+            sim = build_forced_sim(
+                round_engine.executor, reject_rounds=reject_rounds
+            )
+            records = sim.run(self.ROUNDS)
+            np.testing.assert_array_equal(seq_flat, sim.global_model.get_flat())
+        assert snapshot(records) == seq_records
+        assert [r.round_idx for r in records if not r.accepted] == list(
+            reject_rounds
+        )
+        assert shm_leftovers(round_engine.store) == []
+
+    def test_rejected_round_keeps_the_previous_global_model(self):
+        sim = build_forced_sim(SequentialExecutor(), reject_rounds=(2, 3))
+        flats, windows = [], []
+        for _ in range(5):
+            sim.run_round()
+            flats.append(sim.global_model.get_flat().copy())
+            windows.append(sim.defense.history.versions())
+        np.testing.assert_array_equal(flats[1], flats[2])
+        np.testing.assert_array_equal(flats[2], flats[3])
+        assert not np.array_equal(flats[3], flats[4])
+        assert windows[1] == windows[2] == windows[3]
+        assert windows[4] != windows[3]
+
+    @pytest.mark.parametrize(
+        "workers, engine", [(0, "process"), (2, "process"), (2, "thread")]
+    )
+    def test_rejected_candidates_leave_no_trace(self, workers, engine, monkeypatch):
+        with make_engine(workers, engine=engine) as round_engine:
+            sim = build_forced_sim(round_engine.executor, reject_rounds=(3, 5))
+            staged = self._spy_staged(sim, monkeypatch)
+            sim.run(self.ROUNDS)
+            defense = sim.defense
+            rejected = {staged[3], staged[5]}
+            assert rejected.isdisjoint(defense.history.versions())
+            assert all(v not in round_engine.store for v in rejected)
+            table = defense.profile_table
+            assert rejected.isdisjoint({key[1] for key in table._profiles})
+            assert table.staged_count == 0
+            validators = [
+                *defense.validator_pool.as_dict().values(),
+                defense.server_validator,
+            ]
+            for validator in validators:
+                assert rejected.isdisjoint(validator._profile_cache)
+
+    def test_store_holds_exactly_the_history_after_close(self):
+        """The refcount audit: after a run with rejections and a closed
+        executor, the store holds each retained history version once and
+        nothing else."""
+        store = SharedMemoryModelStore()
+        with store, make_executor(2, store=store) as executor:
+            sim = build_forced_sim(executor, store=store, reject_rounds=(3, 5))
+            sim.run(self.ROUNDS)
+            executor.close()
+            history = sim.defense.history
+            assert store.versions() == history.versions()
+            assert all(store.refcount(v) == 1 for v in history.versions())
+        assert shm_leftovers(store) == []
+
+    @pytest.mark.parametrize("engine", ["thread", "process"])
+    def test_straggling_vote_in_a_rejected_round(self, engine):
+        """A vote written off past the deadline in a round that is then
+        rejected: its replay decides the round as the sequential run did,
+        the discarded candidate stays readable for the straggler, and the
+        closed executor has released every hold."""
+        seq_flat, seq_records = self._sequential((3,))
+        with make_engine(
+            2, engine=engine, faults="delay@3.validate.0=1.0", task_deadline_s=0.2
+        ) as round_engine:
+            executor = round_engine.executor
+            sim = build_forced_sim(executor, reject_rounds=(3,))
+            records = sim.run(self.ROUNDS)
+            np.testing.assert_array_equal(seq_flat, sim.global_model.get_flat())
+            assert executor.resilience.straggler_reassignments >= 1
+            executor.close()
+            assert executor.resilience.abandoned_task_errors == 0
+            assert round_engine.store.versions() == sim.defense.history.versions()
+        assert snapshot(records) == seq_records
+        assert shm_leftovers(round_engine.store) == []
+
+
+class _ScriptedDefense:
+    """A defense outside BaFFLe: the bare ``review``/``record_outcome``
+    protocol, with the rejected rounds fixed in advance."""
+
+    def __init__(self, reject_rounds=()):
+        self.reject_rounds = frozenset(reject_rounds)
+        self.outcomes: list[bool] = []
+
+    def review(self, candidate, round_idx, rng):
+        return DefenseDecision(accepted=round_idx not in self.reject_rounds)
+
+    def record_outcome(self, candidate, accepted):
+        self.outcomes.append(accepted)
+
+
+class TestGenericDefenseOnEngines:
+    @pytest.mark.parametrize("engine", ["process", "thread"])
+    def test_scripted_defense_matches_sequential(self, engine):
+        model, clients, _, config = make_world()
+        flats = []
+        for round_engine in (make_engine(0), make_engine(2, engine=engine)):
+            defense = _ScriptedDefense(reject_rounds=(1, 2))
+            with round_engine:
+                sim = FederatedSimulation(
+                    model.clone(), clients, config, np.random.default_rng(3),
+                    defense=defense, executor=round_engine.executor,
+                )
+                records = sim.run(5)
+                flats.append(sim.global_model.get_flat())
+            expected = [True, False, False, True, True]
+            assert [r.accepted for r in records] == expected
+            assert defense.outcomes == expected
+        np.testing.assert_array_equal(flats[0], flats[1])
 
 
 class TestFloat32EquivalenceMatrix:
