@@ -13,6 +13,7 @@ Scaling knobs (environment variables):
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -60,3 +61,36 @@ def write_json(name: str, payload) -> Path:
 def once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def paired_ratio(run_ref, run_row, rounds: int, block: int):
+    """Drift-robust paired estimator of a row's speed against a reference.
+
+    Alternates blocks of ``block`` rounds (the last one may be shorter)
+    between ``run_ref(n)`` and ``run_row(n)`` until ``rounds`` rounds ran;
+    returns ``(median per-block ref/row time ratio, row wall-clock)``.
+    Each block's ratio comes from two adjacent-in-time measurements, so on
+    a shared host whose throughput drifts on the scale of seconds the
+    load curve cancels out: ratios of independently timed runs measure
+    the host, not the code.
+    """
+    ratios: list[float] = []
+    elapsed = 0.0
+    done = 0
+    while done < rounds:
+        n = min(block, rounds - done)
+        start = time.perf_counter()
+        run_ref(n)
+        ref_elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        run_row(n)
+        row_elapsed = time.perf_counter() - start
+        ratios.append(ref_elapsed / row_elapsed)
+        elapsed += row_elapsed
+        done += n
+    ratios.sort()
+    mid = len(ratios) // 2
+    median = (
+        ratios[mid] if len(ratios) % 2 else 0.5 * (ratios[mid - 1] + ratios[mid])
+    )
+    return median, elapsed

@@ -65,7 +65,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -74,7 +73,7 @@ import numpy as np
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
-from _common import write_json, write_result  # noqa: E402  (benchmarks/ helper)
+from _common import paired_ratio, write_json, write_result  # noqa: E402  (benchmarks/ helper)
 
 from repro.core.baffle import (
     BaffleConfig,
@@ -152,44 +151,24 @@ def timed_run(
 ) -> dict:
     """One engine row: wall-clock, committed weights, transport, codec.
 
-    Speedup is measured *paired*: a private sequential reference simulation
-    runs the same world, and the row and its reference alternate in small
-    blocks of rounds.  Each block yields one reference/row wall-clock
-    ratio from two adjacent-in-time measurements, and the row's speedup is
-    the median of those ratios.  On a shared host whose available
-    throughput drifts on the scale of seconds this is the only estimator
-    that converges: comparing a row against a sequential run measured tens
-    of seconds earlier measures the host's load curve, not the engine.
+    Speedup is measured *paired* (:func:`_common.paired_ratio`): a private
+    sequential reference simulation runs the same world, alternating with
+    the row in blocks of 2 rounds, and the row's speedup is the median
+    per-block reference/row wall-clock ratio.  Comparing a row against a
+    sequential run measured tens of seconds earlier would measure the
+    host's load curve, not the engine.
     """
     ref_store = InProcessModelStore()
     ref_executor = SequentialExecutor()
     ref_executor.bind(store=ref_store)
-    block = 2
     with store, executor, ref_store:
         sim = build_sim(args, executor, store)
         ref = build_sim(args, ref_executor, ref_store)
         sim.run_round()  # warmup: process-pool startup, caches, JIT-ish costs
         ref.run_round()
         records = []
-        ratios: list[float] = []
-        elapsed = 0.0
-        done = 0
-        while done < args.rounds:
-            n = min(block, args.rounds - done)
-            start = time.perf_counter()
-            ref.run(n)
-            ref_elapsed = time.perf_counter() - start
-            start = time.perf_counter()
-            records.extend(sim.run(n))
-            row_elapsed = time.perf_counter() - start
-            ratios.append(ref_elapsed / row_elapsed)
-            elapsed += row_elapsed
-            done += n
-        ratios.sort()
-        mid = len(ratios) // 2
-        speedup = (
-            ratios[mid] if len(ratios) % 2
-            else 0.5 * (ratios[mid - 1] + ratios[mid])
+        speedup, elapsed = paired_ratio(
+            ref.run, lambda n: records.extend(sim.run(n)), args.rounds, block=2
         )
         return {
             "rounds_per_s": args.rounds / elapsed,
@@ -257,7 +236,7 @@ def tracing_overhead(args: argparse.Namespace) -> tuple[dict, list[str]]:
     """Traced vs untraced paired throughput: the ≤5% overhead gate.
 
     Runs a traced and an untraced sequential simulation of the same world
-    in small alternating blocks and takes the median per-block
+    in alternating blocks of 2 rounds and takes the median per-block
     ``untraced/traced`` wall-clock ratio — the same drift-robust paired
     estimator as :func:`timed_run`, so a loaded host's throughput curve
     cancels out of the comparison.  Gate: median ratio >= 0.95 (tracing
@@ -277,22 +256,10 @@ def tracing_overhead(args: argparse.Namespace) -> tuple[dict, list[str]]:
         traced = build_sim(args, traced_exec, traced_store, tracer=tracer)
         untraced.run_round()  # warmup both before any block is timed
         traced.run_round()
-        ratios: list[float] = []
-        done = 1
-        while done < max(4, args.rounds):
-            start = time.perf_counter()
-            untraced.run(2)
-            untraced_elapsed = time.perf_counter() - start
-            start = time.perf_counter()
-            traced.run(2)
-            traced_elapsed = time.perf_counter() - start
-            ratios.append(untraced_elapsed / traced_elapsed)
-            done += 2
-        ratios.sort()
-        mid = len(ratios) // 2
-        ratio = (
-            ratios[mid] if len(ratios) % 2
-            else 0.5 * (ratios[mid - 1] + ratios[mid])
+        # Whole blocks of 2 after the warmup, up to max(4, rounds) in all.
+        measured = max(4, args.rounds) - 1
+        ratio, _ = paired_ratio(
+            untraced.run, traced.run, measured + measured % 2, block=2
         )
         identical = bool(
             np.array_equal(

@@ -55,7 +55,7 @@ import numpy as np
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
-from _common import write_json, write_result  # noqa: E402  (benchmarks/ helper)
+from _common import paired_ratio, write_json, write_result  # noqa: E402  (benchmarks/ helper)
 
 from repro.data.synthetic_cifar import SyntheticCifar
 from repro.fl.client import HonestClient
@@ -127,36 +127,6 @@ def build_sim(
     return FederatedSimulation(
         model, clients, config, np.random.default_rng(seed)
     )
-
-
-def paired_ratio(run_ref, run_row, rounds: int, block: int):
-    """Drift-robust paired estimator (see bench_parallel_engine).
-
-    Alternates blocks of rounds between the reference and the row runner;
-    returns ``(median per-block ref/row time ratio, row wall-clock)``.
-    Ratios of independently timed runs are not comparable on shared hosts
-    — every row gets a time-adjacent reference instead.
-    """
-    ratios: list[float] = []
-    elapsed = 0.0
-    done = 0
-    while done < rounds:
-        n = min(block, rounds - done)
-        start = time.perf_counter()
-        run_ref(n)
-        ref_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        run_row(n)
-        row_elapsed = time.perf_counter() - start
-        ratios.append(ref_elapsed / row_elapsed)
-        elapsed += row_elapsed
-        done += n
-    ratios.sort()
-    mid = len(ratios) // 2
-    median = (
-        ratios[mid] if len(ratios) % 2 else 0.5 * (ratios[mid - 1] + ratios[mid])
-    )
-    return median, elapsed
 
 
 def main(argv: list[str] | None = None) -> int:

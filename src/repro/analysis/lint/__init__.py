@@ -7,7 +7,8 @@ exclusively from per-``(round, entity)`` :class:`~repro.fl.rng.RngStreams`
 keys, dtypes survive end to end, worker payloads pickle, shared-memory
 segments always unlink.  Historically those invariants lived in runtime
 equivalence tests, so a violation surfaced rounds-deep in a bisection
-(PR 5's ``_col2im``/Dropout ``float64`` leaks are the canonical example).
+(a scratch buffer allocated without ``dtype=`` silently upcasting a
+float32 pass is the canonical example).
 
 This package checks them at parse time instead:
 

@@ -14,8 +14,8 @@ global-rng    randomness outside per-``(round, entity)``
               ``np.random.*`` draws, unseeded ``default_rng()``,
               stdlib ``random``, time-derived seeds (PR 1's contract)
 dtype-        ``np.zeros/empty/ones/full/arange`` without ``dtype=``
-discipline    in the nn/fl/data hot paths — the PR 5 leak class
-              (``_col2im``/Dropout silently widening or narrowing);
+discipline    in the nn/fl/data hot paths — the dtype leak class
+              (a scratch buffer silently widening or narrowing);
               policy-routed allocations (``dtype=active_dtype()``)
               are the sanctioned form under the precision policy
 pickle-       lambdas / nested functions submitted to worker pools;

@@ -16,8 +16,10 @@ the battery adoptable on a living tree without weakening it:
 
 from __future__ import annotations
 
+import io
 import json
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,22 +83,24 @@ class Suppression:
 
 
 def parse_suppressions(source: str) -> list[Suppression]:
-    """Collect the inline allow-comments of one file, line by line.
+    """Collect the inline allow-comments of one file.
 
-    Parsing is lexical (regex over raw lines), so an allow inside a string
-    literal would match too — acceptable for a repo-internal linter, and it
-    keeps fixture snippets trivial to write.
+    Only real comments count: the allow pattern is matched against the
+    source's ``COMMENT`` tokens, so allow text inside a string literal (a
+    lint fixture, say) is neither a suppression nor a ``bad-suppression``.
     """
     suppressions = []
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        match = _SUPPRESSION_RE.search(text)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESSION_RE.search(token.string)
         if match is None:
             continue
         ids = tuple(
-            token.strip() for token in match.group("ids").split(",") if token.strip()
+            part.strip() for part in match.group("ids").split(",") if part.strip()
         )
         suppressions.append(
-            Suppression(line=lineno, check_ids=ids, reason=match.group("reason"))
+            Suppression(line=token.start[0], check_ids=ids, reason=match.group("reason"))
         )
     return suppressions
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.dataset import Dataset
 from repro.fl.client import Client, LocalTrainingConfig
 from repro.nn.network import Network
 
@@ -56,17 +55,3 @@ def update_norm_stats(
         maximum=float(norms_arr.max()),
         percentile_95=float(np.percentile(norms_arr, 95)),
     )
-
-
-def honest_norm_for(
-    dataset: Dataset,
-    global_model: Network,
-    config: LocalTrainingConfig,
-    rng: np.random.Generator,
-) -> float:
-    """Norm of one honest local-training update on ``dataset``."""
-    from repro.fl.client import local_train
-
-    local = global_model.clone()
-    local_train(local, dataset, config, rng)
-    return float(np.linalg.norm(local.get_flat() - global_model.get_flat()))

@@ -115,14 +115,13 @@ class MisclassificationValidator:
         Which error views feed the LOF feature vector: ``"both"`` (the
         paper's ``v = [v_s | v_t]``), ``"source"`` (eq. 2 only) or
         ``"target"`` (eq. 3 only).  Used by the ablation benchmarks.
-    stack_profiles:
-        Compute the profiles this validation is missing (cold cache: the
-        candidate plus up to ``l + 1`` history models) in one stacked
-        forward (:func:`repro.core.errors.stacked_error_profiles`) instead
-        of one per-model pass each.  Profiles — and therefore votes — are
-        bit-identical either way; unstackable architectures fall back to
-        the per-model path automatically, so this is a pure throughput
-        knob (on by default).
+
+    The profiles a validation is missing (cold cache: the candidate plus up
+    to ``l + 1`` history models) are computed in one stacked forward
+    (:func:`repro.core.errors.stacked_error_profiles`) instead of one
+    per-model pass each.  Profiles — and therefore votes — are
+    bit-identical either way; unstackable architectures and warm caches
+    take the per-model path.
     """
 
     #: Algorithm 2 is a pure function of (context, dataset); the profile
@@ -137,7 +136,6 @@ class MisclassificationValidator:
         min_history: int = MIN_HISTORY_FOR_VOTE,
         threshold_slack: float = 1.15,
         features: str = "both",
-        stack_profiles: bool = True,
     ) -> None:
         if len(dataset) == 0:
             raise ValueError("validator needs a non-empty dataset")
@@ -154,7 +152,6 @@ class MisclassificationValidator:
         self.min_history = min_history
         self.threshold_slack = threshold_slack
         self.features = features
-        self.stack_profiles = stack_profiles
         self._profile_cache: dict[int, ErrorProfile] = {}
         #: The last candidate this validator profiled, kept one round so an
         #: accepted candidate's profile can be re-filed under its committed
@@ -225,12 +222,10 @@ class MisclassificationValidator:
 
         Fills the per-version cache for uncached history entries and
         returns the candidate's profile — or ``None`` when stacking is
-        disabled, unsupported for this architecture, or there is nothing
-        to batch (warm cache: only the candidate is missing, where a
-        stack of one would be pure overhead).
+        unsupported for this architecture, or there is nothing to batch
+        (warm cache: only the candidate is missing, where a stack of one
+        would be pure overhead).
         """
-        if not self.stack_profiles:
-            return None
         missing = [
             (version, model)
             for version, model in history

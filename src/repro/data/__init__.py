@@ -18,14 +18,7 @@ All generators take explicit ``numpy.random.Generator`` objects and are
 fully deterministic given a seed.
 """
 
-from repro.data.augment import (
-    augment_dataset,
-    gaussian_noise,
-    random_horizontal_flip,
-    random_shift,
-)
 from repro.data.dataset import Dataset
-from repro.data.io import load_dataset, save_dataset
 from repro.data.partition import (
     dirichlet_partition,
     iid_partition,
@@ -38,24 +31,15 @@ from repro.data.synthetic_cifar import (
     SyntheticCifar,
 )
 from repro.data.synthetic_femnist import SyntheticFemnist
-from repro.data.transforms import flatten_images, normalize_features
 
 __all__ = [
     "CIFAR_BACKDOOR_SOURCE_CLASS",
     "CIFAR_BACKDOOR_TARGET_CLASS",
     "Dataset",
-    "augment_dataset",
     "SyntheticCifar",
     "SyntheticFemnist",
     "dirichlet_partition",
-    "flatten_images",
-    "gaussian_noise",
     "iid_partition",
-    "load_dataset",
-    "normalize_features",
-    "random_horizontal_flip",
-    "random_shift",
-    "save_dataset",
     "split_client_server",
     "writer_partition",
 ]

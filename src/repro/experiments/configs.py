@@ -260,8 +260,3 @@ class ExperimentConfig:
         from dataclasses import replace
 
         return replace(self, **changes)
-
-
-def paper_config(dataset: str, client_share: float, **overrides) -> ExperimentConfig:
-    """Convenience constructor for the paper's named setups."""
-    return ExperimentConfig(dataset=dataset, client_share=client_share, **overrides)

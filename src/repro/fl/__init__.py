@@ -72,7 +72,6 @@ from repro.fl.parallel import (
 from repro.fl.rng import RngStreams
 from repro.fl.secure_agg import MaskedUpdate, SecureAggregator, make_pairwise_masks
 from repro.fl.selection import ScheduledSelector, Selector, UniformSelector
-from repro.fl.weighted import WeightedFedAvgAggregator
 from repro.fl.simulation import (
     Defense,
     DefenseDecision,
@@ -122,7 +121,6 @@ __all__ = [
     "SharedMemoryModelStore",
     "UniformSelector",
     "ValidatorProfileTable",
-    "WeightedFedAvgAggregator",
     "apply_global_update",
     "clip_gradients",
     "codec_names",

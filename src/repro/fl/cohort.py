@@ -13,9 +13,7 @@ Cohort results are **bit-identical** to the per-model path (the engine
 equivalence matrix includes cohort-enabled runs):
 
 - Each client keeps its own ``(round, client)`` RNG stream for epoch
-  permutations, and its own per-model dropout generator (deep-copied from
-  the template, exactly like ``Network.clone()``), drawn in the per-model
-  call order.
+  permutations, drawn in the per-model call order.
 - Batches are never padded.  A GEMM over ``b`` rows zero-padded to ``b' >
   b`` rows may round differently (different kernel path), so each training
   step partitions the active clients by their *exact* batch size and runs

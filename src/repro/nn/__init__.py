@@ -2,10 +2,12 @@
 
 The BaFFLe paper trains ResNet18 with PyTorch; this environment has neither
 PyTorch nor a GPU, so ``repro.nn`` provides the minimal-but-complete training
-stack the reproduction needs: layers with exact analytic gradients, losses,
-SGD with momentum and weight decay, flat-vector parameter views (used by the
-federated-averaging code in :mod:`repro.fl`), classification metrics, and
-model serialization (used by the communication-overhead benchmark).
+stack the reproduction needs: ``Dense``/``ReLU`` layers with exact analytic
+gradients (the MLPs of :func:`make_mlp`, per-model and stacked), softmax
+cross-entropy, SGD with momentum and weight decay, flat-vector parameter
+views (used by the federated-averaging code in :mod:`repro.fl`),
+classification metrics, and the model-size helper of the
+communication-overhead benchmark.
 
 Design notes
 ------------
@@ -19,33 +21,19 @@ Design notes
 - Every stochastic operation takes an explicit ``numpy.random.Generator``.
 """
 
-from repro.nn.activations import LeakyReLU, Sigmoid, Tanh
-from repro.nn.adam import Adam
-from repro.nn.batchnorm import BatchNorm1d
-from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool,
-    Layer,
-    MaxPool2D,
-    Parameter,
-    ReLU,
-    Residual,
-)
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy
+from repro.nn.initializers import he_normal, zeros_init
+from repro.nn.layers import Dense, Layer, Parameter, ReLU
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import (
     accuracy,
     confusion_matrix,
-    per_class_error_rates,
     source_focused_errors,
     target_focused_errors,
 )
-from repro.nn.models import make_cnn, make_mlp, make_resnet_lite
+from repro.nn.models import make_mlp
 from repro.nn.network import Network
-from repro.nn.optim import SGD, ConstantSchedule, StepSchedule
+from repro.nn.optim import SGD
+from repro.nn.serialization import network_num_bytes
 from repro.nn.stacked import (
     StackedNetwork,
     StackedParameter,
@@ -56,58 +44,29 @@ from repro.nn.stacked import (
     stacked_softmax_ce_grad,
     supports_stacking,
 )
-from repro.nn.serialization import (
-    load_network_params,
-    network_num_bytes,
-    params_from_bytes,
-    params_to_bytes,
-    save_network_params,
-)
 
 __all__ = [
-    "Adam",
-    "BatchNorm1d",
-    "Conv2D",
-    "ConstantSchedule",
     "Dense",
-    "Dropout",
-    "Flatten",
-    "GlobalAvgPool",
     "Layer",
-    "LeakyReLU",
-    "MSELoss",
-    "MaxPool2D",
     "Network",
     "Parameter",
     "ReLU",
-    "Residual",
     "SGD",
-    "Sigmoid",
     "SoftmaxCrossEntropy",
     "StackedNetwork",
     "StackedParameter",
     "StackedSGD",
     "StackingUnsupportedError",
-    "StepSchedule",
-    "Tanh",
     "accuracy",
     "clip_gradients_stacked",
     "confusion_matrix",
     "he_normal",
-    "load_network_params",
-    "make_cnn",
     "make_mlp",
-    "make_resnet_lite",
     "network_num_bytes",
-    "params_from_bytes",
-    "params_to_bytes",
-    "per_class_error_rates",
-    "save_network_params",
     "source_focused_errors",
     "stacked_predict",
     "stacked_softmax_ce_grad",
     "supports_stacking",
     "target_focused_errors",
-    "xavier_uniform",
     "zeros_init",
 ]

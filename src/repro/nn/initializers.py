@@ -16,33 +16,10 @@ import numpy as np
 from repro.nn.precision import active_dtype
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    """Compute (fan_in, fan_out) for dense and convolutional shapes.
-
-    Dense weights are ``(in, out)``; convolution kernels are
-    ``(out_channels, in_channels, kh, kw)``.
-    """
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    if len(shape) == 4:
-        receptive = shape[2] * shape[3]
-        return shape[1] * receptive, shape[0] * receptive
-    size = int(np.prod(shape))
-    return size, size
-
-
 def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He (Kaiming) normal initialization, suited for ReLU networks."""
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / max(fan_in, 1))
+    """He (Kaiming) normal initialization for ``(in, out)`` dense weights."""
+    std = np.sqrt(2.0 / max(shape[0], 1))
     return rng.normal(0.0, std, size=shape).astype(active_dtype())
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Xavier (Glorot) uniform initialization."""
-    fan_in, fan_out = _fan_in_out(shape)
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(active_dtype())
 
 
 def zeros_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 Conventions
 -----------
-- Image tensors are ``(N, C, H, W)`` (PyTorch layout), dense activations are
-  ``(N, features)``.
+- Activations are ``(N, features)``.
 - ``forward(x, train)`` caches whatever the matching ``backward`` needs on
   the layer instance; a layer therefore processes one batch at a time (which
   is all SGD training needs).
@@ -13,7 +12,7 @@ Conventions
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -123,242 +122,3 @@ class ReLU(Layer):
         if self._mask is None:
             raise RuntimeError("backward called before forward(train=True)")
         return grad_out * self._mask
-
-
-class Flatten(Layer):
-    """Reshape ``(N, ...)`` to ``(N, features)``."""
-
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        return grad_out.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout: active only during training."""
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if not train or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        # The random draw stays float64 (the generator's native stream —
-        # reproducibility), but the mask is built in the input dtype so a
-        # float32 activation is not upcast by the multiply.
-        dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
-        self._mask = (self._rng.random(x.shape) < keep).astype(dtype) / dtype.type(keep)
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
-def _im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
-) -> tuple[np.ndarray, int, int]:
-    """Unfold ``(N, C, H, W)`` into column matrix for convolution.
-
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N * out_h * out_w, C * kh * kw)``.
-    """
-    n, c, h, w = x.shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # Strided sliding-window view: (N, C, out_h, out_w, kh, kw)
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * out_h * out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
-def _col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
-    """Fold column gradients back into an image tensor (adjoint of _im2col).
-
-    The scratch buffer inherits ``cols``' dtype so a float32 gradient stays
-    float32 end to end instead of silently upcasting.
-    """
-    n, c, h, w = x_shape
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        for j in range(kw):
-            padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += (
-                cols6[:, :, :, :, i, j]
-            )
-    if pad > 0:
-        return padded[:, :, pad : pad + h, pad : pad + w]
-    return padded
-
-
-class Conv2D(Layer):
-    """2-D convolution (cross-correlation) via im2col."""
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        rng: np.random.Generator,
-        stride: int = 1,
-        padding: int = 0,
-        weight_init: Initializer = he_normal,
-        bias: bool = True,
-    ) -> None:
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Parameter(weight_init(shape, rng), "conv.weight")
-        self.bias = Parameter(zeros_init((out_channels,), rng), "conv.bias") if bias else None
-        self._cache: tuple[np.ndarray, tuple[int, int, int, int], int, int] | None = None
-
-    def parameters(self) -> list[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n = x.shape[0]
-        k = self.kernel_size
-        cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
-        w_mat = self.weight.value.reshape(self.out_channels, -1)
-        out = cols @ w_mat.T
-        if self.bias is not None:
-            out = out + self.bias.value
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        if train:
-            self._cache = (cols, x.shape, out_h, out_w)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        cols, x_shape, out_h, out_w = self._cache
-        k = self.kernel_size
-        grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.weight.grad += (grad_mat.T @ cols).reshape(self.weight.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_mat.sum(axis=0)
-        grad_cols = grad_mat @ self.weight.value.reshape(self.out_channels, -1)
-        return _col2im(grad_cols, x_shape, k, k, self.stride, self.padding, out_h, out_w)
-
-
-class MaxPool2D(Layer):
-    """Max pooling with square window and matching stride."""
-
-    def __init__(self, pool_size: int) -> None:
-        self.pool_size = pool_size
-        self._cache: tuple[np.ndarray, tuple[int, ...]] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        p = self.pool_size
-        if h % p or w % p:
-            raise ValueError(f"input {h}x{w} not divisible by pool size {p}")
-        view = x.reshape(n, c, h // p, p, w // p, p)
-        out = view.max(axis=(3, 5))
-        if train:
-            mask = view == out[:, :, :, None, :, None]
-            # Break ties: keep only the first max per window so the gradient
-            # is routed to exactly one input element.
-            flat = mask.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // p, w // p, p * p)
-            first = np.cumsum(flat, axis=-1) == 1
-            flat = flat & first
-            mask = flat.reshape(n, c, h // p, w // p, p, p).transpose(0, 1, 2, 4, 3, 5)
-            self._cache = (mask, x.shape)
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        mask, x_shape = self._cache
-        n, c, h, w = x_shape
-        p = self.pool_size
-        grad = mask * grad_out[:, :, :, None, :, None]
-        return grad.reshape(n, c, h // p, p, w // p, p).reshape(x_shape)
-
-
-class GlobalAvgPool(Layer):
-    """Global average pooling: ``(N, C, H, W) -> (N, C)``."""
-
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if train:
-            self._shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        n, c, h, w = self._shape
-        grad = grad_out[:, :, None, None] / (h * w)
-        return np.broadcast_to(grad, self._shape).copy()
-
-
-class Residual(Layer):
-    """Residual container: ``y = x + f(x)`` where ``f`` is a layer stack.
-
-    This is the ResNet-style skip connection the paper's ResNet18 relies on;
-    the inner stack must preserve the input shape.
-    """
-
-    def __init__(self, inner: Sequence[Layer]) -> None:
-        self.inner = list(inner)
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.inner for p in layer.parameters()]
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        out = x
-        for layer in self.inner:
-            out = layer.forward(out, train=train)
-        if out.shape != x.shape:
-            raise ValueError(
-                f"residual branch changed shape {x.shape} -> {out.shape}; "
-                "inner layers must be shape-preserving"
-            )
-        return x + out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad = grad_out
-        for layer in reversed(self.inner):
-            grad = layer.backward(grad)
-        return grad + grad_out

@@ -1,9 +1,8 @@
-"""Loss functions.
+"""Softmax cross-entropy, the training loss.
 
-Each loss exposes ``forward(logits_or_pred, targets) -> float`` and
-``backward() -> np.ndarray`` returning the gradient w.r.t. the first
-argument, averaged over the batch (so learning rates are batch-size
-independent).
+The loss exposes ``forward(logits, targets) -> float`` and
+``backward() -> np.ndarray`` returning the gradient w.r.t. the logits,
+averaged over the batch (so learning rates are batch-size independent).
 """
 
 from __future__ import annotations
@@ -46,22 +45,3 @@ class SoftmaxCrossEntropy:
         grad = self._probs.copy()
         grad[np.arange(len(self._targets), dtype=np.intp), self._targets] -= 1.0
         return grad / len(self._targets)
-
-
-class MSELoss:
-    """Mean squared error (used mainly in substrate tests)."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=np.float64)
-        if pred.shape != targets.shape:
-            raise ValueError(f"shape mismatch {pred.shape} vs {targets.shape}")
-        self._diff = pred - targets
-        return float((self._diff**2).mean())
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size

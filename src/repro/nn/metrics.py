@@ -68,17 +68,6 @@ def target_focused_errors(
     return _normalize(wrong, conf, conf.sum(axis=1), normalize)
 
 
-def per_class_error_rates(
-    y_true: np.ndarray, y_pred: np.ndarray, num_classes: int, normalize: str = "dataset"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper: ``(source_focused, target_focused)`` error vectors."""
-    conf = confusion_matrix(y_true, y_pred, num_classes)
-    return (
-        source_focused_errors(conf, normalize=normalize),
-        target_focused_errors(conf, normalize=normalize),
-    )
-
-
 def _check_confusion(conf: np.ndarray) -> np.ndarray:
     conf = np.asarray(conf)
     if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:

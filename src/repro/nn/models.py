@@ -1,16 +1,9 @@
-"""Model factories.
+"""Model factory.
 
-The paper trains ResNet18; here we provide three architectures of increasing
-cost, all exposing the same :class:`~repro.nn.network.Network` interface:
-
-- :func:`make_mlp` — the workhorse for experiments and benchmarks.  BaFFLe
-  validates a model only through its *predictions*, so a small MLP on the
-  synthetic tasks exercises exactly the same defense code path at a tiny
-  fraction of the training cost.
-- :func:`make_cnn` — a LeNet-style convolutional network for image-shaped
-  inputs.
-- :func:`make_resnet_lite` — a small residual CNN (the closest structural
-  analogue of the paper's ResNet18 that is trainable on CPU in seconds).
+The paper trains ResNet18; here every experiment and benchmark trains the
+multi-layer perceptron :func:`make_mlp`.  BaFFLe validates a model only
+through its *predictions*, so a small MLP on the synthetic tasks exercises
+exactly the same defense code path at a tiny fraction of the training cost.
 """
 
 from __future__ import annotations
@@ -19,16 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool,
-    MaxPool2D,
-    ReLU,
-    Residual,
-)
+from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Network
 
 
@@ -37,7 +21,6 @@ def make_mlp(
     num_classes: int,
     rng: np.random.Generator,
     hidden: Sequence[int] = (64, 32),
-    dropout: float = 0.0,
 ) -> Network:
     """Multi-layer perceptron with ReLU activations."""
     if input_dim <= 0 or num_classes <= 0:
@@ -47,67 +30,6 @@ def make_mlp(
     for width in hidden:
         layers.append(Dense(prev, width, rng))
         layers.append(ReLU())
-        if dropout > 0:
-            layers.append(Dropout(dropout, rng))
         prev = width
     layers.append(Dense(prev, num_classes, rng))
-    return Network(layers)
-
-
-def make_cnn(
-    input_shape: tuple[int, int, int],
-    num_classes: int,
-    rng: np.random.Generator,
-    channels: Sequence[int] = (8, 16),
-) -> Network:
-    """LeNet-style CNN for ``(C, H, W)`` inputs.
-
-    Each stage is Conv(3x3, pad 1) + ReLU + MaxPool(2); spatial dimensions
-    must be divisible by ``2 ** len(channels)``.
-    """
-    c, h, w = input_shape
-    stages = len(channels)
-    if h % (2**stages) or w % (2**stages):
-        raise ValueError(f"spatial dims {h}x{w} not divisible by {2 ** stages}")
-    layers: list = []
-    prev_c = c
-    for out_c in channels:
-        layers.append(Conv2D(prev_c, out_c, kernel_size=3, rng=rng, padding=1))
-        layers.append(ReLU())
-        layers.append(MaxPool2D(2))
-        prev_c = out_c
-    layers.append(Flatten())
-    feat = prev_c * (h // 2**stages) * (w // 2**stages)
-    layers.append(Dense(feat, num_classes, rng))
-    return Network(layers)
-
-
-def make_resnet_lite(
-    input_shape: tuple[int, int, int],
-    num_classes: int,
-    rng: np.random.Generator,
-    width: int = 8,
-    num_blocks: int = 2,
-) -> Network:
-    """Small residual CNN: stem conv, ``num_blocks`` residual blocks, GAP head.
-
-    A structural miniature of ResNet18 (conv stem, identity skip connections,
-    global average pooling before the classifier).
-    """
-    c, h, w = input_shape
-    del h, w  # residual blocks are shape-preserving; GAP handles any spatial size
-    layers: list = [Conv2D(c, width, kernel_size=3, rng=rng, padding=1), ReLU()]
-    for _ in range(num_blocks):
-        layers.append(
-            Residual(
-                [
-                    Conv2D(width, width, kernel_size=3, rng=rng, padding=1),
-                    ReLU(),
-                    Conv2D(width, width, kernel_size=3, rng=rng, padding=1),
-                ]
-            )
-        )
-        layers.append(ReLU())
-    layers.append(GlobalAvgPool())
-    layers.append(Dense(width, num_classes, rng))
     return Network(layers)

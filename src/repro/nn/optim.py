@@ -1,8 +1,7 @@
-"""Optimizers and learning-rate schedules.
+"""The client optimizer.
 
 The paper trains clients with plain SGD (lr 0.1, 2 local epochs).  We provide
-SGD with optional momentum, weight decay, and Nesterov lookahead, plus simple
-learning-rate schedules for longer runs.
+SGD with optional momentum, weight decay, and Nesterov lookahead.
 """
 
 from __future__ import annotations
@@ -12,37 +11,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.nn.layers import Parameter
-
-
-class ConstantSchedule:
-    """Always return the base learning rate."""
-
-    def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-
-    def __call__(self, step: int) -> float:
-        del step
-        return self.lr
-
-
-class StepSchedule:
-    """Decay the learning rate by ``gamma`` every ``step_size`` steps."""
-
-    def __init__(self, lr: float, step_size: int, gamma: float = 0.1) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        if not 0 < gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.lr = lr
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def __call__(self, step: int) -> float:
-        return self.lr * self.gamma ** (step // self.step_size)
 
 
 class SGD:

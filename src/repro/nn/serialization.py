@@ -1,15 +1,11 @@
-"""Model parameter serialization.
+"""Model size on the wire.
 
-Used by checkpointing, by the secure-aggregation simulation (masks operate on
-serialized vectors), and by the communication-overhead benchmark (Sec. VI-D
-of the paper estimates ~10 MB per ResNet18 model and a history of ``l + 1``
-models shipped to each validating client).
+Used by the communication-overhead benchmark (Sec. VI-D of the paper
+estimates ~10 MB per ResNet18 model and a history of ``l + 1`` models
+shipped to each validating client).
 """
 
 from __future__ import annotations
-
-import io
-from pathlib import Path
 
 import numpy as np
 
@@ -20,50 +16,6 @@ from repro.nn.network import Network
 PAPER_COMPRESSION_FACTOR = 10.0
 
 
-def params_to_bytes(network: Network, dtype: type = np.float32) -> bytes:
-    """Serialize network parameters to a compact binary blob.
-
-    The default ``float32`` matches the paper's on-the-wire size estimates
-    (Sec. VI-D).  The parallel round engine passes ``float64`` instead: its
-    sequential/parallel equivalence guarantee needs lossless weight
-    transport between the server and worker processes.
-    """
-    buffer = io.BytesIO()
-    np.save(buffer, network.get_flat().astype(dtype), allow_pickle=False)
-    return buffer.getvalue()
-
-
-def params_from_bytes(network: Network, blob: bytes) -> None:
-    """Load parameters serialized by :func:`params_to_bytes` into ``network``."""
-    buffer = io.BytesIO(blob)
-    flat = np.load(buffer, allow_pickle=False)
-    network.set_flat(flat)  # set_flat casts to the active policy dtype
-
-
 def network_num_bytes(network: Network, dtype: type = np.float32) -> int:
     """Raw on-the-wire size of the network's parameters in ``dtype``."""
     return network.num_parameters * np.dtype(dtype).itemsize
-
-
-def save_network_params(network: Network, path: str | Path) -> None:
-    """Save parameters to ``path`` (npz with one array per parameter)."""
-    arrays = {f"param_{i}": p.value for i, p in enumerate(network.parameters())}
-    np.savez(path, **arrays)
-
-
-def load_network_params(network: Network, path: str | Path) -> None:
-    """Load parameters saved by :func:`save_network_params`."""
-    with np.load(path) as data:
-        params = network.parameters()
-        if len(data.files) != len(params):
-            raise ValueError(
-                f"checkpoint has {len(data.files)} arrays, network has {len(params)}"
-            )
-        for i, p in enumerate(params):
-            stored = data[f"param_{i}"]
-            if stored.shape != p.shape:
-                raise ValueError(
-                    f"parameter {i} shape mismatch: checkpoint {stored.shape}, "
-                    f"network {p.shape}"
-                )
-            p.value[...] = stored

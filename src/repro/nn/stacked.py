@@ -36,35 +36,19 @@ evaluation.  Scalar bookkeeping that the per-model path performs in Python
 floats (gradient-norm clipping) is mirrored in Python floats here, not
 vectorized, for the same reason.
 
-Layer coverage maps :mod:`repro.nn.layers`: ``Dense``, ``ReLU``,
-``Flatten``, ``Dropout`` (per-model generator streams), ``Conv2D``
-(batched im2col), ``MaxPool2D``, ``GlobalAvgPool``, ``BatchNorm1d``
-(per-model running statistics), ``Residual`` (recursively stacked inner
-stacks — so ``make_resnet_lite`` worlds ride the cohort engine), softmax
-cross-entropy, and SGD with momentum / weight decay / gradient clipping.
-Anything else (the exotic activations) raises
-:class:`StackingUnsupportedError`; callers probe with
-:func:`supports_stacking` and keep the per-model path.
+Layer coverage maps :mod:`repro.nn.layers`: ``Dense`` and ``ReLU``, plus
+softmax cross-entropy and SGD with momentum / weight decay / gradient
+clipping.  Any other layer type raises :class:`StackingUnsupportedError`;
+callers probe with :func:`supports_stacking` and keep the per-model path.
 """
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.nn.batchnorm import BatchNorm1d
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool,
-    MaxPool2D,
-    ReLU,
-    Residual,
-)
+from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import log_softmax
 from repro.nn.network import Network
 from repro.nn.precision import active_dtype
@@ -201,341 +185,6 @@ class StackedReLU(StackedLayer):
         return grad_out * self._mask
 
 
-class StackedFlatten(StackedLayer):
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x, idx, train=False):
-        del idx
-        if train:
-            self._shape = x.shape
-        return x.reshape(x.shape[0], x.shape[1], -1)
-
-    def backward(self, grad_out):
-        if self._shape is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        return grad_out.reshape(self._shape)
-
-
-class StackedDropout(StackedLayer):
-    """Inverted dropout with one private generator per stacked model.
-
-    Each model's generator is a deep copy of the template layer's, so model
-    ``m`` draws exactly the mask sequence its per-model clone would have
-    drawn — same shapes, same order — and the streams stay independent
-    across models.
-    """
-
-    def __init__(self, rate: float, rngs: Sequence[np.random.Generator]) -> None:
-        self.rate = rate
-        self._rngs = list(rngs)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x, idx, train=False):
-        if not train or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        models = range(len(self._rngs)) if idx is None else idx
-        # Mirror the per-model layer exactly: draw in float64 (the
-        # generator's native stream), then round the boolean mask and the
-        # keep divisor into the activation dtype *before* dividing —
-        # dividing in float64 and rounding afterwards differs in the last
-        # ulp under float32 and would break stacked-vs-per-model identity.
-        dtype = x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
-        mask = np.empty(x.shape, dtype=dtype)
-        for row, model_index in enumerate(models):
-            draw = self._rngs[model_index].random(x.shape[1:]) < keep
-            mask[row] = draw.astype(dtype) / dtype.type(keep)
-        self._mask = mask
-        return x * mask
-
-    def backward(self, grad_out):
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
-def _im2col_stacked(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
-) -> tuple[np.ndarray, int, int]:
-    """Batched :func:`repro.nn.layers._im2col` over a leading model axis.
-
-    ``x`` is ``(m, n, c, h, w)``; returns ``(cols, out_h, out_w)`` with
-    ``cols`` shaped ``(m, n * out_h * out_w, c * kh * kw)`` — slice ``i``
-    is element-for-element the per-model column matrix.
-    """
-    m, n, c, h, w = x.shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (0, 0), (pad, pad), (pad, pad)))
-    s0, s1, s2, s3, s4 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(m, n, c, out_h, out_w, kh, kw),
-        strides=(s0, s1, s2, s3 * stride, s4 * stride, s3, s4),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 1, 3, 4, 2, 5, 6).reshape(
-        m, n * out_h * out_w, c * kh * kw
-    )
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
-def _col2im_stacked(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-    out_h: int,
-    out_w: int,
-) -> np.ndarray:
-    """Adjoint of :func:`_im2col_stacked`, accumulating in the same
-    ``(i, j)`` order as the per-model ``_col2im`` so overlapping-window
-    sums associate identically."""
-    m, n, c, h, w = x_shape
-    padded = np.zeros((m, n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols7 = cols.reshape(m, n, out_h, out_w, c, kh, kw).transpose(0, 1, 4, 2, 3, 5, 6)
-    for i in range(kh):
-        for j in range(kw):
-            padded[
-                :, :, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride
-            ] += cols7[:, :, :, :, :, i, j]
-    if pad > 0:
-        return padded[:, :, :, pad : pad + h, pad : pad + w]
-    return padded
-
-
-class StackedConv2D(StackedLayer):
-    """Batched-im2col convolution: one matmul carries all stacked kernels."""
-
-    def __init__(
-        self,
-        weight: np.ndarray,
-        bias: np.ndarray | None,
-        stride: int,
-        padding: int,
-    ) -> None:
-        self.weight = StackedParameter(weight, "conv.weight")
-        self.bias = StackedParameter(bias, "conv.bias") if bias is not None else None
-        self.out_channels = weight.shape[1]
-        self.kernel_size = weight.shape[3]
-        self.stride = stride
-        self.padding = padding
-        #: Set by the network on its first layer (see StackedDense).
-        self.skip_input_grad = False
-        self._cache = None
-
-    def parameters(self) -> list[StackedParameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
-
-    def forward(self, x, idx, train=False):
-        m, n = x.shape[0], x.shape[1]
-        k = self.kernel_size
-        cols, out_h, out_w = _im2col_stacked(x, k, k, self.stride, self.padding)
-        w = _select(self.weight.value, idx)
-        w_mat = w.reshape(m, self.out_channels, -1)
-        out = np.matmul(cols, w_mat.transpose(0, 2, 1))
-        if self.bias is not None:
-            out = out + _select(self.bias.value, idx)[:, None, :]
-        out = out.reshape(m, n, out_h, out_w, self.out_channels).transpose(
-            0, 1, 4, 2, 3
-        )
-        if train:
-            self._cache = (cols, w_mat, idx, x.shape, out_h, out_w)
-        return out
-
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        cols, w_mat, idx, x_shape, out_h, out_w = self._cache
-        m = grad_out.shape[0]
-        k = self.kernel_size
-        grad_mat = grad_out.transpose(0, 1, 3, 4, 2).reshape(m, -1, self.out_channels)
-        self.weight.accumulate(
-            idx,
-            np.matmul(grad_mat.transpose(0, 2, 1), cols).reshape(
-                m, *self.weight.value.shape[1:]
-            ),
-        )
-        if self.bias is not None:
-            self.bias.accumulate(idx, grad_mat.sum(axis=1))
-        if self.skip_input_grad:
-            return grad_out  # unused upstream of the first parameter layer
-        grad_cols = np.matmul(grad_mat, w_mat)
-        return _col2im_stacked(
-            grad_cols, x_shape, k, k, self.stride, self.padding, out_h, out_w
-        )
-
-
-class StackedMaxPool2D(StackedLayer):
-    def __init__(self, pool_size: int) -> None:
-        self.pool_size = pool_size
-        self._cache = None
-
-    def forward(self, x, idx, train=False):
-        del idx
-        m, n, c, h, w = x.shape
-        p = self.pool_size
-        if h % p or w % p:
-            raise ValueError(f"input {h}x{w} not divisible by pool size {p}")
-        view = np.asarray(x).reshape(m, n, c, h // p, p, w // p, p)
-        out = view.max(axis=(4, 6))
-        if train:
-            mask = view == out[:, :, :, :, None, :, None]
-            # First-max tie-break, mirroring the per-model layer exactly.
-            flat = mask.transpose(0, 1, 2, 3, 5, 4, 6).reshape(
-                m, n, c, h // p, w // p, p * p
-            )
-            first = np.cumsum(flat, axis=-1) == 1
-            flat = flat & first
-            mask = flat.reshape(m, n, c, h // p, w // p, p, p).transpose(
-                0, 1, 2, 3, 5, 4, 6
-            )
-            self._cache = (mask, x.shape)
-        return out
-
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        mask, x_shape = self._cache
-        m, n, c, h, w = x_shape
-        p = self.pool_size
-        grad = mask * grad_out[:, :, :, :, None, :, None]
-        return grad.reshape(m, n, c, h // p, p, w // p, p).reshape(x_shape)
-
-
-class StackedGlobalAvgPool(StackedLayer):
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x, idx, train=False):
-        del idx
-        if train:
-            self._shape = x.shape
-        return x.mean(axis=(3, 4))
-
-    def backward(self, grad_out):
-        if self._shape is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        m, n, c, h, w = self._shape
-        grad = grad_out[:, :, :, None, None] / (h * w)
-        return np.broadcast_to(grad, self._shape).copy()
-
-
-class StackedBatchNorm1d(StackedLayer):
-    """Per-feature normalisation with per-model running statistics.
-
-    ``gamma``/``beta`` are ordinary stacked parameters (rows of the flat
-    layout); the running mean/variance are *local state*, mirrored here as
-    one ``(M, F)`` array pair seeded from the per-model layers (exactly
-    what ``M`` ``Network.clone()`` calls carry) and updated per selected
-    model.  All arithmetic is elementwise per feature plus batch-axis
-    reductions — the same per-slice shapes the per-model layer reduces
-    over — so outputs and gradients stay bit-identical.
-    """
-
-    def __init__(
-        self,
-        gamma: np.ndarray,
-        beta: np.ndarray,
-        running_mean: np.ndarray,
-        running_var: np.ndarray,
-        momentum: float,
-        eps: float,
-    ) -> None:
-        self.gamma = StackedParameter(gamma, "bn.gamma")
-        self.beta = StackedParameter(beta, "bn.beta")
-        self.running_mean = np.ascontiguousarray(running_mean, dtype=active_dtype())
-        self.running_var = np.ascontiguousarray(running_var, dtype=active_dtype())
-        self.momentum = momentum
-        self.eps = eps
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
-
-    def parameters(self) -> list[StackedParameter]:
-        return [self.gamma, self.beta]
-
-    def forward(self, x, idx, train=False):
-        if train:
-            mean = x.mean(axis=1)
-            var = x.var(axis=1)
-            new_mean = self.momentum * _select(self.running_mean, idx) + (
-                1 - self.momentum
-            ) * mean
-            new_var = self.momentum * _select(self.running_var, idx) + (
-                1 - self.momentum
-            ) * var
-            if idx is None:
-                self.running_mean = new_mean
-                self.running_var = new_var
-            else:
-                self.running_mean[idx] = new_mean
-                self.running_var[idx] = new_var
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = (x - mean[:, None, :]) * inv_std[:, None, :]
-            self._cache = (x_hat, inv_std, idx)
-        else:
-            inv_std = 1.0 / np.sqrt(_select(self.running_var, idx) + self.eps)
-            x_hat = (x - _select(self.running_mean, idx)[:, None, :]) * inv_std[
-                :, None, :
-            ]
-        return (
-            _select(self.gamma.value, idx)[:, None, :] * x_hat
-            + _select(self.beta.value, idx)[:, None, :]
-        )
-
-    def backward(self, grad_out):
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(train=True)")
-        x_hat, inv_std, idx = self._cache
-        n = grad_out.shape[1]
-        self.gamma.accumulate(idx, (grad_out * x_hat).sum(axis=1))
-        self.beta.accumulate(idx, grad_out.sum(axis=1))
-        g = grad_out * _select(self.gamma.value, idx)[:, None, :]
-        return (
-            inv_std[:, None, :]
-            / n
-            * (
-                n * g
-                - g.sum(axis=1)[:, None, :]
-                - x_hat * (g * x_hat).sum(axis=1)[:, None, :]
-            )
-        )
-
-
-class StackedResidual(StackedLayer):
-    """Stacked skip connection: ``y = x + f(x)`` over a stacked inner stack."""
-
-    def __init__(self, inner: Sequence[StackedLayer]) -> None:
-        self.inner = list(inner)
-
-    def parameters(self) -> list[StackedParameter]:
-        return [p for layer in self.inner for p in layer.parameters()]
-
-    def forward(self, x, idx, train=False):
-        out = x
-        for layer in self.inner:
-            out = layer.forward(out, idx, train=train)
-        if out.shape != x.shape:
-            raise ValueError(
-                f"residual branch changed shape {x.shape} -> {out.shape}; "
-                "inner layers must be shape-preserving"
-            )
-        return x + out
-
-    def backward(self, grad_out):
-        grad = grad_out
-        for layer in reversed(self.inner):
-            grad = layer.backward(grad)
-        return grad + grad_out
-
-
 # ----------------------------------------------------------------------
 # Template -> stacked-layer builders
 # ----------------------------------------------------------------------
@@ -553,98 +202,10 @@ def _build_dense(layer: Dense, flats: np.ndarray, offset: int):
     return StackedDense(weight, bias), offset
 
 
-def _build_conv(layer: Conv2D, flats: np.ndarray, offset: int):
-    weight, offset = _consume(flats, offset, layer.weight.shape)
-    bias = None
-    if layer.bias is not None:
-        bias, offset = _consume(flats, offset, layer.bias.shape)
-    return StackedConv2D(weight, bias, layer.stride, layer.padding), offset
-
-
-def _build_dropout(layer: Dropout, flats: np.ndarray, offset: int):
-    # One independent generator per model, each starting from the template
-    # layer's current state — exactly what M ``Network.clone()`` calls
-    # would give the per-model path.
-    rngs = [copy.deepcopy(layer._rng) for _ in range(flats.shape[0])]
-    return StackedDropout(layer.rate, rngs), offset
-
-
-def _build_batchnorm(layer: BatchNorm1d, flats: np.ndarray, offset: int):
-    gamma, offset = _consume(flats, offset, layer.gamma.value.shape)
-    beta, offset = _consume(flats, offset, layer.beta.value.shape)
-    # Running statistics are local state, not parameters: every model in
-    # the stack starts from the template layer's current values — exactly
-    # what M ``Network.clone()`` + ``set_flat(row)`` calls would carry.
-    m = flats.shape[0]
-    return (
-        StackedBatchNorm1d(
-            gamma,
-            beta,
-            np.tile(layer.running_mean, (m, 1)),
-            np.tile(layer.running_var, (m, 1)),
-            layer.momentum,
-            layer.eps,
-        ),
-        offset,
-    )
-
-
-def _build_residual(layer: Residual, flats: np.ndarray, offset: int):
-    # The flat layout of a Residual is its inner layers' parameters in
-    # order (``Residual.parameters`` chains them), so the inner builders
-    # consume the same blocks the per-model ``set_flat`` walk assigns.
-    inner: list[StackedLayer] = []
-    for sub in layer.inner:
-        builder = _BUILDERS.get(type(sub))
-        if builder is None:
-            raise StackingUnsupportedError(
-                f"no stacked counterpart for {type(sub).__name__} inside "
-                "Residual; use the per-model path (supports_stacking() "
-                "probes this)"
-            )
-        stacked, offset = builder(sub, flats, offset)
-        inner.append(stacked)
-    return StackedResidual(inner), offset
-
-
 _BUILDERS = {
     Dense: _build_dense,
-    Conv2D: _build_conv,
-    Dropout: _build_dropout,
-    BatchNorm1d: _build_batchnorm,
-    Residual: _build_residual,
     ReLU: lambda layer, flats, offset: (StackedReLU(), offset),
-    Flatten: lambda layer, flats, offset: (StackedFlatten(), offset),
-    MaxPool2D: lambda layer, flats, offset: (StackedMaxPool2D(layer.pool_size), offset),
-    GlobalAvgPool: lambda layer, flats, offset: (StackedGlobalAvgPool(), offset),
 }
-
-#: Per-model input ndim (without the model axis) implied by a layer type,
-#: used to tell a shared sample batch from an already-stacked input.
-_INPUT_NDIM = {Dense: 2, Conv2D: 4, MaxPool2D: 4, GlobalAvgPool: 4, BatchNorm1d: 2}
-
-
-def _infer_input_ndim(layers: Sequence) -> int | None:
-    """Per-model input ndim implied by the first shape-typed layer.
-
-    Recurses into ``Residual`` containers: a residual stack's input shape
-    is its first inner layer's.
-    """
-    for layer in layers:
-        if type(layer) is Residual:
-            ndim = _infer_input_ndim(layer.inner)
-            if ndim is not None:
-                return ndim
-        elif type(layer) in _INPUT_NDIM:
-            return _INPUT_NDIM[type(layer)]
-    return None
-
-
-def _layer_stackable(layer: object) -> bool:
-    """Exact-type stackability of one layer, recursing into containers."""
-    if type(layer) is Residual:
-        return all(_layer_stackable(sub) for sub in layer.inner)
-    return type(layer) in _BUILDERS
 
 
 def supports_stacking(network: Network) -> bool:
@@ -652,63 +213,34 @@ def supports_stacking(network: Network) -> bool:
 
     Exact-type matching on purpose: a subclass overriding ``forward`` would
     silently diverge from its stacked stand-in, so subclasses fall back to
-    the per-model path unless registered themselves.  ``Residual``
-    containers are stackable iff every inner layer is.
+    the per-model path unless registered themselves.
     """
-    return all(_layer_stackable(layer) for layer in network.layers)
+    return all(type(layer) in _BUILDERS for layer in network.layers)
 
 
 def _stack_peer_layer(layer, peers: Sequence) -> StackedLayer:
     """One stacked layer from ``M`` existing per-model peer layers.
 
     ``layer`` is the template's instance (structure source), ``peers`` the
-    same-position layer of every stacked model (weight/state sources).
-    Each stacked parameter is one ``np.stack`` over the per-model arrays —
+    same-position layer of every stacked model (weight sources).  Each
+    stacked parameter is one ``np.stack`` over the per-model arrays —
     cheaper than a flat-vector detour (see :meth:`StackedNetwork.from_models`).
     """
     kind = type(layer)
-    if kind is Residual:
-        return StackedResidual(
-            [
-                _stack_peer_layer(sub, [peer.inner[i] for peer in peers])
-                for i, sub in enumerate(layer.inner)
-            ]
-        )
-    if kind not in _BUILDERS:
+    if kind is ReLU:
+        return StackedReLU()
+    if kind is not Dense:
         raise StackingUnsupportedError(
             f"no stacked counterpart for {kind.__name__}; "
             "use the per-model path (supports_stacking() probes this)"
         )
-    if kind in (Dense, Conv2D):
-        weight = np.stack([peer.weight.value for peer in peers])
-        bias = (
-            np.stack([peer.bias.value for peer in peers])
-            if layer.bias is not None
-            else None
-        )
-        if kind is Dense:
-            return StackedDense(weight, bias)
-        return StackedConv2D(weight, bias, layer.stride, layer.padding)
-    if kind is BatchNorm1d:
-        return StackedBatchNorm1d(
-            np.stack([peer.gamma.value for peer in peers]),
-            np.stack([peer.beta.value for peer in peers]),
-            np.stack([peer.running_mean for peer in peers]),
-            np.stack([peer.running_var for peer in peers]),
-            layer.momentum,
-            layer.eps,
-        )
-    if kind is Dropout:
-        return StackedDropout(
-            layer.rate, [copy.deepcopy(peer._rng) for peer in peers]
-        )
-    if kind is ReLU:
-        return StackedReLU()
-    if kind is Flatten:
-        return StackedFlatten()
-    if kind is MaxPool2D:
-        return StackedMaxPool2D(layer.pool_size)
-    return StackedGlobalAvgPool()
+    weight = np.stack([peer.weight.value for peer in peers])
+    bias = (
+        np.stack([peer.bias.value for peer in peers])
+        if layer.bias is not None
+        else None
+    )
+    return StackedDense(weight, bias)
 
 
 class StackedNetwork:
@@ -777,12 +309,14 @@ class StackedNetwork:
     def _finalize(
         cls, layers: list[StackedLayer], template: Network, num_models: int
     ) -> "StackedNetwork":
-        if layers and isinstance(layers[0], (StackedConv2D, StackedDense)):
+        if layers and isinstance(layers[0], StackedDense):
             # Nothing upstream consumes the first layer's input gradient;
-            # skipping it drops one batched matmul (and for conv the whole
-            # col2im fold) from every backward pass.
+            # skipping it drops one batched matmul from every backward pass.
             layers[0].skip_input_grad = True
-        return cls(layers, num_models, _infer_input_ndim(template.layers))
+        # A shared sample batch is 2-D ``(batch, features)`` whenever the
+        # template has a ``Dense``; stacked inputs carry the model axis.
+        has_dense = any(type(layer) is Dense for layer in template.layers)
+        return cls(layers, num_models, 2 if has_dense else None)
 
     # ------------------------------------------------------------------
     # Forward / backward
@@ -1000,18 +534,11 @@ class StackedSGD:
 
 
 __all__ = [
-    "StackedBatchNorm1d",
-    "StackedConv2D",
     "StackedDense",
-    "StackedDropout",
-    "StackedFlatten",
-    "StackedGlobalAvgPool",
     "StackedLayer",
-    "StackedMaxPool2D",
     "StackedNetwork",
     "StackedParameter",
     "StackedReLU",
-    "StackedResidual",
     "StackedSGD",
     "StackingUnsupportedError",
     "clip_gradients_stacked",

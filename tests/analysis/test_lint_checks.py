@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.analysis.lint.checks import ALL_CHECK_IDS, all_checks, get_check
 from repro.analysis.lint.engine import analyze_source
+from repro.analysis.lint.findings import Suppression, parse_suppressions
 
 #: Path under which scoped checks (dtype-discipline) apply.
 SCOPED_PATH = "src/repro/fl/example.py"
@@ -692,3 +695,51 @@ class TestSuppressionMechanics:
             "dtype-discipline",
         )
         assert check_ids(findings) == ["dtype-discipline"]
+
+    def test_allow_inside_a_string_literal_is_not_a_suppression(self):
+        findings = run_check(
+            """\
+            import numpy as np
+
+            a, doc = np.zeros(3), "# repro: allow[dtype-discipline]"
+            """,
+            "dtype-discipline",
+        )
+        # Neither suppressed nor reported as a reasonless allow.
+        assert check_ids(findings) == ["dtype-discipline"]
+
+    @pytest.mark.parametrize("literal", [
+        "'{}'", '"{}"', "'''{}'''", '"""\n{}\n"""', "f'{}'", "r'{}'", "b'{}'",
+        "('a' '{}')",
+    ], ids=["single", "double", "triple", "multiline", "f-string", "raw", "bytes",
+            "implicit-concat"])
+    def test_allow_text_in_any_string_literal_is_ignored(self, literal):
+        allow = "# repro: allow[global-rng] -- not a comment"
+        assert parse_suppressions(f"x = {literal.format(allow)}\n") == []
+
+    @pytest.mark.parametrize("source, line", [
+        ("x = 1  # repro: allow[global-rng] -- why\n", 1),
+        ("x = '#'  # repro: allow[global-rng] -- why\n", 1),
+        ("def f():\n    return 1  # repro: allow[global-rng] -- why\n", 2),
+        ("x = [\n    1,  # repro: allow[global-rng] -- why\n]\n", 2),
+    ], ids=["trailing", "after-a-hash-string", "in-a-body", "inside-brackets"])
+    def test_allow_in_a_real_comment_is_found(self, source, line):
+        assert parse_suppressions(source) == [
+            Suppression(line=line, check_ids=("global-rng",), reason="why")
+        ]
+
+    def test_ids_are_trimmed_and_a_missing_reason_is_none(self):
+        assert parse_suppressions("x = 1  #repro:allow[ a , b ]\n") == [
+            Suppression(line=1, check_ids=("a", "b"), reason=None)
+        ]
+
+    def test_only_comment_tokens_are_parsed(self):
+        source = textwrap.dedent('''\
+            fixture = """
+            x = 1  # repro: allow[global-rng]
+            """
+            y = 2  # repro: allow[global-rng, *] -- a real comment
+            ''')
+        assert parse_suppressions(source) == [
+            Suppression(line=4, check_ids=("global-rng", "*"), reason="a real comment")
+        ]

@@ -8,6 +8,7 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.data.synthetic_cifar import SyntheticCifar
 from repro.data.synthetic_femnist import SyntheticFemnist
+from repro.nn.layers import Layer
 from repro.nn.models import make_mlp
 
 
@@ -65,3 +66,16 @@ def train_briefly(model, dataset, rng, epochs=30, lr=0.1):
         model.backward(loss.backward())
         opt.step()
     return model
+
+
+class Square(Layer):
+    """Utility: a layer with no stacked twin, so any network holding it
+    takes the per-model path (the unstackable-fallback tests)."""
+
+    def forward(self, x, train=False):
+        if train:
+            self._x = x
+        return x * x
+
+    def backward(self, grad_out):
+        return 2.0 * self._x * grad_out

@@ -140,6 +140,23 @@ class TestStackedErrorProfiles:
             assert profile.num_samples == single.num_samples
             assert profile.num_classes == single.num_classes
 
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 6)])
+    def test_every_mlp_depth_under_both_policies(
+        self, tiny_dataset, rng, hidden, policy
+    ):
+        from repro.core.errors import stacked_error_profiles
+        from repro.nn.models import make_mlp
+        from repro.nn.precision import dtype_policy
+
+        with dtype_policy(policy):
+            models = self._models(make_mlp(2, 3, rng, hidden=hidden), rng, 4)
+            stacked = stacked_error_profiles(models, tiny_dataset)
+            singles = [model_error_profile(m, tiny_dataset) for m in models]
+        for profile, single in zip(stacked, singles, strict=True):
+            np.testing.assert_array_equal(profile.source_errors, single.source_errors)
+            np.testing.assert_array_equal(profile.target_errors, single.target_errors)
+
     def test_chunked_stacks_still_match(self, tiny_dataset, tiny_mlp, rng):
         """More models than one cache-budget chunk: results are unchanged
         (per-slice GEMMs are bit-identical under any chunking)."""

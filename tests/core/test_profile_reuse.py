@@ -22,10 +22,8 @@ def _perturbed(model, rng, scale=1e-3):
     return clone
 
 
-def build_server_defense(tiny_dataset, stack_profiles: bool = True):
-    validator = MisclassificationValidator(
-        tiny_dataset, min_history=4, stack_profiles=stack_profiles
-    )
+def build_server_defense(tiny_dataset):
+    validator = MisclassificationValidator(tiny_dataset, min_history=4)
     defense = BaffleDefense(
         BaffleConfig(lookback=4, mode="server"), server_validator=validator
     )
@@ -44,8 +42,10 @@ class TestCommittedProfileReuse:
             return real(model, dataset, normalize=normalize)
 
         monkeypatch.setattr(validation_mod, "model_error_profile", counting)
+        # The per-model path: every profile goes through the counted entry.
+        monkeypatch.setattr(validation_mod, "supports_stacking", lambda net: False)
 
-        defense, _ = build_server_defense(tiny_dataset, stack_profiles=False)
+        defense, _ = build_server_defense(tiny_dataset)
         for _ in range(5):  # fill the look-back window with trusted models
             defense.prime(_perturbed(tiny_mlp, rng))
 
@@ -66,8 +66,8 @@ class TestCommittedProfileReuse:
     def test_reuse_holds_under_stacked_profiles(
         self, tiny_dataset, tiny_mlp, rng, monkeypatch
     ):
-        """With profile stacking on, the cold round runs one stacked pass
-        and warm rounds still profile only the fresh candidate."""
+        """With profile stacking, the cold round runs one stacked pass and
+        warm rounds still profile only the fresh candidate."""
         per_model = []
         stacked_calls = []
         real_single = validation_mod.model_error_profile
@@ -86,7 +86,7 @@ class TestCommittedProfileReuse:
             validation_mod, "stacked_error_profiles", counting_stacked
         )
 
-        defense, _ = build_server_defense(tiny_dataset, stack_profiles=True)
+        defense, _ = build_server_defense(tiny_dataset)
         for _ in range(5):
             defense.prime(_perturbed(tiny_mlp, rng))
 

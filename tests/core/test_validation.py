@@ -195,56 +195,97 @@ class TestStackedProfileValidation:
             history.append((version, clone))
         return history
 
+    def _count_profile_calls(self, monkeypatch):
+        """Record every model each profile entry point is asked for."""
+        calls = {"stacked": [], "per_model": []}
+        real_stacked = validation.stacked_error_profiles
+        real_single = validation.model_error_profile
+
+        def stacked(models, dataset, normalize="dataset"):
+            calls["stacked"].append(list(models))
+            return real_stacked(models, dataset, normalize=normalize)
+
+        def single(model, dataset, normalize="dataset"):
+            calls["per_model"].append(model)
+            return real_single(model, dataset, normalize=normalize)
+
+        monkeypatch.setattr(validation, "stacked_error_profiles", stacked)
+        monkeypatch.setattr(validation, "model_error_profile", single)
+        return calls
+
     def test_cold_reports_identical_with_and_without_stacking(
-        self, tiny_dataset, tiny_mlp, rng
+        self, tiny_dataset, tiny_mlp, rng, monkeypatch
     ):
         history = self._history(tiny_mlp, rng)
         candidate = tiny_mlp.clone()
         flat = candidate.get_flat()
         candidate.set_flat(flat + rng.normal(0.0, 0.5, size=flat.shape))
         context = ValidationContext(candidate, history)
-        stacked = MisclassificationValidator(
-            tiny_dataset, min_history=4, stack_profiles=True
-        ).explain(context)
-        plain = MisclassificationValidator(
-            tiny_dataset, min_history=4, stack_profiles=False
-        ).explain(context)
+        calls = self._count_profile_calls(monkeypatch)
+        stacked = MisclassificationValidator(tiny_dataset, min_history=4).explain(
+            context
+        )
+        assert len(calls["stacked"]) == 1 and calls["per_model"] == []
+        # Reference: the per-model path, forced by hiding stackability.
+        monkeypatch.setattr(validation, "supports_stacking", lambda net: False)
+        plain = MisclassificationValidator(tiny_dataset, min_history=4).explain(
+            context
+        )
+        assert len(calls["stacked"]) == 1
+        assert len(calls["per_model"]) == len(history) + 1
         assert stacked == plain
         assert not stacked.abstained
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (8, 6)])
+    def test_every_mlp_depth_takes_the_stacked_path(
+        self, tiny_dataset, rng, monkeypatch, hidden
+    ):
+        template = make_mlp(2, 3, rng, hidden=hidden)
+        history = self._history(template, rng)
+        candidate = template.clone()
+        candidate.set_flat(
+            candidate.get_flat() + rng.normal(0.0, 0.5, size=template.num_parameters)
+        )
+        context = ValidationContext(candidate, history)
+        calls = self._count_profile_calls(monkeypatch)
+        stacked = MisclassificationValidator(tiny_dataset, min_history=4).explain(
+            context
+        )
+        assert len(calls["stacked"]) == 1 and calls["per_model"] == []
+        monkeypatch.setattr(validation, "supports_stacking", lambda net: False)
+        plain = MisclassificationValidator(tiny_dataset, min_history=4).explain(
+            context
+        )
+        assert len(calls["per_model"]) == len(history) + 1
+        assert stacked == plain
 
     def test_stacked_fill_populates_the_version_cache(
         self, tiny_dataset, tiny_mlp, rng
     ):
         history = self._history(tiny_mlp, rng)
-        validator = MisclassificationValidator(
-            tiny_dataset, min_history=4, stack_profiles=True
-        )
+        validator = MisclassificationValidator(tiny_dataset, min_history=4)
         validator.explain(ValidationContext(tiny_mlp.clone(), history))
         assert set(validator._profile_cache) == {v for v, _ in history}
 
-    def test_unstackable_architecture_falls_back(self, tiny_dataset, rng):
-        from repro.nn.models import make_resnet_lite
+    def test_unstackable_architecture_falls_back(
+        self, tiny_dataset, rng, monkeypatch
+    ):
+        from repro.nn.layers import Dense
+        from repro.nn.network import Network
+        from tests.conftest import Square
 
-        # Image-shaped dataset for the resnet; stacking is unsupported, so
-        # the validator silently takes the per-model path.
-        x = rng.normal(size=(30, 1, 4, 4))
-        y = rng.integers(0, 3, size=30)
-        dataset = Dataset(x, y, 3)
-        template = make_resnet_lite((1, 4, 4), 3, rng)
-        history = []
-        for version in range(6):
-            clone = template.clone()
-            flat = clone.get_flat()
-            clone.set_flat(flat + rng.normal(0.0, 0.5, size=flat.shape))
-            history.append((version, clone))
-        validator = MisclassificationValidator(
-            dataset, min_history=4, stack_profiles=True
+        # Stacking is unsupported for this network, so the validator
+        # silently takes the per-model path for every model.
+        template = Network([Dense(2, 8, rng), Square(), Dense(8, 3, rng)])
+        history = self._history(template, rng, count=6)
+        calls = self._count_profile_calls(monkeypatch)
+        candidate = template.clone()
+        report = MisclassificationValidator(tiny_dataset, min_history=4).explain(
+            ValidationContext(candidate, history)
         )
-        report = validator.explain(ValidationContext(template.clone(), history))
-        reference = MisclassificationValidator(
-            dataset, min_history=4, stack_profiles=False
-        ).explain(ValidationContext(template.clone(), history))
-        assert report == reference
+        assert calls["stacked"] == []
+        assert calls["per_model"] == [model for _, model in history] + [candidate]
+        assert not report.abstained
 
 
 def per_window_algorithm2(profiles, candidate, features, slack):

@@ -9,7 +9,6 @@ from repro.experiments.configs import (
     FEMNIST_SPLITS,
     PAPER_ATTACK_ROUNDS,
     ExperimentConfig,
-    paper_config,
 )
 
 
@@ -76,8 +75,3 @@ class TestExperimentConfig:
         assert len(CIFAR_SPLITS) == 3
         assert len(FEMNIST_SPLITS) == 3
         assert all(0 < s < 1 for s in CIFAR_SPLITS + FEMNIST_SPLITS)
-
-    def test_paper_config_helper(self):
-        config = paper_config("femnist", 0.99, lookback=10)
-        assert config.dataset == "femnist"
-        assert config.lookback == 10

@@ -17,7 +17,7 @@ from repro.fl.cohort import cohort_updates, is_cohortable, plan_cohorts
 from repro.fl.model_store import InProcessModelStore, SharedMemoryModelStore
 from repro.fl.parallel import SequentialExecutor, make_engine, make_executor
 from repro.fl.rng import RngStreams
-from repro.nn.models import make_mlp, make_resnet_lite
+from repro.nn.models import make_mlp
 from tests.fl.test_parallel import (
     build_defended_sim,
     build_forced_sim,
@@ -72,6 +72,27 @@ class TestCohortUpdatesBitIdentity:
         for a, b in zip(expected, got):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("hidden", [(), (7,), (7, 5)])
+    def test_every_mlp_depth_under_both_policies(self, rng, hidden, policy):
+        from repro.nn.precision import dtype_policy
+
+        config = LocalTrainingConfig(
+            epochs=2, batch_size=16, lr=0.1, momentum=0.9, weight_decay=1e-4
+        )
+        with dtype_policy(policy):
+            shards = _shards(rng, (40, 23, 40))
+            model = make_mlp(9, 4, rng, hidden=hidden)
+            expected = _per_model_updates(model, shards, config)
+            got = cohort_updates(
+                model, shards, config,
+                [np.random.default_rng(100 + i) for i in range(len(shards))],
+            )
+        assert len(got) == len(expected)
+        for a, b in zip(expected, got):
+            assert b.dtype == np.dtype(policy)
+            np.testing.assert_array_equal(a, b)
+
     def test_gradient_clipping_matches(self, rng):
         shards = _shards(rng, (40, 25, 33))
         model = make_mlp(9, 4, rng, hidden=(7,))
@@ -81,17 +102,6 @@ class TestCohortUpdatesBitIdentity:
         expected = _per_model_updates(model, shards, config)
         got = cohort_updates(
             model, shards, config, [np.random.default_rng(100 + i) for i in range(3)]
-        )
-        for a, b in zip(expected, got):
-            np.testing.assert_array_equal(a, b)
-
-    def test_dropout_streams_match(self, rng):
-        shards = _shards(rng, (48, 31))
-        model = make_mlp(9, 4, rng, hidden=(7,), dropout=0.3)
-        config = LocalTrainingConfig(epochs=2, batch_size=16, lr=0.1, momentum=0.9)
-        expected = _per_model_updates(model, shards, config)
-        got = cohort_updates(
-            model, shards, config, [np.random.default_rng(100 + i) for i in range(2)]
         )
         for a, b in zip(expected, got):
             np.testing.assert_array_equal(a, b)
@@ -147,17 +157,16 @@ class TestEligibilityAndPlanning:
         ) == [[0, 1, 2], [3, 4, 5]]
 
     def test_plan_skips_unstackable_architectures(self, rng):
-        from repro.nn.activations import Tanh
         from repro.nn.layers import Dense
         from repro.nn.network import Network
+        from tests.conftest import Square
 
         shards = _shards(rng, [10] * 2)
         clients = [HonestClient(i, s) for i, s in enumerate(shards)]
-        unstackable = Network([Dense(9, 4, rng), Tanh()])
+        unstackable = Network([Dense(9, 4, rng), Square()])
         assert plan_cohorts(clients, [0, 1], unstackable, cohort_size=4) == []
-        # Residual networks gained stacking support and now plan normally.
-        resnet = make_resnet_lite((1, 4, 4), 2, rng)
-        assert plan_cohorts(clients, [0, 1], resnet, cohort_size=4) == [[0, 1]]
+        stackable = make_mlp(9, 4, rng, hidden=(5,))
+        assert plan_cohorts(clients, [0, 1], stackable, cohort_size=4) == [[0, 1]]
 
 
 class TestExecutorIntegration:

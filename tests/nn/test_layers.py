@@ -5,17 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers import (
-    Conv2D,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool,
-    MaxPool2D,
-    Parameter,
-    ReLU,
-    Residual,
-)
+from repro.nn.layers import Dense, Parameter, ReLU
+from repro.nn.precision import dtype_policy
 
 
 def numeric_grad(forward_fn, x: np.ndarray, grad_out: np.ndarray, eps: float = 1e-6):
@@ -86,6 +77,39 @@ class TestDense:
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("batch, fan_in, fan_out", [(1, 1, 1), (5, 4, 3), (3, 7, 2)])
+    def test_every_gradient_matches_numeric(self, rng, bias, batch, fan_in, fan_out):
+        layer = Dense(fan_in, fan_out, rng, bias=bias)
+        x = rng.normal(size=(batch, fan_in))
+        grad_out = rng.normal(size=(batch, fan_out))
+        layer.forward(x, train=True)
+        grad_in = layer.backward(grad_out)
+        numeric = numeric_grad(lambda a: layer.forward(a), x.copy(), grad_out)
+        np.testing.assert_allclose(grad_in, numeric, atol=1e-7)
+        for param in layer.parameters():
+
+            def forward_with(value, param=param):
+                saved, param.value = param.value, value
+                try:
+                    return layer.forward(x)
+                finally:
+                    param.value = saved
+
+            numeric = numeric_grad(forward_with, param.value.copy(), grad_out)
+            np.testing.assert_allclose(param.grad, numeric, atol=1e-7)
+
+    def test_evaluation_forward_keeps_the_training_cache(self, rng):
+        """A validation pass between a training forward and its backward
+        must not replace the cached training input."""
+        layer = Dense(3, 2, rng)
+        x = rng.normal(size=(4, 3))
+        grad_out = rng.normal(size=(4, 2))
+        layer.forward(x, train=True)
+        layer.forward(rng.normal(size=(6, 3)))
+        layer.backward(grad_out)
+        np.testing.assert_allclose(layer.weight.grad, x.T @ grad_out)
+
 
 class TestReLU:
     def test_forward_clamps_negatives(self):
@@ -104,204 +128,36 @@ class TestReLU:
         with pytest.raises(RuntimeError):
             ReLU().backward(np.zeros((1, 2)))
 
+    def test_gradient_at_zero_is_zero(self):
+        layer = ReLU()
+        layer.forward(np.array([[0.0, -0.0, 1e-300]]), train=True)
+        grad = layer.backward(np.ones((1, 3)))
+        np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
 
-class TestFlattenAndPooling:
-    def test_flatten_roundtrip(self, rng):
-        layer = Flatten()
-        x = rng.normal(size=(2, 3, 4, 4))
-        out = layer.forward(x, train=True)
-        assert out.shape == (2, 48)
-        back = layer.backward(out)
-        assert back.shape == x.shape
-
-    def test_maxpool_forward_values(self):
-        layer = MaxPool2D(2)
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = layer.forward(x)
-        np.testing.assert_array_equal(out[0, 0], [[5.0, 7.0], [13.0, 15.0]])
-
-    def test_maxpool_rejects_indivisible(self):
-        with pytest.raises(ValueError):
-            MaxPool2D(3).forward(np.zeros((1, 1, 4, 4)))
-
-    def test_maxpool_gradient_routes_to_max(self):
-        layer = MaxPool2D(2)
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        layer.forward(x, train=True)
-        grad = layer.backward(np.array([[[[10.0]]]]))
-        np.testing.assert_array_equal(grad, [[[[0.0, 0.0], [0.0, 10.0]]]])
-
-    def test_maxpool_tie_routes_to_one_element(self):
-        layer = MaxPool2D(2)
-        x = np.ones((1, 1, 2, 2))
-        layer.forward(x, train=True)
-        grad = layer.backward(np.ones((1, 1, 1, 1)))
-        assert grad.sum() == 1.0  # gradient not duplicated across ties
-
-    def test_global_avg_pool(self, rng):
-        layer = GlobalAvgPool()
-        x = rng.normal(size=(2, 3, 4, 4))
-        out = layer.forward(x, train=True)
-        np.testing.assert_allclose(out, x.mean(axis=(2, 3)))
-        grad = layer.backward(np.ones((2, 3)))
-        np.testing.assert_allclose(grad, np.full_like(x, 1 / 16))
-
-
-class TestDropout:
-    def test_inactive_at_inference(self, rng):
-        layer = Dropout(0.5, rng)
-        x = rng.normal(size=(4, 8))
-        np.testing.assert_array_equal(layer.forward(x, train=False), x)
-
-    def test_scaling_preserves_expectation(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((200, 200))
-        out = layer.forward(x, train=True)
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_invalid_rate_rejected(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-
-    def test_backward_uses_same_mask(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((10, 10))
-        out = layer.forward(x, train=True)
-        grad = layer.backward(np.ones_like(x))
-        np.testing.assert_array_equal((out == 0), (grad == 0))
-
-
-class TestConv2D:
-    def test_output_shape(self, rng):
-        layer = Conv2D(3, 5, kernel_size=3, rng=rng, padding=1)
-        out = layer.forward(rng.normal(size=(2, 3, 8, 8)))
-        assert out.shape == (2, 5, 8, 8)
-
-    def test_stride_reduces_resolution(self, rng):
-        layer = Conv2D(1, 1, kernel_size=3, rng=rng, stride=2, padding=1)
-        out = layer.forward(rng.normal(size=(1, 1, 8, 8)))
-        assert out.shape == (1, 1, 4, 4)
-
-    def test_identity_kernel_preserves_input(self, rng):
-        layer = Conv2D(1, 1, kernel_size=1, rng=rng, bias=False)
-        layer.weight.value[...] = 1.0
-        x = rng.normal(size=(1, 1, 4, 4))
-        np.testing.assert_allclose(layer.forward(x), x)
-
-    def test_matches_explicit_convolution(self, rng):
-        layer = Conv2D(1, 1, kernel_size=2, rng=rng, bias=False)
-        x = rng.normal(size=(1, 1, 3, 3))
-        out = layer.forward(x)
-        w = layer.weight.value[0, 0]
-        for i in range(2):
-            for j in range(2):
-                expected = (x[0, 0, i : i + 2, j : j + 2] * w).sum()
-                assert abs(out[0, 0, i, j] - expected) < 1e-12
-
-    def test_input_gradient_matches_numeric(self, rng):
-        layer = Conv2D(2, 3, kernel_size=3, rng=rng, padding=1)
-        x = rng.normal(size=(2, 2, 4, 4))
-        grad_out = rng.normal(size=(2, 3, 4, 4))
-        layer.forward(x, train=True)
-        grad_in = layer.backward(grad_out)
-        numeric = numeric_grad(lambda a: layer.forward(a), x.copy(), grad_out)
-        np.testing.assert_allclose(grad_in, numeric, atol=1e-6)
-
-    def test_weight_gradient_matches_numeric(self, rng):
-        layer = Conv2D(1, 2, kernel_size=2, rng=rng)
-        x = rng.normal(size=(2, 1, 3, 3))
-        grad_out = rng.normal(size=(2, 2, 2, 2))
-        layer.forward(x, train=True)
-        layer.backward(grad_out)
-        analytic = layer.weight.grad.copy()
-
-        def loss_at(w):
-            layer.weight.value[...] = w
-            return float((layer.forward(x) * grad_out).sum())
-
-        w0 = layer.weight.value.copy()
-        numeric = np.zeros_like(w0)
-        eps = 1e-6
-        for idx in np.ndindex(w0.shape):
-            w = w0.copy()
-            w[idx] += eps
-            plus = loss_at(w)
-            w[idx] -= 2 * eps
-            minus = loss_at(w)
-            numeric[idx] = (plus - minus) / (2 * eps)
-        layer.weight.value[...] = w0
-        np.testing.assert_allclose(analytic, numeric, atol=1e-6)
-
-
-class TestResidual:
-    def test_identity_branch_adds_input(self, rng):
-        inner = Dense(4, 4, rng)
-        inner.weight.value[...] = 0.0
-        block = Residual([inner])
-        x = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(block.forward(x), x)
-
-    def test_shape_change_rejected(self, rng):
-        block = Residual([Dense(4, 5, rng)])
-        with pytest.raises(ValueError):
-            block.forward(np.zeros((2, 4)))
-
-    def test_gradient_includes_skip_path(self, rng):
-        inner = Dense(3, 3, rng)
-        block = Residual([inner])
-        x = rng.normal(size=(2, 3))
-        grad_out = rng.normal(size=(2, 3))
-        block.forward(x, train=True)
-        grad_in = block.backward(grad_out)
-        numeric = numeric_grad(lambda a: block.forward(a), x.copy(), grad_out)
-        np.testing.assert_allclose(grad_in, numeric, atol=1e-7)
-
-    def test_parameters_come_from_inner_layers(self, rng):
-        block = Residual([Dense(3, 3, rng), ReLU(), Dense(3, 3, rng)])
-        assert len(block.parameters()) == 4
+    def test_evaluation_forward_keeps_the_training_mask(self):
+        layer = ReLU()
+        layer.forward(np.array([[1.0, -1.0]]), train=True)
+        layer.forward(np.array([[-1.0, 1.0]]))
+        grad = layer.backward(np.array([[3.0, 5.0]]))
+        np.testing.assert_array_equal(grad, [[3.0, 0.0]])
 
 
 class TestDtypePreservation:
-    """Parameter-free layers keep the input dtype end to end: a future
-    float32 policy must not be silently upcast by scratch buffers
-    (regression for the hardcoded-float64 ``_col2im`` scratch and the
-    float64 dropout mask)."""
+    """Both layers keep the policy dtype end to end: a float32 pass must
+    not be silently upcast."""
+
+    @pytest.mark.parametrize("policy", ["float32", "float64"])
+    def test_dense(self, rng, policy):
+        with dtype_policy(policy):
+            layer = Dense(4, 3, rng)
+            out = layer.forward(rng.normal(size=(5, 4)).astype(policy), train=True)
+            grad_in = layer.backward(np.ones_like(out))
+        for array in (out, grad_in, layer.weight.grad, layer.bias.grad):
+            assert array.dtype == np.dtype(policy)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_pooling_and_flatten(self, rng, dtype):
-        x = rng.normal(size=(2, 3, 8, 8)).astype(dtype)
-        for layer in (MaxPool2D(2), GlobalAvgPool(), Flatten()):
-            out = layer.forward(x, train=True)
-            assert out.dtype == dtype, type(layer).__name__
-            grad = layer.backward(out.astype(dtype))
-            assert grad.dtype == dtype, type(layer).__name__
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_relu_and_dropout(self, rng, dtype):
+    def test_relu(self, rng, dtype):
         x = rng.normal(size=(5, 7)).astype(dtype)
         relu = ReLU()
         assert relu.forward(x, train=True).dtype == dtype
         assert relu.backward(x).dtype == dtype
-        drop = Dropout(0.5, np.random.default_rng(0))
-        out = drop.forward(x, train=True)
-        assert out.dtype == dtype
-        assert drop.backward(out).dtype == dtype
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_im2col_col2im_round_trip_dtype(self, rng, dtype):
-        from repro.nn.layers import _col2im, _im2col
-
-        x = rng.normal(size=(2, 3, 6, 6)).astype(dtype)
-        cols, out_h, out_w = _im2col(x, 3, 3, 1, 1)
-        assert cols.dtype == dtype
-        folded = _col2im(cols, x.shape, 3, 3, 1, 1, out_h, out_w)
-        assert folded.dtype == dtype
-
-    def test_dropout_float64_mask_values_unchanged(self):
-        """The dtype fix must not perturb the float64 stream: mask values
-        equal the historical ``(draw < keep) / keep`` computation."""
-        x = np.ones((4, 6))
-        drop = Dropout(0.3, np.random.default_rng(42))
-        out = drop.forward(x, train=True)
-        reference = (np.random.default_rng(42).random((4, 6)) < 0.7) / 0.7
-        np.testing.assert_array_equal(out, reference)

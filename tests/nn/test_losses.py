@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.losses import MSELoss, SoftmaxCrossEntropy, log_softmax, softmax
+from repro.nn.losses import SoftmaxCrossEntropy, log_softmax, softmax
 
 
 class TestSoftmaxHelpers:
@@ -68,28 +68,3 @@ class TestSoftmaxCrossEntropy:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             SoftmaxCrossEntropy().backward()
-
-
-class TestMSELoss:
-    def test_zero_for_identical_inputs(self, rng):
-        loss = MSELoss()
-        x = rng.normal(size=(3, 2))
-        assert loss.forward(x, x.copy()) == 0.0
-
-    def test_value_matches_definition(self):
-        loss = MSELoss()
-        pred = np.array([[1.0, 2.0]])
-        target = np.array([[0.0, 0.0]])
-        assert loss.forward(pred, target) == pytest.approx(2.5)
-
-    def test_gradient_matches_numeric(self, rng):
-        loss = MSELoss()
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        loss.forward(pred, target)
-        analytic = loss.backward()
-        np.testing.assert_allclose(analytic, 2 * (pred - target) / pred.size)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MSELoss().forward(np.zeros((2, 2)), np.zeros((2, 3)))

@@ -8,7 +8,6 @@ import pytest
 from repro.nn.metrics import (
     accuracy,
     confusion_matrix,
-    per_class_error_rates,
     source_focused_errors,
     target_focused_errors,
 )
@@ -109,11 +108,3 @@ class TestErrorViews:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             source_focused_errors(np.zeros((2, 3)))
-
-    def test_wrapper_matches_components(self, rng):
-        y = rng.integers(0, 3, size=40)
-        p = rng.integers(0, 3, size=40)
-        vs, vt = per_class_error_rates(y, p, 3)
-        conf = confusion_matrix(y, p, 3)
-        np.testing.assert_array_equal(vs, source_focused_errors(conf))
-        np.testing.assert_array_equal(vt, target_focused_errors(conf))

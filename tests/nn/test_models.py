@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.models import make_cnn, make_mlp, make_resnet_lite
+from repro.nn.initializers import he_normal
+from repro.nn.layers import Dense, ReLU
+from repro.nn.models import make_mlp
 
 
 class TestMakeMLP:
@@ -19,12 +20,6 @@ class TestMakeMLP:
         dense_shapes = [p.shape for p in net.parameters() if p.value.ndim == 2]
         assert dense_shapes == [(10, 16), (16, 8), (8, 4)]
 
-    def test_dropout_included_when_requested(self, rng):
-        from repro.nn.layers import Dropout
-
-        net = make_mlp(4, 2, rng, hidden=(8,), dropout=0.3)
-        assert any(isinstance(layer, Dropout) for layer in net.layers)
-
     def test_invalid_dims_rejected(self, rng):
         with pytest.raises(ValueError):
             make_mlp(0, 3, rng)
@@ -36,50 +31,27 @@ class TestMakeMLP:
         b = make_mlp(5, 3, np.random.default_rng(7))
         np.testing.assert_array_equal(a.get_flat(), b.get_flat())
 
+    @pytest.mark.parametrize("hidden", [(), (3,), (16, 8), (4, 4, 4)])
+    def test_layer_sequence_and_parameter_count(self, rng, hidden):
+        net = make_mlp(10, 4, rng, hidden=hidden)
+        widths = [10, *hidden, 4]
+        assert [type(layer) for layer in net.layers] == [Dense, ReLU] * len(hidden) + [Dense]
+        dense = [layer for layer in net.layers if type(layer) is Dense]
+        assert [(d.in_features, d.out_features) for d in dense] == list(
+            zip(widths[:-1], widths[1:])
+        )
+        assert net.num_parameters == sum(
+            (fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:])
+        )
+        assert all(np.all(d.bias.value == 0.0) for d in dense)
 
-class TestMakeCNN:
-    def test_output_shape(self, rng):
-        net = make_cnn((3, 8, 8), 10, rng)
-        assert net.forward(rng.normal(size=(2, 3, 8, 8))).shape == (2, 10)
-
-    def test_indivisible_spatial_dims_rejected(self, rng):
-        with pytest.raises(ValueError):
-            make_cnn((3, 6, 6), 10, rng, channels=(8, 16))
-
-    def test_trains_on_small_problem(self, rng):
-        net = make_cnn((1, 4, 4), 2, rng, channels=(4,))
-        x = np.zeros((20, 1, 4, 4))
-        x[:10, 0, 0, 0] = 1.0
-        y = np.array([0] * 10 + [1] * 10)
-        loss = SoftmaxCrossEntropy()
-        from repro.nn.optim import SGD
-
-        opt = SGD(net.parameters(), lr=0.1, momentum=0.9)
-        for _ in range(60):
-            net.zero_grad()
-            loss.forward(net.forward(x, train=True), y)
-            net.backward(loss.backward())
-            opt.step()
-        assert (net.predict(x) == y).mean() == 1.0
-
-
-class TestMakeResnetLite:
-    def test_output_shape(self, rng):
-        net = make_resnet_lite((3, 8, 8), 10, rng)
-        assert net.forward(rng.normal(size=(2, 3, 8, 8))).shape == (2, 10)
-
-    def test_has_residual_blocks(self, rng):
-        from repro.nn.layers import Residual
-
-        net = make_resnet_lite((3, 8, 8), 10, rng, num_blocks=3)
-        assert sum(isinstance(layer, Residual) for layer in net.layers) == 3
-
-    def test_gradients_flow_end_to_end(self, rng):
-        net = make_resnet_lite((1, 4, 4), 3, rng, width=4, num_blocks=1)
-        loss = SoftmaxCrossEntropy()
-        x = rng.normal(size=(4, 1, 4, 4))
-        y = rng.integers(0, 3, size=4)
-        net.zero_grad()
-        loss.forward(net.forward(x, train=True), y)
-        net.backward(loss.backward())
-        assert np.abs(net.get_grad_flat()).max() > 0.0
+    def test_draws_one_he_normal_matrix_per_dense_layer(self):
+        """Biases start at zero without a draw, so the seed fixes the
+        weights through one He-normal draw per layer, in order."""
+        net = make_mlp(5, 3, np.random.default_rng(3), hidden=(4,))
+        rng = np.random.default_rng(3)
+        expected = [he_normal((5, 4), rng), he_normal((4, 3), rng)]
+        weights = [layer.weight.value for layer in net.layers if type(layer) is Dense]
+        assert len(weights) == len(expected)
+        for weight, reference in zip(weights, expected):
+            np.testing.assert_array_equal(weight, reference)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Parameter
-from repro.nn.optim import SGD, ConstantSchedule, StepSchedule
+from repro.nn.optim import SGD
 
 
 def make_param(value=1.0, grad=1.0):
@@ -76,22 +76,23 @@ class TestSGD:
             opt.step()
         np.testing.assert_allclose(p.value, [3.0], atol=1e-6)
 
+    @pytest.mark.parametrize("momentum, nesterov", [(0.5, False), (0.9, False), (0.5, True)])
+    def test_matches_the_update_recurrence(self, momentum, nesterov):
+        """``v <- m v + g``; the step is ``v``, or ``g + m v`` with Nesterov."""
+        p = Parameter(np.array([0.0]))
+        opt = SGD([p], lr=0.1, momentum=momentum, nesterov=nesterov)
+        x = velocity = 0.0
+        for g in (1.0, -2.0, 0.5, 3.0):
+            p.grad[...] = g
+            opt.step()
+            velocity = momentum * velocity + g
+            x -= 0.1 * (g + momentum * velocity if nesterov else velocity)
+            assert p.value[0] == pytest.approx(x, abs=1e-15)
 
-class TestSchedules:
-    def test_constant(self):
-        sched = ConstantSchedule(0.1)
-        assert sched(0) == sched(1000) == 0.1
-
-    def test_step_schedule_decays(self):
-        sched = StepSchedule(1.0, step_size=10, gamma=0.1)
-        assert sched(0) == 1.0
-        assert sched(9) == 1.0
-        assert sched(10) == pytest.approx(0.1)
-        assert sched(25) == pytest.approx(0.01)
-
-    @pytest.mark.parametrize(
-        "args", [(0.0, 10, 0.1), (0.1, 0, 0.1), (0.1, 10, 0.0), (0.1, 10, 1.5)]
-    )
-    def test_invalid_schedule_args(self, args):
-        with pytest.raises(ValueError):
-            StepSchedule(*args)
+    def test_each_parameter_keeps_its_own_velocity(self):
+        moving, still = make_param(0.0, grad=1.0), make_param(0.0, grad=0.0)
+        opt = SGD([moving, still], lr=1.0, momentum=0.9)
+        for _ in range(3):
+            opt.step()
+        np.testing.assert_allclose(moving.value, [-(1.0 + 1.9 + 2.71)])
+        np.testing.assert_array_equal(still.value, [0.0])

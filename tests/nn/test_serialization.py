@@ -3,63 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.nn.models import make_mlp
-from repro.nn.serialization import (
-    load_network_params,
-    network_num_bytes,
-    params_from_bytes,
-    params_to_bytes,
-    save_network_params,
-)
+from repro.nn.precision import dtype_policy
+from repro.nn.serialization import network_num_bytes
 
 
 class TestByteSerialization:
-    def test_roundtrip_preserves_predictions(self, tiny_mlp, rng):
-        x = rng.normal(size=(5, 2))
-        before = tiny_mlp.predict(x)
-        blob = params_to_bytes(tiny_mlp)
-        tiny_mlp.set_flat(np.zeros(tiny_mlp.num_parameters))
-        params_from_bytes(tiny_mlp, blob)
-        np.testing.assert_array_equal(tiny_mlp.predict(x), before)
-
-    def test_roundtrip_is_float32_lossy_but_close(self, tiny_mlp):
-        flat = tiny_mlp.get_flat()
-        blob = params_to_bytes(tiny_mlp)
-        params_from_bytes(tiny_mlp, blob)
-        np.testing.assert_allclose(tiny_mlp.get_flat(), flat, atol=1e-6)
-
-    def test_blob_size_tracks_parameter_count(self, rng):
-        small = make_mlp(2, 3, rng, hidden=(4,))
-        large = make_mlp(2, 3, rng, hidden=(64,))
-        assert len(params_to_bytes(large)) > len(params_to_bytes(small))
-
     def test_num_bytes_formula(self, tiny_mlp):
         assert network_num_bytes(tiny_mlp) == tiny_mlp.num_parameters * 4
         assert network_num_bytes(tiny_mlp, np.float64) == tiny_mlp.num_parameters * 8
 
-
-class TestFileCheckpoints:
-    def test_save_load_roundtrip(self, tiny_mlp, tmp_path, rng):
-        path = tmp_path / "ckpt.npz"
-        x = rng.normal(size=(4, 2))
-        before = tiny_mlp.predict(x)
-        save_network_params(tiny_mlp, path)
-        tiny_mlp.set_flat(tiny_mlp.get_flat() * 0.0)
-        load_network_params(tiny_mlp, path)
-        np.testing.assert_array_equal(tiny_mlp.predict(x), before)
-
-    def test_load_into_mismatched_network_rejected(self, tiny_mlp, tmp_path, rng):
-        path = tmp_path / "ckpt.npz"
-        save_network_params(tiny_mlp, path)
-        other = make_mlp(2, 3, rng, hidden=(16,))
-        with pytest.raises(ValueError):
-            load_network_params(other, path)
-
-    def test_load_checks_array_count(self, tiny_mlp, tmp_path, rng):
-        path = tmp_path / "ckpt.npz"
-        deep = make_mlp(2, 3, rng, hidden=(4, 4))
-        save_network_params(deep, path)
-        with pytest.raises(ValueError):
-            load_network_params(tiny_mlp, path)
+    def test_wire_size_does_not_follow_the_execution_policy(self, rng):
+        """The communication-overhead model prices float32 weights on the
+        wire whichever precision the simulation computes in."""
+        sizes = []
+        for policy in ("float64", "float32"):
+            with dtype_policy(policy):
+                network = make_mlp(6, 3, rng, hidden=(5,))
+                sizes.append(network_num_bytes(network))
+        assert sizes == [network.num_parameters * 4] * 2

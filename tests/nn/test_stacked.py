@@ -16,14 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.activations import Tanh
-from repro.nn.batchnorm import BatchNorm1d
+from repro.nn import layers
 from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.models import make_cnn, make_mlp, make_resnet_lite
+from repro.nn.models import make_mlp
 from repro.nn.network import Network
 from repro.nn.optim import SGD
+from repro.nn.precision import dtype_policy
 from repro.nn.stacked import (
+    StackedDense,
     StackedNetwork,
     StackedParameter,
     StackedSGD,
@@ -33,11 +34,33 @@ from repro.nn.stacked import (
     stacked_softmax_ce_grad,
     supports_stacking,
 )
+from tests.conftest import Square
+
+#: The ``make_mlp`` depths the matrices below cover: no hidden layer (one
+#: ``Dense`` that is both the first and the last layer), then one to three.
+_ARCHITECTURES = [(), (5,), (6, 4), (7, 5, 3)]
+
+#: One SGD configuration per update branch of ``SGD.step``/``StackedSGD.step``.
+_OPTIMIZERS = {
+    "plain": {"lr": 0.1},
+    "momentum": {"lr": 0.1, "momentum": 0.9},
+    "nesterov-decay": {"lr": 0.05, "momentum": 0.8, "weight_decay": 1e-3,
+                       "nesterov": True},
+    "decay": {"lr": 0.1, "weight_decay": 1e-2},
+}
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(7)
+
+
+@pytest.fixture(params=["float64", "float32"])
+def policy(request):
+    """Run the test body under each precision policy in turn: the float32
+    engine contract runs through the same stacked kernels as float64."""
+    with dtype_policy(request.param):
+        yield np.dtype(request.param)
 
 
 class TestBlasBitIdentityAssumptions:
@@ -83,6 +106,13 @@ def _stack_of_perturbed(template: Network, count: int, rng) -> list[Network]:
     return models
 
 
+def _grad_rows(stacked: StackedNetwork) -> np.ndarray:
+    """``(M, P)`` gradient matrix laid out like ``Network.get_grad_flat``."""
+    return np.concatenate(
+        [p.grad.reshape(p.num_models, -1) for p in stacked.parameters()], axis=1
+    )
+
+
 class TestConstructionAndFlatViews:
     def test_from_network_round_trips_flat_rows(self, rng):
         template = make_mlp(5, 3, rng, hidden=(4,))
@@ -90,12 +120,17 @@ class TestConstructionAndFlatViews:
         stacked = StackedNetwork.from_network(template, flats)
         np.testing.assert_array_equal(stacked.get_flat(), flats)
 
-    def test_from_models_matches_per_model_flats(self, rng):
-        template = make_cnn((2, 8, 8), 4, rng, channels=(3,))
-        models = _stack_of_perturbed(template, 3, rng)
-        stacked = StackedNetwork.from_models(models)
-        for i, model in enumerate(models):
-            np.testing.assert_array_equal(stacked.get_flat()[i], model.get_flat())
+    @pytest.mark.parametrize("hidden", _ARCHITECTURES)
+    def test_from_models_matches_per_model_flats(self, rng, policy, hidden):
+        models = _stack_of_perturbed(make_mlp(6, 4, rng, hidden=hidden), 3, rng)
+        flats = np.stack([model.get_flat() for model in models])
+        by_models = StackedNetwork.from_models(models)
+        by_flats = StackedNetwork.from_network(models[0], flats)
+        assert by_models.get_flat().dtype == policy
+        np.testing.assert_array_equal(by_models.get_flat(), flats)
+        np.testing.assert_array_equal(by_flats.get_flat(), flats)
+        x = rng.normal(size=(5, 6))
+        np.testing.assert_array_equal(by_flats.forward(x), by_models.forward(x))
 
     def test_shape_mismatch_rejected(self, rng):
         template = make_mlp(5, 3, rng, hidden=(4,))
@@ -107,23 +142,23 @@ class TestConstructionAndFlatViews:
         with pytest.raises(ValueError):
             StackedNetwork.from_models([template, other])
 
+    def test_layer_count_mismatch_rejected(self, rng):
+        """Equal parameter counts are not enough: the layers must line up."""
+        with_relu = Network([Dense(5, 4, rng), ReLU(), Dense(4, 3, rng)])
+        without = Network([Dense(5, 4, rng), Dense(4, 3, rng)])
+        assert with_relu.num_parameters == without.num_parameters
+        with pytest.raises(ValueError, match="one architecture"):
+            StackedNetwork.from_models([with_relu, without])
+
     def test_unsupported_layers_raise_and_probe_false(self, rng):
-        from repro.nn.layers import Residual
-
-        for network in (
-            Network([Dense(4, 4, rng), Tanh(), Dense(4, 2, rng)]),
-            # A Residual is only stackable if its *inner* layers are.
-            Network([Dense(4, 4, rng), Residual([Dense(4, 4, rng), Tanh()])]),
-        ):
-            assert not supports_stacking(network)
-            with pytest.raises(StackingUnsupportedError):
-                StackedNetwork.from_models([network, network])
-
-    def test_batchnorm_and_resnet_probe_true(self, rng):
-        assert supports_stacking(
-            Network([Dense(4, 4, rng), BatchNorm1d(4), Dense(4, 2, rng)])
-        )
-        assert supports_stacking(make_resnet_lite((2, 6, 6), 3, rng))
+        network = Network([Dense(4, 4, rng), Square(), Dense(4, 2, rng)])
+        assert not supports_stacking(network)
+        with pytest.raises(StackingUnsupportedError):
+            StackedNetwork.from_models([network, network])
+        with pytest.raises(StackingUnsupportedError):
+            StackedNetwork.from_network(
+                network, np.zeros((2, network.num_parameters))
+            )
 
     def test_dense_subclass_is_not_silently_stacked(self, rng):
         class WeirdDense(Dense):
@@ -132,9 +167,12 @@ class TestConstructionAndFlatViews:
 
         assert not supports_stacking(Network([WeirdDense(3, 2, rng)]))
 
-    def test_supported_factories_probe_true(self, rng):
-        assert supports_stacking(make_mlp(5, 3, rng, hidden=(4, 3), dropout=0.2))
-        assert supports_stacking(make_cnn((2, 8, 8), 4, rng, channels=(3, 4)))
+    def test_relu_subclass_is_not_silently_stacked(self, rng):
+        class ShiftedReLU(ReLU):
+            def forward(self, x, train=False):
+                return super().forward(x, train=train) - 1.0
+
+        assert not supports_stacking(Network([Dense(3, 2, rng), ShiftedReLU()]))
 
 
 class TestForwardEquivalence:
@@ -147,24 +185,34 @@ class TestForwardEquivalence:
         for i, model in enumerate(models):
             np.testing.assert_array_equal(out[i], model.forward(x))
 
-    def test_mlp_per_model_inputs(self, rng):
-        template = make_mlp(5, 3, rng, hidden=(4,))
-        models = _stack_of_perturbed(template, 3, rng)
-        xs = rng.normal(size=(3, 9, 5))
-        out = StackedNetwork.from_models(models).forward(xs)
-        for i, model in enumerate(models):
-            np.testing.assert_array_equal(out[i], model.forward(xs[i]))
-
-    def test_cnn_shared_input(self, rng):
-        template = make_cnn((2, 8, 8), 4, rng, channels=(3, 4))
-        models = _stack_of_perturbed(template, 4, rng)
-        x = rng.normal(size=(5, 2, 8, 8))
+    @pytest.mark.parametrize("hidden", _ARCHITECTURES)
+    def test_mlp_shared_input_at_every_depth(self, rng, policy, hidden):
+        models = _stack_of_perturbed(make_mlp(6, 4, rng, hidden=hidden), 4, rng)
+        x = rng.normal(size=(11, 6))
         out = StackedNetwork.from_models(models).forward(x)
+        assert out.dtype == policy
         for i, model in enumerate(models):
             np.testing.assert_array_equal(out[i], model.forward(x))
 
-    def test_predict_bitwise_equal_and_batched(self, rng):
-        template = make_mlp(6, 5, rng, hidden=(8,))
+    @pytest.mark.parametrize("hidden", _ARCHITECTURES)
+    def test_mlp_per_model_inputs(self, rng, policy, hidden):
+        """One batch per model, over the whole stack or over the models an
+        ``idx`` selects, in its order."""
+        models = _stack_of_perturbed(make_mlp(5, 3, rng, hidden=hidden), 4, rng)
+        stacked = StackedNetwork.from_models(models)
+        xs = rng.normal(size=(4, 9, 5))
+        out = stacked.forward(xs)
+        for i, model in enumerate(models):
+            np.testing.assert_array_equal(out[i], model.forward(xs[i]))
+        idx = [3, 0]
+        out = stacked.forward(xs[:2], idx=idx)
+        assert out.shape == (2, 9, 3)
+        for row, i in enumerate(idx):
+            np.testing.assert_array_equal(out[row], models[i].forward(xs[row]))
+
+    @pytest.mark.parametrize("hidden", _ARCHITECTURES)
+    def test_predict_bitwise_equal_and_batched(self, rng, policy, hidden):
+        template = make_mlp(6, 5, rng, hidden=hidden)
         models = _stack_of_perturbed(template, 6, rng)
         x = rng.normal(size=(700, 6))  # spans multiple 512-sample batches
         preds = stacked_predict(models, x)
@@ -183,124 +231,220 @@ def _per_model_step(model, x, y, lr=0.1, momentum=0.9, weight_decay=0.0):
     return model.get_flat(), model.get_grad_flat()
 
 
+def _per_model_train(model, xs, ys, optimizer_kwargs):
+    """Per-model reference: one SGD step per ``(x, y)`` batch."""
+    loss = SoftmaxCrossEntropy()
+    optimizer = SGD(model.parameters(), **optimizer_kwargs)
+    for x, y in zip(xs, ys):
+        model.zero_grad()
+        loss.forward(model.forward(x, train=True), y)
+        model.backward(loss.backward())
+        optimizer.step()
+    return model.get_flat()
+
+
 class TestTrainingStepEquivalence:
-    @pytest.mark.parametrize("factory, sample_shape", [
-        (lambda rng: make_mlp(6, 4, rng, hidden=(5,)), (6,)),
-        (lambda rng: make_cnn((2, 8, 8), 3, rng, channels=(3,)), (2, 8, 8)),
-    ])
-    def test_one_step_grads_and_weights_match(self, rng, factory, sample_shape):
-        template = factory(rng)
-        models = _stack_of_perturbed(template, 3, rng)
-        xs = rng.normal(size=(3, 8) + sample_shape)
-        ys = rng.integers(0, 3, size=(3, 8))
+    @pytest.mark.parametrize("hidden", _ARCHITECTURES)
+    def test_one_step_grads_and_weights_match(self, rng, policy, hidden):
+        models = _stack_of_perturbed(make_mlp(6, 4, rng, hidden=hidden), 3, rng)
+        xs = rng.normal(size=(3, 8, 6))
+        ys = rng.integers(0, 4, size=(3, 8))
 
         stacked = StackedNetwork.from_models(models)
         optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.9)
         stacked.zero_grad()
         logits = stacked.forward(xs, train=True)
         stacked.backward(stacked_softmax_ce_grad(logits, ys))
+        grads = _grad_rows(stacked)
         optimizer.step()
 
+        assert grads.dtype == policy
         for i, model in enumerate(models):
-            flat, _ = _per_model_step(model.clone(), xs[i], ys[i])
+            flat, grad = _per_model_step(model.clone(), xs[i], ys[i])
+            np.testing.assert_array_equal(grads[i], grad)
             np.testing.assert_array_equal(stacked.get_flat()[i], flat)
 
-    def test_masked_step_leaves_idle_models_untouched(self, rng):
-        template = make_mlp(4, 3, rng, hidden=(4,))
-        models = _stack_of_perturbed(template, 3, rng)
+    @pytest.mark.parametrize("kwargs", list(_OPTIMIZERS.values()), ids=list(_OPTIMIZERS))
+    def test_sgd_settings_match_over_steps(self, rng, policy, kwargs):
+        models = _stack_of_perturbed(make_mlp(5, 3, rng, hidden=(6,)), 3, rng)
+        xs = rng.normal(size=(3, 3, 7, 5))  # (step, model, batch, feature)
+        ys = rng.integers(0, 3, size=(3, 3, 7))
+        stacked = StackedNetwork.from_models(models)
+        optimizer = StackedSGD(stacked.parameters(), **kwargs)
+        for step in range(3):
+            stacked.zero_grad()
+            logits = stacked.forward(xs[step], train=True)
+            stacked.backward(stacked_softmax_ce_grad(logits, ys[step]))
+            optimizer.step()
+        for i, model in enumerate(models):
+            expected = _per_model_train(model.clone(), xs[:, i], ys[:, i], kwargs)
+            np.testing.assert_array_equal(stacked.get_flat()[i], expected)
+
+    @pytest.mark.parametrize("kwargs", list(_OPTIMIZERS.values()), ids=list(_OPTIMIZERS))
+    def test_masked_step_leaves_idle_models_untouched(self, rng, policy, kwargs):
+        """Each model steps only where its mask is set; its weights and
+        velocity sit out the other steps bit-untouched, as if its
+        per-model optimizer never ran."""
+        masks = np.array([[True, False, True], [False, True, True], [True, True, False]])
+        models = _stack_of_perturbed(make_mlp(5, 3, rng, hidden=(6,)), 3, rng)
+        xs = rng.normal(size=(3, 3, 7, 5))
+        ys = rng.integers(0, 3, size=(3, 3, 7))
+        stacked = StackedNetwork.from_models(models)
+        optimizer = StackedSGD(stacked.parameters(), **kwargs)
+        for step, active in enumerate(masks):
+            idx = np.flatnonzero(active)
+            stacked.zero_grad()
+            logits = stacked.forward(xs[step, idx], train=True, idx=idx)
+            stacked.backward(stacked_softmax_ce_grad(logits, ys[step, idx]))
+            optimizer.step(active=active)
+        for i, model in enumerate(models):
+            steps = np.flatnonzero(masks[:, i])
+            expected = _per_model_train(model.clone(), xs[steps, i], ys[steps, i], kwargs)
+            np.testing.assert_array_equal(stacked.get_flat()[i], expected)
+
+    def test_step_lr_override(self, rng, policy):
+        """``step(lr=...)`` overrides the rate on the full-stack and the
+        masked branch alike, as ``SGD.step(lr=...)`` does per model."""
+        models = _stack_of_perturbed(make_mlp(4, 3, rng, hidden=(5,)), 2, rng)
+        xs = rng.normal(size=(2, 2, 6, 4))  # (step, model, batch, feature)
+        ys = rng.integers(0, 3, size=(2, 2, 6))
+        rates = (0.03, 0.02)
         stacked = StackedNetwork.from_models(models)
         optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.9)
-        xs = rng.normal(size=(2, 5, 4))
-        ys = rng.integers(0, 3, size=(2, 5))
-        before = stacked.get_flat().copy()
-
-        stacked.zero_grad()
-        logits = stacked.forward(xs, train=True, idx=[0, 2])
-        stacked.backward(stacked_softmax_ce_grad(logits, ys))
-        optimizer.step(active=np.array([True, False, True]))
-
-        after = stacked.get_flat()
-        np.testing.assert_array_equal(after[1], before[1])  # bit-untouched
-        for row, i in ((0, 0), (2, 1)):
-            flat, _ = _per_model_step(models[row].clone(), xs[i], ys[i])
-            np.testing.assert_array_equal(after[row], flat)
-
-    def test_weight_decay_and_nesterov_match(self, rng):
-        template = make_mlp(4, 3, rng, hidden=(4,))
-        models = _stack_of_perturbed(template, 2, rng)
-        xs = rng.normal(size=(2, 6, 4))
-        ys = rng.integers(0, 3, size=(2, 6))
-
-        stacked = StackedNetwork.from_models(models)
-        optimizer = StackedSGD(
-            stacked.parameters(), lr=0.05, momentum=0.8, weight_decay=1e-3,
-            nesterov=True,
-        )
-        for _ in range(3):
+        for step, active in enumerate((None, np.array([True, True]))):
             stacked.zero_grad()
-            logits = stacked.forward(xs, train=True)
-            stacked.backward(stacked_softmax_ce_grad(logits, ys))
-            optimizer.step()
-
+            logits = stacked.forward(xs[step], train=True)
+            stacked.backward(stacked_softmax_ce_grad(logits, ys[step]))
+            optimizer.step(active=active, lr=rates[step])
+        loss = SoftmaxCrossEntropy()
         for i, model in enumerate(models):
             clone = model.clone()
-            loss = SoftmaxCrossEntropy()
-            sgd = SGD(clone.parameters(), lr=0.05, momentum=0.8,
-                      weight_decay=1e-3, nesterov=True)
-            for _ in range(3):
+            sgd = SGD(clone.parameters(), lr=0.1, momentum=0.9)
+            for step in range(2):
                 clone.zero_grad()
-                loss.forward(clone.forward(xs[i], train=True), ys[i])
+                loss.forward(clone.forward(xs[step, i], train=True), ys[step, i])
                 clone.backward(loss.backward())
-                sgd.step()
+                sgd.step(lr=rates[step])
             np.testing.assert_array_equal(stacked.get_flat()[i], clone.get_flat())
 
-    def test_clip_matches_per_model_clip(self, rng):
+    @pytest.mark.parametrize("active", [None, (True, False, True)])
+    def test_clip_matches_per_model_clip(self, rng, policy, active):
+        """Clipping rounds each model's scale in the gradient dtype, as the
+        per-model multiply does; a model outside ``active`` is not clipped."""
         from repro.fl.client import clip_gradients
 
-        template = make_mlp(4, 3, rng, hidden=(4,))
-        models = _stack_of_perturbed(template, 3, rng)
+        models = _stack_of_perturbed(make_mlp(4, 3, rng, hidden=(4,)), 3, rng)
         xs = rng.normal(size=(3, 6, 4)) * 5.0  # large inputs force clipping
         ys = rng.integers(0, 3, size=(3, 6))
-
         stacked = StackedNetwork.from_models(models)
         stacked.zero_grad()
         logits = stacked.forward(xs, train=True)
         stacked.backward(stacked_softmax_ce_grad(logits, ys))
-        clip_gradients_stacked(stacked.parameters(), 0.05)
+        before = _grad_rows(stacked)
+        mask = None if active is None else np.array(active)
+        clip_gradients_stacked(stacked.parameters(), 0.05, mask)
+        after = _grad_rows(stacked)
 
         loss = SoftmaxCrossEntropy()
         for i, model in enumerate(models):
+            assert np.linalg.norm(before[i]) > 0.05
+            if mask is not None and not mask[i]:
+                np.testing.assert_array_equal(after[i], before[i])
+                continue
             clone = model.clone()
             clone.zero_grad()
             loss.forward(clone.forward(xs[i], train=True), ys[i])
             clone.backward(loss.backward())
             clip_gradients(clone, 0.05)
-            offset = 0
-            stacked_grads = np.concatenate(
-                [p.grad[i].ravel() for p in stacked.parameters()]
-            )
-            np.testing.assert_array_equal(stacked_grads, clone.get_grad_flat())
-            del offset
+            np.testing.assert_array_equal(after[i], clone.get_grad_flat())
+
+    def test_clip_below_the_bound_leaves_gradients_untouched(self, rng):
+        models = _stack_of_perturbed(make_mlp(4, 3, rng, hidden=(5,)), 3, rng)
+        xs = rng.normal(size=(3, 6, 4))
+        ys = rng.integers(0, 3, size=(3, 6))
+        stacked = StackedNetwork.from_models(models)
+        stacked.zero_grad()
+        stacked.backward(stacked_softmax_ce_grad(stacked.forward(xs, train=True), ys))
+        before = _grad_rows(stacked)
+        clip_gradients_stacked(stacked.parameters(), 1e6)
+        np.testing.assert_array_equal(_grad_rows(stacked), before)
 
     def test_clip_rejects_bad_norm(self):
         with pytest.raises(ValueError):
             clip_gradients_stacked([StackedParameter(np.zeros((2, 3)))], 0.0)
 
-    def test_dropout_streams_match_cloned_models(self, rng):
-        template = make_mlp(5, 3, rng, hidden=(6,), dropout=0.4)
-        # Per-model path: each clone's dropout generator is a deepcopy of
-        # the template's; the stacked path must reproduce exactly that.
-        xs = rng.normal(size=(3, 7, 5))
-        ys = rng.integers(0, 3, size=(3, 7))
-        stacked = StackedNetwork.from_models([template] * 3)
-        optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.0)
-        stacked.zero_grad()
-        logits = stacked.forward(xs, train=True)
-        stacked.backward(stacked_softmax_ce_grad(logits, ys))
-        optimizer.step()
+    @pytest.mark.parametrize("batch, classes", [(1, 2), (7, 3), (16, 10)])
+    def test_softmax_ce_grad_matches_loss_backward(self, rng, policy, batch, classes):
+        logits = rng.normal(size=(3, batch, classes)).astype(policy)
+        targets = rng.integers(0, classes, size=(3, batch))
+        grad = stacked_softmax_ce_grad(logits, targets)
+        assert grad.dtype == policy
+        loss = SoftmaxCrossEntropy()
         for i in range(3):
-            flat, _ = _per_model_step(template.clone(), xs[i], ys[i], momentum=0.0)
+            loss.forward(logits[i], targets[i])
+            np.testing.assert_array_equal(grad[i], loss.backward())
+
+    def test_bias_free_dense_layers(self, rng, policy):
+        template = Network(
+            [Dense(5, 4, rng, bias=False), ReLU(), Dense(4, 3, rng, bias=False)]
+        )
+        models = _stack_of_perturbed(template, 3, rng)
+        flats = np.stack([model.get_flat() for model in models])
+        np.testing.assert_array_equal(
+            StackedNetwork.from_network(template, flats).get_flat(), flats
+        )
+        xs = rng.normal(size=(3, 6, 5))
+        ys = rng.integers(0, 3, size=(3, 6))
+        stacked = StackedNetwork.from_models(models)
+        assert all(layer.bias is None for layer in stacked.layers
+                   if isinstance(layer, StackedDense))
+        optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.9)
+        stacked.zero_grad()
+        stacked.backward(stacked_softmax_ce_grad(stacked.forward(xs, train=True), ys))
+        optimizer.step()
+        for i, model in enumerate(models):
+            flat, _ = _per_model_step(model.clone(), xs[i], ys[i])
             np.testing.assert_array_equal(stacked.get_flat()[i], flat)
+
+
+class TestGradientBuffers:
+    def test_only_a_leading_dense_skips_the_input_gradient(self, rng):
+        stacked = StackedNetwork.from_models([make_mlp(4, 3, rng, hidden=(5, 4))])
+        flags = [layer.skip_input_grad for layer in stacked.layers
+                 if isinstance(layer, StackedDense)]
+        assert flags == [True, False, False]
+
+    def test_leading_relu_backpropagates_the_input_gradient(self, rng):
+        models = _stack_of_perturbed(Network([ReLU(), Dense(4, 3, rng)]), 2, rng)
+        xs = rng.normal(size=(2, 5, 4))
+        ys = rng.integers(0, 3, size=(2, 5))
+        stacked = StackedNetwork.from_models(models)
+        assert not stacked.layers[1].skip_input_grad
+        logits = stacked.forward(xs, train=True)
+        grad_in = stacked.backward(stacked_softmax_ce_grad(logits, ys))
+        loss = SoftmaxCrossEntropy()
+        for i, model in enumerate(models):
+            loss.forward(model.forward(xs[i], train=True), ys[i])
+            np.testing.assert_array_equal(grad_in[i], model.backward(loss.backward()))
+
+    def test_inference_only_stack_allocates_no_gradients(self, rng):
+        """The validation path only predicts, so it never pays for
+        gradient buffers."""
+        models = _stack_of_perturbed(make_mlp(4, 3, rng, hidden=(5,)), 3, rng)
+        stacked = StackedNetwork.from_models(models)
+        stacked.predict(rng.normal(size=(9, 4)))
+        stacked.zero_grad()
+        assert all(p._grad is None for p in stacked.parameters())
+
+    def test_zero_grad_clears_every_model(self, rng):
+        models = _stack_of_perturbed(make_mlp(4, 3, rng, hidden=(5,)), 3, rng)
+        xs = rng.normal(size=(3, 6, 4))
+        ys = rng.integers(0, 3, size=(3, 6))
+        stacked = StackedNetwork.from_models(models)
+        stacked.backward(stacked_softmax_ce_grad(stacked.forward(xs, train=True), ys))
+        assert np.any(_grad_rows(stacked) != 0.0)
+        stacked.zero_grad()
+        assert np.all(_grad_rows(stacked) == 0.0)
 
 
 class TestErrorsAndEdges:
@@ -367,106 +511,36 @@ def test_property_stacked_step_equals_per_model(
         np.testing.assert_array_equal(stacked.get_flat()[i], flat)
 
 
-def _bn_mlp(input_dim: int, hidden: int, num_classes: int, rng) -> Network:
-    return Network([
-        Dense(input_dim, hidden, rng),
-        BatchNorm1d(hidden),
-        ReLU(),
-        Dense(hidden, num_classes, rng),
-    ])
+#: One example instance per concrete layer type of :mod:`repro.nn.layers`.
+_LAYER_EXAMPLES = {
+    Dense: lambda rng: Dense(3, 2, rng),
+    ReLU: lambda rng: ReLU(),
+}
 
 
-class TestBatchNormAndResidualEquivalence:
-    """Stacked BatchNorm1d / Residual == per-model, bit for bit."""
+class TestSubstrateLockstep:
+    """The per-model and stacked substrates cover the same layer types, so
+    a layer added without a stacked twin fails here instead of silently
+    training per-model."""
 
-    def test_batchnorm_train_step_and_running_stats_match(self, rng):
-        template = _bn_mlp(6, 5, 3, rng)
-        models = _stack_of_perturbed(template, 3, rng)
-        xs = rng.normal(size=(3, 8, 6))
-        ys = rng.integers(0, 3, size=(3, 8))
+    def test_every_layer_type_builds_a_stackable_network(self, rng):
+        defined = {
+            kind for kind in vars(layers).values()
+            if isinstance(kind, type) and issubclass(kind, layers.Layer)
+            and kind is not layers.Layer and kind.__module__ == layers.__name__
+        }
+        assert defined == set(_LAYER_EXAMPLES), (
+            "every layer type needs a stacked twin and an example here"
+        )
+        for make in _LAYER_EXAMPLES.values():
+            network = Network([make(rng)])
+            assert supports_stacking(network)
+            models = _stack_of_perturbed(network, 2, rng)
+            xs = rng.normal(size=(2, 4, 3))
+            out = StackedNetwork.from_models(models).forward(xs)
+            for i, model in enumerate(models):
+                np.testing.assert_array_equal(out[i], model.forward(xs[i]))
 
-        stacked = StackedNetwork.from_models(models)
-        optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.9)
-        stacked.zero_grad()
-        logits = stacked.forward(xs, train=True)
-        stacked.backward(stacked_softmax_ce_grad(logits, ys))
-        optimizer.step()
-
-        stacked_bn = stacked.layers[1]
-        for i, model in enumerate(models):
-            clone = model.clone()
-            flat, _ = _per_model_step(clone, xs[i], ys[i])
-            np.testing.assert_array_equal(stacked.get_flat()[i], flat)
-            # The local (non-parameter) running statistics track too.
-            bn = clone.layers[1]
-            np.testing.assert_array_equal(stacked_bn.running_mean[i], bn.running_mean)
-            np.testing.assert_array_equal(stacked_bn.running_var[i], bn.running_var)
-
-    def test_batchnorm_eval_uses_per_model_running_stats(self, rng):
-        template = _bn_mlp(5, 4, 3, rng)
-        models = _stack_of_perturbed(template, 4, rng)
-        # Desynchronize the running statistics per model before stacking.
-        for i, model in enumerate(models):
-            model.forward(rng.normal(size=(6 + i, 5)), train=True)
-        x = rng.normal(size=(9, 5))
-        out = StackedNetwork.from_models(models).forward(x)
-        for i, model in enumerate(models):
-            np.testing.assert_array_equal(out[i], model.forward(x))
-
-    def test_resnet_lite_train_step_matches(self, rng):
-        template = make_resnet_lite((2, 6, 6), 3, rng, width=4, num_blocks=1)
-        models = _stack_of_perturbed(template, 3, rng)
-        xs = rng.normal(size=(3, 4, 2, 6, 6))
-        ys = rng.integers(0, 3, size=(3, 4))
-
-        stacked = StackedNetwork.from_models(models)
-        optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.9)
-        stacked.zero_grad()
-        logits = stacked.forward(xs, train=True)
-        stacked.backward(stacked_softmax_ce_grad(logits, ys))
-        optimizer.step()
-
-        for i, model in enumerate(models):
-            flat, _ = _per_model_step(model.clone(), xs[i], ys[i])
-            np.testing.assert_array_equal(stacked.get_flat()[i], flat)
-
-    def test_resnet_lite_from_network_shared_input(self, rng):
-        template = make_resnet_lite((2, 6, 6), 3, rng, width=4, num_blocks=2)
-        models = _stack_of_perturbed(template, 3, rng)
-        flats = np.stack([model.get_flat() for model in models])
-        stacked = StackedNetwork.from_network(template, flats)
-        np.testing.assert_array_equal(stacked.get_flat(), flats)
-        x = rng.normal(size=(5, 2, 6, 6))
-        out = stacked.forward(x)
-        for i, model in enumerate(models):
-            np.testing.assert_array_equal(out[i], model.forward(x))
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    count=st.integers(1, 4),
-    input_dim=st.integers(2, 8),
-    hidden=st.integers(2, 8),
-    batch=st.integers(2, 9),
-)
-def test_property_stacked_batchnorm_step_equals_per_model(
-    seed, count, input_dim, hidden, batch
-):
-    """Random odd shapes through BatchNorm1d: stacked == per-model."""
-    rng = np.random.default_rng(seed)
-    template = _bn_mlp(input_dim, hidden, 3, rng)
-    models = _stack_of_perturbed(template, count, rng)
-    xs = rng.normal(size=(count, batch, input_dim))
-    ys = rng.integers(0, 3, size=(count, batch))
-
-    stacked = StackedNetwork.from_models(models)
-    optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.9)
-    stacked.zero_grad()
-    logits = stacked.forward(xs, train=True)
-    stacked.backward(stacked_softmax_ce_grad(logits, ys))
-    optimizer.step()
-
-    for i, model in enumerate(models):
-        flat, _ = _per_model_step(model.clone(), xs[i], ys[i])
-        np.testing.assert_array_equal(stacked.get_flat()[i], flat)
+    @pytest.mark.parametrize("hidden", [(), (4,), (4, 3), (8, 8, 8)])
+    def test_make_mlp_stacks(self, rng, hidden):
+        assert supports_stacking(make_mlp(5, 3, rng, hidden=hidden))
