@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -63,22 +66,76 @@ def once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
-def paired_ratio(run_ref, run_row, rounds: int, block: int):
+#: Block-bootstrap resamples behind a :class:`PairedRatio` interval, the
+#: interval's two-sided coverage, and the resampler's fixed seed (the
+#: same blocks always give the same interval).
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_LEVEL = 0.90
+BOOTSTRAP_SEED = 0
+
+
+@dataclass(frozen=True)
+class PairedRatio:
+    """A paired speed ratio: the median of the per-block ref/row ratios,
+    with a block-bootstrap interval around it."""
+
+    ratio: float
+    low: float
+    high: float
+    #: Row wall-clock over every block, and the rounds each side ran.
+    elapsed: float
+    rounds: int
+    blocks: int
+
+    def verdict(self, floor: float) -> str:
+        """``"pass"`` only when the whole interval clears ``floor``,
+        ``"fail"`` when it lies below it, else ``"inconclusive"``."""
+        if self.low >= floor:
+            return "pass"
+        if self.high < floor:
+            return "fail"
+        return "inconclusive"
+
+
+def _summarize(ratios: list[float], elapsed: float, rounds: int) -> PairedRatio:
+    """Median of the block ratios plus a percentile interval of the median
+    over blocks resampled with replacement."""
+    blocks = np.asarray(ratios)
+    draws = np.random.default_rng(BOOTSTRAP_SEED).choice(
+        blocks, size=(BOOTSTRAP_RESAMPLES, len(blocks))
+    )
+    tail = 50.0 * (1.0 - BOOTSTRAP_LEVEL)
+    low, high = np.percentile(np.median(draws, axis=1), [tail, 100.0 - tail])
+    return PairedRatio(
+        float(np.median(blocks)), float(low), float(high), elapsed, rounds,
+        len(ratios),
+    )
+
+
+def paired_ratio(
+    run_ref, run_row, rounds: int, block: int,
+    floor: float | None = None, max_rounds: int | None = None,
+) -> PairedRatio:
     """Drift-robust paired estimator of a row's speed against a reference.
 
     Alternates blocks of ``block`` rounds (the last one may be shorter)
     between ``run_ref(n)`` and ``run_row(n)`` until ``rounds`` rounds ran;
-    returns ``(median per-block ref/row time ratio, row wall-clock)``.
-    Each block's ratio comes from two adjacent-in-time measurements, so on
-    a shared host whose throughput drifts on the scale of seconds the
-    load curve cancels out: ratios of independently timed runs measure
-    the host, not the code.
+    returns the median per-block ref/row time ratio, its block-bootstrap
+    interval and the row wall-clock.  Each block's ratio comes from two
+    adjacent-in-time measurements, so on a shared host whose throughput
+    drifts on the scale of seconds the load curve cancels out: ratios of
+    independently timed runs measure the host, not the code.
+
+    With a ``floor``, blocks keep coming while the interval straddles it,
+    until ``max_rounds`` rounds ran, so a gate decides from as many blocks
+    as its noise needs; at the cap the verdict stays ``"inconclusive"``.
     """
     ratios: list[float] = []
     elapsed = 0.0
     done = 0
-    while done < rounds:
-        n = min(block, rounds - done)
+
+    def run_block(n: int) -> None:
+        nonlocal elapsed, done
         start = time.perf_counter()
         run_ref(n)
         ref_elapsed = time.perf_counter() - start
@@ -88,9 +145,12 @@ def paired_ratio(run_ref, run_row, rounds: int, block: int):
         ratios.append(ref_elapsed / row_elapsed)
         elapsed += row_elapsed
         done += n
-    ratios.sort()
-    mid = len(ratios) // 2
-    median = (
-        ratios[mid] if len(ratios) % 2 else 0.5 * (ratios[mid - 1] + ratios[mid])
-    )
-    return median, elapsed
+
+    while done < rounds:
+        run_block(min(block, rounds - done))
+    result = _summarize(ratios, elapsed, done)
+    cap = rounds if max_rounds is None else max_rounds
+    while floor is not None and done < cap and result.verdict(floor) == "inconclusive":
+        run_block(min(block, cap - done))
+        result = _summarize(ratios, elapsed, done)
+    return result

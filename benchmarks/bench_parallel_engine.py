@@ -3,7 +3,12 @@
 Runs one defended federated world once per engine row, each engine on the
 store :func:`~repro.fl.parallel.make_engine` gives it —
 
-- ``sequential``: in-process :class:`SequentialExecutor` (no transport);
+- ``sequential``: in-process :class:`SequentialExecutor` pinned to the
+  classic unstacked per-model loop (``cohort_size=1``), the reference
+  every speedup and floor is read against;
+- ``sequential+stack``: the same engine at its default, which stacks the
+  round's eligible clients into one cohort (ungated: it puts the thread
+  and pool engines on record against the sequential default);
 - ``thread``: :class:`ThreadPoolRoundExecutor` over an
   :class:`InProcessModelStore` — zero IPC, zero transport; parallel
   speedup comes from full-cohort stacked training (one vectorized pass
@@ -45,19 +50,27 @@ Usage::
     python benchmarks/bench_parallel_engine.py --workers 8 --rounds 10
 
 Speedups are measured with a drift-robust paired estimator: each row runs
-alongside a private sequential reference simulation, alternating blocks of
-two rounds, and ``speedup_vs_sequential`` is the median of the per-block
-(reference time / row time) ratios.  Ratios of independently timed runs
-are NOT comparable on shared hosts — throughput drifts 1.5x+ over tens of
-seconds — which is why every row carries its own time-adjacent reference.
+alongside a private per-model sequential reference simulation, alternating
+blocks of two rounds, and ``speedup_vs_sequential`` is the median of the
+per-block (reference time / row time) ratios, reported with a 90 %
+block-bootstrap interval.  Ratios of independently timed runs are NOT
+comparable on shared hosts — throughput drifts 1.5x+ over tens of seconds
+— which is why every row carries its own time-adjacent reference, and
+why each row's committed weights are checked against that reference.
 
 The default world is the FedAvg regime (local batch 10, wide fan-out):
 stacked cohort training amortizes per-step Python overhead across models,
 so the engines win even on a single core.  Gates: ``pool+shm`` paired
 speedup >= 1.0x always; ``thread`` >= 1.2x in the full setting (>= 1.0x
-under ``--quick``); divergence 0.0 for every lossless row.  The transport
-numbers are host-independent, including the codec ratios (the gate:
-quantized must cut per-round transport >= 5x vs the identity codec).
+under ``--quick``); tracing keeps >= 0.95x of untraced throughput;
+divergence 0.0 for every lossless row.  A timing gate passes only when
+its whole interval clears the floor and fails when the interval lies
+below it; a gate measures at least ``GATE_MIN_ROUNDS`` rounds, and while
+the interval straddles the floor it adds blocks, up to
+``GATE_MAX_ROUNDS``, and then reports "inconclusive" and fails the run.
+The transport numbers are host-independent, including the codec ratios
+(the gate: quantized must cut per-round transport >= 5x vs the identity
+codec).
 """
 
 from __future__ import annotations
@@ -73,7 +86,12 @@ import numpy as np
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
-from _common import paired_ratio, write_json, write_result  # noqa: E402  (benchmarks/ helper)
+from _common import (  # noqa: E402  (benchmarks/ helper)
+    BOOTSTRAP_LEVEL,
+    paired_ratio,
+    write_json,
+    write_result,
+)
 
 from repro.core.baffle import (
     BaffleConfig,
@@ -99,6 +117,15 @@ from repro.fl.parallel import (
 )
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import make_mlp
+
+#: A timing gate measures at least ``GATE_MIN_ROUNDS`` rounds (6 blocks of
+#: 2: with fewer, a bootstrap interval is little more than the blocks'
+#: range), and while its interval straddles the floor it adds blocks up to
+#: ``GATE_MAX_ROUNDS``.
+GATE_MIN_ROUNDS = 12
+GATE_MAX_ROUNDS = 96
+#: Tracing may cost at most 5 % of round throughput.
+TRACING_FLOOR = 0.95
 
 
 def build_sim(
@@ -147,19 +174,25 @@ def build_sim(
 
 
 def timed_run(
-    args: argparse.Namespace, executor: RoundExecutor, store: ModelStore
+    args: argparse.Namespace,
+    executor: RoundExecutor,
+    store: ModelStore,
+    floor: float | None = None,
 ) -> dict:
     """One engine row: wall-clock, committed weights, transport, codec.
 
     Speedup is measured *paired* (:func:`_common.paired_ratio`): a private
-    sequential reference simulation runs the same world, alternating with
-    the row in blocks of 2 rounds, and the row's speedup is the median
-    per-block reference/row wall-clock ratio.  Comparing a row against a
-    sequential run measured tens of seconds earlier would measure the
-    host's load curve, not the engine.
+    per-model sequential reference simulation runs the same world,
+    alternating with the row in blocks of 2 rounds, and the row's speedup
+    is the median per-block reference/row wall-clock ratio.  Comparing a
+    row against a sequential run measured tens of seconds earlier would
+    measure the host's load curve, not the engine.  A gated row passes
+    its ``floor`` and may run extra blocks to decide it; the reference
+    runs the same rounds, so its committed weights are the row's
+    bit-identity reference.
     """
     ref_store = InProcessModelStore()
-    ref_executor = SequentialExecutor()
+    ref_executor = SequentialExecutor(cohort_size=1)
     ref_executor.bind(store=ref_store)
     with store, executor, ref_store:
         sim = build_sim(args, executor, store)
@@ -167,13 +200,16 @@ def timed_run(
         sim.run_round()  # warmup: process-pool startup, caches, JIT-ish costs
         ref.run_round()
         records = []
-        speedup, elapsed = paired_ratio(
-            ref.run, lambda n: records.extend(sim.run(n)), args.rounds, block=2
+        paired = paired_ratio(
+            ref.run, lambda n: records.extend(sim.run(n)),
+            args.rounds if floor is None else max(args.rounds, GATE_MIN_ROUNDS),
+            block=2, floor=floor, max_rounds=GATE_MAX_ROUNDS,
         )
         return {
-            "rounds_per_s": args.rounds / elapsed,
-            "speedup": speedup,
+            "rounds_per_s": paired.rounds / paired.elapsed,
+            "speedup": paired,
             "flat": sim.global_model.get_flat(),
+            "ref_flat": ref.global_model.get_flat(),
             "transport": float(np.mean([r.transport_bytes for r in records])),
             "raw_transport": float(
                 np.mean([r.raw_transport_bytes for r in records])
@@ -232,6 +268,20 @@ def rejection_audit(args: argparse.Namespace) -> list[str]:
     return failures
 
 
+def gate_failures(label: str, paired, floor: float) -> list[str]:
+    """The failure line of a timing gate (none when its interval clears
+    ``floor``): "fail" when the interval lies below the floor,
+    "inconclusive" when it still straddles it at the block cap."""
+    verdict = paired.verdict(floor)
+    if verdict == "pass":
+        return []
+    return [
+        f"{label} {verdict}: paired ratio {paired.ratio:.3f}x, "
+        f"{BOOTSTRAP_LEVEL:.0%} interval [{paired.low:.3f}, {paired.high:.3f}] "
+        f"vs floor {floor}x after {paired.blocks} blocks"
+    ]
+
+
 def tracing_overhead(args: argparse.Namespace) -> tuple[dict, list[str]]:
     """Traced vs untraced paired throughput: the ≤5% overhead gate.
 
@@ -239,9 +289,9 @@ def tracing_overhead(args: argparse.Namespace) -> tuple[dict, list[str]]:
     in alternating blocks of 2 rounds and takes the median per-block
     ``untraced/traced`` wall-clock ratio — the same drift-robust paired
     estimator as :func:`timed_run`, so a loaded host's throughput curve
-    cancels out of the comparison.  Gate: median ratio >= 0.95 (tracing
-    may cost at most 5% of round throughput), and the two runs must
-    commit bit-identical models (tracing is pure observation).
+    cancels out of the comparison.  Gate: the ratio's interval clears
+    0.95 (tracing may cost at most 5% of round throughput), and the two
+    runs must commit bit-identical models (tracing is pure observation).
     """
     from repro.obs import Tracer
 
@@ -256,10 +306,9 @@ def tracing_overhead(args: argparse.Namespace) -> tuple[dict, list[str]]:
         traced = build_sim(args, traced_exec, traced_store, tracer=tracer)
         untraced.run_round()  # warmup both before any block is timed
         traced.run_round()
-        # Whole blocks of 2 after the warmup, up to max(4, rounds) in all.
-        measured = max(4, args.rounds) - 1
-        ratio, _ = paired_ratio(
-            untraced.run, traced.run, measured + measured % 2, block=2
+        paired = paired_ratio(
+            untraced.run, traced.run, GATE_MIN_ROUNDS, block=2,
+            floor=TRACING_FLOOR, max_rounds=GATE_MAX_ROUNDS,
         )
         identical = bool(
             np.array_equal(
@@ -272,16 +321,17 @@ def tracing_overhead(args: argparse.Namespace) -> tuple[dict, list[str]]:
             "tracing perturbed committed weights — traced and untraced "
             "sequential runs must be bit-identical"
         )
-    if ratio < 0.95:
-        failures.append(
-            f"tracing overhead above the 5% gate (paired untraced/traced "
-            f"ratio {ratio:.3f}, floor 0.95)"
-        )
+    failures += gate_failures(
+        "tracing overhead gate (untraced/traced)", paired, TRACING_FLOOR
+    )
     stats = {
-        "paired_untraced_over_traced": round(ratio, 4),
+        "paired_untraced_over_traced": round(paired.ratio, 4),
+        "interval": [round(paired.low, 4), round(paired.high, 4)],
+        "blocks": paired.blocks,
+        "verdict": paired.verdict(TRACING_FLOOR),
         "spans_recorded": spans,
         "bit_identical": identical,
-        "gate_floor": 0.95,
+        "gate_floor": TRACING_FLOOR,
     }
     return stats, failures
 
@@ -318,49 +368,58 @@ def main(argv: list[str] | None = None) -> int:
         args.hidden = [32]
     args.hidden = tuple(args.hidden)
 
-    #: engine row -> (store codec, engine kind, workers); engine ``None``
-    #: is the sequential loop and ``workers=None`` means ``args.workers``;
+    #: engine row -> (store codec, engine kind, workers, cohort size);
+    #: engine ``None`` is the sequential loop, ``workers=None`` means
+    #: ``args.workers`` and cohort ``None`` the engine's stacking default;
     #: codec rows reuse the shared-memory pool so the codec is the only
     #: variable.  Each row runs on the store ``make_engine`` pairs with its
-    #: engine.  The sequential row is the classic unstacked per-model
-    #: loop — the pool and thread rows additionally exercise their
-    #: cohort-stacking default, which is part of what those engines buy.
+    #: engine.  The sequential row is pinned to the classic unstacked
+    #: per-model loop, so its rows and floors keep their meaning; the
+    #: other rows exercise the cohort-stacking default, which is part of
+    #: what every engine buys.
     ROWS = {
-        "sequential": ("identity", None, None),
-        "thread": ("identity", "thread", None),
-        "pool+shm": ("identity", "process", None),
-        "pool+shm+f16": ("float16", "process", None),
-        "pool+shm+quant": ("quantized", "process", None),
+        "sequential": ("identity", None, None, 1),
+        "sequential+stack": ("identity", None, None, None),
+        "thread": ("identity", "thread", None, None),
+        "pool+shm": ("identity", "process", None, None),
+        "pool+shm+f16": ("float16", "process", None, None),
+        "pool+shm+quant": ("quantized", "process", None, None),
     }
     # Worker-scaling rows: the same engines at half fan-out, so the report
     # shows throughput moving with worker count.  Redundant under --quick
     # (the smoke setting already runs 2 workers).
     scaled = max(2, args.workers // 2)
     if scaled != args.workers:
-        ROWS[f"thread+w{scaled}"] = ("identity", "thread", scaled)
-        ROWS[f"pool+shm+w{scaled}"] = ("identity", "process", scaled)
+        ROWS[f"thread+w{scaled}"] = ("identity", "thread", scaled, None)
+        ROWS[f"pool+shm+w{scaled}"] = ("identity", "process", scaled, None)
+    # Dispatch-overhead gates: batched per-worker dispatch plus the
+    # cohort-stacking default must make fan-out pay for itself even on a
+    # single-core host.  Quick mode keeps the floors at parity (a small
+    # world on a loaded CI box measures overhead, not headroom); the full
+    # setting additionally demands the thread engine's zero-IPC margin.
+    FLOORS = {"pool+shm": 1.0, "thread": 1.0 if args.quick else 1.2}
 
     def engine_for(name):
-        codec, engine, workers = ROWS[name]
+        codec, engine, workers, cohort_size = ROWS[name]
         if engine is None:
-            return make_engine(0, codec=codec)
+            return make_engine(0, codec=codec, cohort_size=cohort_size)
         return make_engine(
             workers if workers is not None else args.workers,
             engine=engine, codec=codec, require_lossless=False,
+            cohort_size=cohort_size,
         )
 
     results = {}
     for name in ROWS:
         round_engine = engine_for(name)
         results[name] = timed_run(
-            args, round_engine.executor, round_engine.store
+            args, round_engine.executor, round_engine.store,
+            floor=FLOORS.get(name),
         )
-    seq = results["sequential"]
-    seq_flat = seq["flat"]
-    model_bytes = seq_flat.nbytes
+    model_bytes = results["sequential"]["flat"].nbytes
 
     # Held-out accuracy: the measured cost of lossy transport (lossless
-    # rows must match the sequential figure exactly).
+    # rows must match their per-model reference exactly).
     eval_task = SyntheticCifar()
     eval_data = eval_task.sample(500, np.random.default_rng(999))
     template = make_mlp(
@@ -379,18 +438,19 @@ def main(argv: list[str] | None = None) -> int:
         f"shard={args.shard}), {args.validators} validators, "
         f"lookback={args.lookback}, hidden={args.hidden}",
         f"host: {os.cpu_count()} cpu core(s); measured over {args.rounds} "
-        f"rounds after 1 warmup; model = {model_bytes} bytes (float64); "
-        "speedups are medians of paired adjacent-in-time blocks against a "
-        "private sequential reference run",
-        f"{'engine':<15} {'codec':>9} {'rounds/s':>9} {'speedup':>8} "
-        f"{'transport B/rd':>15} {'ratio':>6} "
+        f"rounds after 1 warmup (gated rows: {GATE_MIN_ROUNDS}-{GATE_MAX_ROUNDS}"
+        f" rounds); model = "
+        f"{model_bytes} bytes (float64); speedups are medians of paired "
+        "adjacent-in-time blocks against a private per-model sequential "
+        f"reference run, with {BOOTSTRAP_LEVEL:.0%} block-bootstrap intervals",
+        f"{'engine':<16} {'codec':>9} {'rounds/s':>9} {'speedup':>8} "
+        f"{'interval':>13} {'transport B/rd':>15} {'ratio':>6} "
         f"{'divergence':>11} {'acc':>6}",
     ]
-    seq_acc = accuracy_of(seq_flat)
     json_rows = []
     divergence = 0.0
     for name, row in results.items():
-        row_divergence = float(np.max(np.abs(seq_flat - row["flat"])))
+        row_divergence = float(np.max(np.abs(row["ref_flat"] - row["flat"])))
         # Only identity-codec rows enter the zero-divergence gate: float16
         # runs are bit-identical to *each other*, not to the identity
         # baseline (the canonicalized trajectory differs), and lossy rows
@@ -401,30 +461,40 @@ def main(argv: list[str] | None = None) -> int:
             row["raw_transport"] / row["transport"] if row["transport"] else 1.0
         )
         acc = accuracy_of(row["flat"])
+        speed = row["speedup"]
         lines.append(
-            f"{name:<15} {row['codec']:>9} {row['rounds_per_s']:9.3f} "
-            f"{row['speedup']:7.2f}x {row['transport']:15.1f} "
-            f"{ratio:5.1f}x {row_divergence:11.1e} "
+            f"{name:<16} {row['codec']:>9} {row['rounds_per_s']:9.3f} "
+            f"{speed.ratio:7.2f}x {f'[{speed.low:.2f}, {speed.high:.2f}]':>13} "
+            f"{row['transport']:15.1f} {ratio:5.1f}x {row_divergence:11.1e} "
             f"{acc:6.3f}"
         )
         json_rows.append(
             {
                 "engine": name,
                 "workers": (
-                    1 if name == "sequential"
+                    1 if ROWS[name][1] is None
                     else ROWS[name][2] if ROWS[name][2] is not None
                     else args.workers
                 ),
+                "cohort_size": ROWS[name][3],
                 "codec": row["codec"],
                 "lossless": row["lossless"],
                 "rounds_per_s": round(row["rounds_per_s"], 4),
-                "speedup_vs_sequential": round(row["speedup"], 4),
+                "speedup_vs_sequential": round(speed.ratio, 4),
+                "speedup_interval": [round(speed.low, 4), round(speed.high, 4)],
+                "measured_rounds": speed.rounds,
+                "gate_floor": FLOORS.get(name),
+                "gate_verdict": (
+                    speed.verdict(FLOORS[name]) if name in FLOORS else None
+                ),
                 "transport_bytes_per_round": round(row["transport"], 1),
                 "raw_bytes_per_round": round(row["raw_transport"], 1),
                 "compression_ratio": round(ratio, 3),
                 "weight_divergence_vs_sequential": row_divergence,
                 "accuracy": round(acc, 4),
-                "accuracy_delta_vs_sequential": round(acc - seq_acc, 4),
+                "accuracy_delta_vs_sequential": round(
+                    acc - accuracy_of(row["ref_flat"]), 4
+                ),
             }
         )
     lines.append(
@@ -432,8 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         f"(identity-codec rows): {divergence:.1e}"
     )
     shm_transport = results["pool+shm"]["transport"]
-    sync_speed = results["pool+shm"]["speedup"]
-    thread_speed = results["thread"]["speedup"]
     quant_transport = results["pool+shm+quant"]["transport"]
     codec_reduction = (
         shm_transport / quant_transport if quant_transport else float("inf")
@@ -444,9 +512,9 @@ def main(argv: list[str] | None = None) -> int:
         "history length and fan-out width (O(1) new-model transport)."
     )
     lines.append(
-        f"thread engine: {thread_speed:.2f}x sequential with zero "
-        f"transport ({results['thread']['transport']:.0f} B/round) — "
-        "fan-out without IPC or serialization, cohort stacking on by "
+        f"thread engine: {results['thread']['speedup'].ratio:.2f}x sequential "
+        f"with zero transport ({results['thread']['transport']:.0f} B/round) "
+        "— fan-out without IPC or serialization, cohort stacking on by "
         "default"
     )
     lines.append(
@@ -454,10 +522,13 @@ def main(argv: list[str] | None = None) -> int:
         "via pool+shm+quant (paper Sec. VI-D budgets ~10x; gate >= 5x)"
     )
     trace_stats, trace_failures = tracing_overhead(args)
+    low, high = trace_stats["interval"]
     lines.append(
         f"tracing overhead: paired untraced/traced throughput ratio "
-        f"{trace_stats['paired_untraced_over_traced']:.3f} (gate >= 0.95, "
-        f"i.e. tracing costs <= 5%), {trace_stats['spans_recorded']} spans "
+        f"{trace_stats['paired_untraced_over_traced']:.3f} [{low:.3f}, "
+        f"{high:.3f}] over {trace_stats['blocks']} blocks (gate: interval "
+        f">= {TRACING_FLOOR}, i.e. tracing costs <= 5%; "
+        f"{trace_stats['verdict']}), {trace_stats['spans_recorded']} spans "
         f"recorded, bit-identity "
         f"{'intact' if trace_stats['bit_identical'] else 'BROKEN'}"
     )
@@ -501,24 +572,9 @@ def main(argv: list[str] | None = None) -> int:
             f"codec transport reduction {codec_reduction:.2f}x below the "
             "5x acceptance floor (paper budget ~10x)"
         )
-    # Dispatch-overhead gates: batched per-worker dispatch plus the
-    # cohort-stacking default must make fan-out pay for itself even on a
-    # single-core host.  Quick mode keeps the floors at parity (a small
-    # world on a loaded CI box measures overhead, not headroom); the full
-    # setting additionally demands the thread engine's zero-IPC margin.
-    pool_floor = 1.0
-    thread_floor = 1.0 if args.quick else 1.2
-    if sync_speed < pool_floor:
-        failures.append(
-            f"pool+shm lost to sequential (paired speedup {sync_speed:.3f}x;"
-            f" floor {pool_floor:.1f}x): batched dispatch is not paying for "
-            "process fan-out"
-        )
-    if thread_speed < thread_floor:
-        failures.append(
-            f"thread engine below its floor (paired speedup "
-            f"{thread_speed:.3f}x; floor {thread_floor:.1f}x): zero-IPC "
-            "fan-out should beat the sequential loop"
+    for name, floor in FLOORS.items():
+        failures += gate_failures(
+            f"{name} speedup floor", results[name]["speedup"], floor
         )
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     for population in sizes:
         sim = sims[population]
         records = []
-        ratio, elapsed = paired_ratio(
+        paired = paired_ratio(
             lambda n: ref.run(n),
             lambda n: records.extend(sim.run(n)),
             args.rounds,
@@ -253,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
         round_rows.append(
             {
                 "population": population,
-                "rounds_per_s": round(args.rounds / elapsed, 4),
-                "paired_time_ratio_vs_baseline": round(1.0 / ratio, 4),
+                "rounds_per_s": round(args.rounds / paired.elapsed, 4),
+                "paired_time_ratio_vs_baseline": round(1.0 / paired.ratio, 4),
                 "materialized_clients_peak": materialized,
                 "peak_rss_kb": records[-1].peak_rss_kb,
             }
@@ -304,9 +304,9 @@ def main(argv: list[str] | None = None) -> int:
                 precision_sims[policy].run(n)
         return run
 
-    f32_speedup, f32_elapsed = paired_ratio(
+    f32_speedup = paired_ratio(
         run_policy("float64"), run_policy("float32"), precision_rounds, block
-    )
+    ).ratio
     flats = {
         policy: sim.global_model.get_flat()
         for policy, sim in precision_sims.items()

@@ -6,12 +6,15 @@ Two modes:
   functions time the operations the experiment harness leans on (local
   training, Algorithm 2 validation, LOF, aggregation), so regressions in
   the substrate show up as benchmark deltas.
-- As a standalone script it benchmarks **stacked vs per-model** execution
-  (the stacked-cohort PR): a client-training round through
-  :func:`repro.fl.cohort.cohort_updates` and cold validation-profile
-  computation through :func:`repro.core.errors.stacked_error_profiles`,
-  across three worlds, asserting bit-identical results and minimum
-  speedups, and archiving machine-readable
+- As a standalone script it benchmarks **stacked vs per-model** execution:
+  a client-training round through :func:`repro.fl.cohort.cohort_updates`
+  and cold validation-profile computation through
+  :func:`repro.core.errors.stacked_error_profiles`, across three
+  equal-shard worlds, plus the training round alone on two *detect*
+  worlds whose ten shards have the sizes of the seed-0 ``detect``
+  partition (CIFAR Dirichlet(0.9), FEMNIST per-writer), so the ragged
+  tail every paper round trains is on record.  It asserts bit-identical
+  results and minimum speedups, and archives machine-readable
   ``benchmarks/results/BENCH_substrate.json`` (full setting only;
   ``--quick`` runs never write it).
 
@@ -151,6 +154,8 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
     from repro.core.errors import model_error_profile, stacked_error_profiles
     from repro.data.partition import iid_partition
     from repro.data.synthetic_femnist import SyntheticFemnist
+    from repro.experiments import environment
+    from repro.experiments.configs import ExperimentConfig
     from repro.fl.client import HonestClient
     from repro.fl.cohort import cohort_updates
 
@@ -162,14 +167,42 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
     args = parser.parse_args()
     reps = args.reps if args.reps is not None else (5 if args.quick else 15)
 
-    #: (name, task factory, clients, shard, hidden, train gate, profile gate).
-    #: Gates are measured-robust floors per world on the reference
-    #: single-core CPU (see module docstring), asserted over the best-of
-    #: repetitions; bit-identity is asserted unconditionally.
+    def iid_world(task_factory, num_clients, shard_size):
+        """``num_clients`` equal training shards plus one validation shard."""
+        def build(rng):
+            task = task_factory()
+            pool = task.sample(shard_size * (num_clients + 1), rng)
+            parts = iid_partition(len(pool), num_clients + 1, rng)
+            shards = [pool.subset(p) for p in parts]
+            return shards[:num_clients], shards[num_clients]
+        return build
+
+    def detect_world(dataset):
+        """Clients 1-10 of the seed-0 ``detect`` partition (client 0 is the
+        attacker), built by the environment's own data layout."""
+        def build(rng):
+            del rng  # the partition draws from the experiment seed
+            config = ExperimentConfig(dataset=dataset)
+            data_rng = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[0])
+            layout = (environment._build_cifar if dataset == "cifar"
+                      else environment._build_femnist)
+            return layout(config, data_rng)[0][1:11], None
+        return build
+
+    #: (name, shards, hidden, train gate, profile gate or None when the
+    #: world has no validation row).  Gates are measured-robust floors per
+    #: world on the reference CPU (see module docstring), asserted over the
+    #: best-of repetitions; bit-identity is asserted unconditionally.  The
+    #: detect worlds' floor of 1.0 is the stacking default's own condition:
+    #: the stack must beat the per-model loop on the shards a round trains.
     worlds = [
-        ("cifar-default", SyntheticCifar, 10, 100, (64,), 1.05, 0.9),
-        ("femnist", lambda: SyntheticFemnist(num_writers=30), 10, 100, (64,), 1.4, 1.05),
-        ("overhead-bound", lambda: SyntheticFemnist(num_writers=30), 10, 40, (32,), 1.6, 1.15),
+        ("cifar-default", iid_world(SyntheticCifar, 10, 100), (64,), 1.05, 0.9),
+        ("femnist", iid_world(lambda: SyntheticFemnist(num_writers=30), 10, 100),
+         (64,), 1.4, 1.05),
+        ("overhead-bound", iid_world(lambda: SyntheticFemnist(num_writers=30), 10, 40),
+         (32,), 1.6, 1.15),
+        ("detect-cifar", detect_world("cifar"), (64,), 1.0, None),
+        ("detect-femnist", detect_world("femnist"), (64,), 1.0, None),
     ]
 
     def best_of(fn, count):
@@ -186,13 +219,13 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
     misses = []  # speedup floors: hard in full mode, advisory under --quick
     #   (shared CI runners add wall-clock noise the floors cannot absorb;
     #   the parallel bench skips its wall-clock gate on CI the same way)
-    for name, task_factory, num_clients, shard_size, hidden, train_gate, profile_gate in worlds:
+    for name, build, hidden, train_gate, profile_gate in worlds:
         rng = np.random.default_rng(0)
-        task = task_factory()
-        pool = task.sample(shard_size * (num_clients + 1), rng)
-        parts = iid_partition(len(pool), num_clients + 1, rng)
-        shards = [pool.subset(p) for p in parts]
-        model = make_mlp(task.flat_dim, task.num_classes, rng, hidden=hidden)
+        shards, validation_data = build(rng)
+        num_clients = len(shards)
+        model = make_mlp(
+            shards[0].x.shape[1], shards[0].num_classes, rng, hidden=hidden
+        )
         config = LocalTrainingConfig(epochs=2, batch_size=32, lr=0.05, momentum=0.9)
 
         # --- client-training round: per-model vs stacked cohort ---------
@@ -207,7 +240,7 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
         def train_stacked():
             return cohort_updates(
                 model,
-                shards[:num_clients],
+                shards,
                 config,
                 [np.random.default_rng(i) for i in range(num_clients)],
             )
@@ -222,6 +255,7 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
         rows.append({
             "world": name, "row": "client-training-round",
             "models": num_clients,
+            "shard_sizes": [len(shard) for shard in shards],
             "per_model_s": seq_s, "stacked_s": stk_s,
             "speedup": train_speedup, "identical": identical,
             "gate": train_gate,
@@ -233,6 +267,8 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
                 f"{name}: training speedup {train_speedup:.2f}x < floor {train_gate}x"
             )
 
+        if validation_data is None:
+            continue
         # --- cold validation: candidate + 20-model history profiles -----
         history_model = model.clone()
         stack_models = []
@@ -241,7 +277,6 @@ def _standalone_main() -> int:  # pragma: no cover - exercised by CI script run
                 history_model, shards[0], LocalTrainingConfig(epochs=1, lr=0.02), rng
             )
             stack_models.append(history_model.clone())
-        validation_data = shards[num_clients]
 
         def profiles_per_model():
             return [model_error_profile(m, validation_data) for m in stack_models]

@@ -231,10 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="cohort_size",
                        help="stack up to this many of a round's honest "
                             "clients into one batched training cohort "
-                            "(0/1 = one model at a time; default: pool and "
-                            "thread engines stack everything eligible, "
-                            "sequential runs per-model; results are "
-                            "identical)")
+                            "(0/1 = one model at a time; default: every "
+                            "engine stacks everything eligible; results "
+                            "are identical)")
         p.add_argument("--codec", choices=codec_names(), default="identity",
                        help="weight-compression codec on the store "
                             "transport path (lossless: identity, float16; "

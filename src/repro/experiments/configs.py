@@ -98,11 +98,11 @@ class ExperimentConfig:
     engine: str = "auto"
     # Stacked cohort execution (repro.fl.cohort): gather up to this many of
     # a round's honest clients into one batched training stack (0/1 = one
-    # model at a time; None = each executor's default — pool and thread
-    # engines stack everything eligible, sequential stays per-model).
-    # Stacked and per-model paths commit bit-identical models, so this is
-    # a pure throughput knob like ``workers`` and stays out of
-    # ``environment_key``.
+    # model at a time, the per-model reference loop; None = every engine
+    # stacks everything eligible, the process pool spreading the stack
+    # over its workers).  Stacked and per-model paths commit bit-identical
+    # models, so this is a pure throughput knob like ``workers`` and stays
+    # out of ``environment_key``.
     cohort_size: int | None = None
     # Weight-compression codec on the store transport path
     # (repro.fl.compression).  Unlike the engine knobs above, a

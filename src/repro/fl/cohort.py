@@ -2,10 +2,11 @@
 
 Every selected honest client runs the same algorithm —
 ``local_train(clone(G), shard)`` — differing only in data and RNG stream.
-The per-model engine dispatches those trainings one Python-driven model at
-a time; this module gathers a round's *cohortable* clients into one
+The per-model loop trains those clients one Python-driven model at a
+time; this module gathers a round's *cohortable* clients into one
 :class:`~repro.nn.stacked.StackedNetwork` and trains all of them in single
-batched calls, then scatters the resulting update vectors back per client.
+batched calls, then returns the resulting update vectors per client.
+Every engine stacks its round this way by default.
 
 Bit-identity
 ------------
@@ -16,12 +17,15 @@ equivalence matrix includes cohort-enabled runs):
   permutations, drawn in the per-model call order.
 - Batches are never padded.  A GEMM over ``b`` rows zero-padded to ``b' >
   b`` rows may round differently (different kernel path), so each training
-  step partitions the active clients by their *exact* batch size and runs
-  one stacked forward/backward per size group — unequal shard sizes cost
-  extra group dispatches only on the ragged tail steps, while all
-  full-size batches stay in one stack.
-- Clients whose epoch ran out of batches skip the optimizer step entirely
-  (masked), keeping weights and momentum bit-untouched.
+  step runs one stacked forward/backward per *exact* batch size.
+- The stack is ordered by shard length, longest first (a stable sort).
+  At every step the models that still have a batch are then a prefix of
+  the stack, and the models sharing a batch size a contiguous row range:
+  each group runs on row views of the stacked weights and gradients, and
+  clipping and the SGD step update the prefix in place with the per-model
+  op sequence.  The rows behind the prefix, whose epoch ran out of
+  batches, keep weights and momentum bit-untouched.
+- Updates are returned in the caller's order.
 
 Eligibility
 -----------
@@ -42,6 +46,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.fl.client import Client, HonestClient, LocalTrainingConfig
 from repro.nn.network import Network
+from repro.nn.precision import active_dtype
 from repro.nn.stacked import (
     StackedNetwork,
     StackedSGD,
@@ -104,9 +109,9 @@ def cohort_updates(
 ) -> list[np.ndarray]:
     """Train one clone of ``global_model`` per shard, stacked; return updates.
 
-    The returned flat vectors are ``U_m = L_m - G``, bit-identical to what
-    ``HonestClient.produce_update`` computes one model at a time with the
-    same ``rngs`` (see module docstring for why).
+    The returned flat vectors are ``U_m = L_m - G``, in ``shards`` order and
+    bit-identical to what ``HonestClient.produce_update`` computes one model
+    at a time with the same ``rngs`` (see module docstring for why).
     """
     if len(shards) != len(rngs):
         raise ValueError(f"{len(shards)} shards but {len(rngs)} rng streams")
@@ -115,53 +120,54 @@ def cohort_updates(
     for shard in shards:
         if len(shard) == 0:
             raise ValueError("cannot train on an empty dataset")
-    num_models = len(shards)
+    # Longest shard first, ties in caller order: at every step the models
+    # that still have a batch are a prefix of the stack, and the models
+    # sharing a batch size are a contiguous row range.
+    order = sorted(range(len(shards)), key=lambda m: -len(shards[m]))
+    shards = [shards[m] for m in order]
+    rngs = [rngs[m] for m in order]
+    sizes = [len(shard) for shard in shards]
     global_flat = global_model.get_flat()
-    stacked = StackedNetwork.from_models([global_model] * num_models)
+    stacked = StackedNetwork.from_models([global_model] * len(shards))
+    params = stacked.parameters()
     optimizer = StackedSGD(
-        stacked.parameters(),
+        params,
         lr=config.lr,
         momentum=config.momentum,
         weight_decay=config.weight_decay,
     )
-    sizes = [len(shard) for shard in shards]
     batch = config.batch_size
-    steps = max(-(-n // batch) for n in sizes)
+    # Row m holds client m's shard in this epoch's order, so every group's
+    # batch is a view; rows past a shard's own length are never read.
+    xs = np.empty((len(shards), sizes[0], *shards[0].x.shape[1:]), dtype=active_dtype())
+    ys = np.empty((len(shards), sizes[0]), dtype=np.int64)
     for _ in range(config.epochs):
         # Per-client permutation, drawn at epoch start from the client's
         # own stream — the same draw, at the same point in the stream, as
         # the per-model loop makes.
-        orders = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
-        for step in range(steps):
-            start = step * batch
-            groups: dict[int, list[int]] = {}
-            for m, n in enumerate(sizes):
-                if start < n:
-                    groups.setdefault(min(batch, n - start), []).append(m)
-            if not groups:
-                break
-            active = np.zeros(num_models, dtype=bool)
+        for m, (rng, shard, n) in enumerate(zip(rngs, shards, sizes)):
+            perm = rng.permutation(n)
+            xs[m, :n] = shard.x[perm]
+            ys[m, :n] = shard.y[perm]
+        for start in range(0, sizes[0], batch):
+            active = sum(n > start for n in sizes)
             stacked.zero_grad()
-            for batch_size in sorted(groups):
-                idx = groups[batch_size]
-                rows = [orders[m][start : start + batch_size] for m in idx]
-                xb = np.stack([shards[m].x[r] for m, r in zip(idx, rows)])
-                yb = np.stack([shards[m].y[r] for m, r in zip(idx, rows)])
-                # A group spanning the whole stack (the common case: all
-                # shards still have full batches) skips the per-group
-                # weight gather/scatter entirely.
-                logits = stacked.forward(
-                    xb, train=True, idx=None if len(idx) == num_models else idx
-                )
-                stacked.backward(stacked_softmax_ce_grad(logits, yb))
-                active[idx] = True
+            a = 0
+            while a < active:
+                width = min(batch, sizes[a] - start)
+                b = a + 1
+                while b < active and min(batch, sizes[b] - start) == width:
+                    b += 1
+                window = slice(start, start + width)
+                logits = stacked.forward(xs[a:b, window], train=True, rows=slice(a, b))
+                stacked.backward(stacked_softmax_ce_grad(logits, ys[a:b, window]))
+                a = b
             if config.max_grad_norm is not None:
-                clip_gradients_stacked(
-                    stacked.parameters(), config.max_grad_norm, active
-                )
-            optimizer.step(active=None if active.all() else active)
+                clip_gradients_stacked(params, config.max_grad_norm, active)
+            optimizer.step(count=active)
     flats = stacked.get_flat()
-    return [flats[m] - global_flat for m in range(num_models)]
+    # Row r trained the caller's shard order[r].
+    return [flats[row] - global_flat for row in np.argsort(order)]
 
 
 __all__ = ["cohort_updates", "is_cohortable", "plan_cohorts"]

@@ -40,14 +40,12 @@ thread      one per unit                            pool threads, zero IPC
 process     one per worker, greedy least-loaded     worker processes
 ==========  ======================================  ======================
 
-:class:`SequentialExecutor` runs inline and keeps the classic per-model
-loop unless a ``cohort_size`` is requested; :class:`ThreadPoolRoundExecutor`
-and :class:`ProcessPoolRoundExecutor` stack the whole eligible fan-out by
-default (``cohort_size=None``), the process pool spreading the stack over
-its workers.  Threads share the live clients and validators (the kernels
-are BLAS-bound and release the GIL); a per-validator lock serializes a
-written-off straggler's vote with its parent-side replay, which uses the
-same validator object.
+Every engine stacks the whole eligible fan-out by default
+(``cohort_size=None``), the process pool spreading the stack over its
+workers; ``cohort_size=1`` selects the per-model loop.  Threads share the
+live clients and validators (the kernels are BLAS-bound and release the
+GIL); a per-validator lock serializes a written-off straggler's vote with
+its parent-side replay, which uses the same validator object.
 
 Stragglers
 ----------
@@ -829,9 +827,7 @@ class RoundExecutor:
             cid for cid in contributor_ids
             if (probe(cid) if callable(probe) else _is_parallel_safe(clients[cid]))
         ]
-        size = self.cohort_size
-        if size is None:  # pools stack the whole eligible fan-out
-            size = len(remote) if self.workers > 1 else 1
+        size = len(remote) if self.cohort_size is None else self.cohort_size
         chunks = plan_cohorts(
             clients, remote, global_model, size, spread_over=dispatcher.spread
         )
@@ -1102,9 +1098,10 @@ class SequentialExecutor(RoundExecutor):
     The inline dispatcher never crosses a process boundary, but a store
     bound here is still exposed through :attr:`store`, so
     :class:`~repro.fl.simulation.FederatedSimulation` adopts it for the
-    defense history.  ``cohort_size >= 2`` stacks cohortable honest
-    clients into chunks of at most that many models (bit-identical
-    updates); the default keeps the classic per-model loop.
+    defense history.  The round's cohortable honest clients train as one
+    stack by default; ``cohort_size >= 2`` caps the chunk size and
+    ``cohort_size=1`` keeps the per-model loop (bit-identical updates
+    either way).
     """
 
     def __init__(self, cohort_size: int | None = None) -> None:
@@ -1157,8 +1154,9 @@ def make_executor(
     ``store`` binds a model store at construction (a process pool accepts
     only a shared-memory store; :func:`make_engine` builds the matching
     one).  ``cohort_size`` controls stacked cohort training
-    (:mod:`repro.fl.cohort`): ``None`` keeps each executor's default,
-    ``>= 2`` forces that chunk size, ``0``/``1`` disables stacking.
+    (:mod:`repro.fl.cohort`): ``None`` stacks the whole eligible fan-out
+    (spread over the workers of a process pool), ``>= 2`` caps the chunk
+    size, ``0``/``1`` disables stacking.
     ``faults`` and ``task_deadline_s`` arm the resilience layer
     (:meth:`RoundExecutor.bind_faults`).
     """

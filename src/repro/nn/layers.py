@@ -6,6 +6,8 @@ Conventions
 - ``forward(x, train)`` caches whatever the matching ``backward`` needs on
   the layer instance; a layer therefore processes one batch at a time (which
   is all SGD training needs).
+- Trainable state lives in :class:`Parameter` attributes; any other array
+  attribute is such a batch cache, which ``Network.clone`` does not copy.
 - ``backward(grad_out)`` returns the gradient w.r.t. the layer input and
   *accumulates* parameter gradients into ``Parameter.grad``.
 """

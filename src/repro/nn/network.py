@@ -127,12 +127,34 @@ class Network:
     # Copying
     # ------------------------------------------------------------------
     def clone(self) -> "Network":
-        """Deep copy of the network (weights included, caches discarded)."""
-        return copy.deepcopy(self)
+        """A copy of the network's weights, without its training state.
+
+        Each layer is copied shallowly, then its :class:`Parameter`
+        attributes get copies of their values (same dtype, zero gradient)
+        and its other array attributes — the batch caches ``forward``
+        keeps for ``backward`` — are dropped, so the clone must run its
+        own ``forward(train=True)`` before a ``backward``.
+        """
+        clone = copy.copy(self)
+        clone.layers = [_clone_layer(layer) for layer in self.layers]
+        return clone
 
     def __repr__(self) -> str:
         names = ", ".join(type(layer).__name__ for layer in self.layers)
         return f"Network([{names}], params={self.num_parameters})"
+
+
+def _clone_layer(layer: Layer) -> Layer:
+    clone = copy.copy(layer)
+    for name, value in vars(layer).items():
+        if isinstance(value, Parameter):
+            param = copy.copy(value)
+            param.value = value.value.copy()
+            param.grad = np.zeros_like(param.value)
+            setattr(clone, name, param)
+        elif isinstance(value, np.ndarray):
+            setattr(clone, name, None)
+    return clone
 
 
 def _batches(x: np.ndarray, batch_size: int):

@@ -29,12 +29,14 @@ suite re-verifies both on every host (``tests/nn/test_stacked.py``):
 What does **not** hold is shape invariance: a GEMM over ``b`` rows
 zero-padded to ``b' > b`` rows may take a different kernel path and round
 differently.  Stacked execution therefore never pads batches — callers
-group models by *exact* batch shape (see :mod:`repro.fl.cohort`) and pass
-a model-index subset ``idx`` per call; any op whose batched form would
-reorder floating-point accumulation must instead fall back to per-slice
-evaluation.  Scalar bookkeeping that the per-model path performs in Python
-floats (gradient-norm clipping) is mirrored in Python floats here, not
-vectorized, for the same reason.
+order the stack so that models sharing an *exact* batch shape sit in a
+contiguous row range (see :mod:`repro.fl.cohort`) and run one call per
+range (``rows=slice(a, b)``): weights are read and gradients accumulated
+through views of those rows, never gathered or scattered.  Any op whose
+batched form would reorder floating-point accumulation must instead fall
+back to per-slice evaluation.  Scalar bookkeeping that the per-model path
+performs in Python floats (gradient-norm clipping) is mirrored in Python
+floats here, not vectorized, for the same reason.
 
 Layer coverage maps :mod:`repro.nn.layers`: ``Dense`` and ``ReLU``, plus
 softmax cross-entropy and SGD with momentum / weight decay / gradient
@@ -85,38 +87,22 @@ class StackedParameter:
         if self._grad is not None:
             self._grad.fill(0.0)
 
-    def accumulate(self, idx: np.ndarray | None, grad: np.ndarray) -> None:
-        """Add ``grad`` into the rows selected by ``idx`` (all when None)."""
-        buffer = self.grad
-        if idx is None:
-            buffer += grad
-        else:
-            # Model indices are unique within a call, so fancy-index
-            # read-modify-write accumulates correctly.
-            buffer[idx] += grad
-
     def __repr__(self) -> str:
         return f"StackedParameter(name={self.name!r}, shape={self.value.shape})"
-
-
-def _select(value: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    return value if idx is None else value[idx]
 
 
 class StackedLayer:
     """Base class: forward/backward over ``(m, batch, ...)`` tensors.
 
-    ``idx`` selects the model subset a call runs over (``None`` = the full
-    stack); ``forward(train=True)`` caches what the matching ``backward``
-    needs, exactly like :class:`repro.nn.layers.Layer`.
+    ``rows`` is the contiguous model range a call runs over (``slice(None)``
+    = the full stack); ``forward(train=True)`` caches what the matching
+    ``backward`` needs, exactly like :class:`repro.nn.layers.Layer`.
     """
 
     def parameters(self) -> list[StackedParameter]:
         return []
 
-    def forward(
-        self, x: np.ndarray, idx: np.ndarray | None, train: bool = False
-    ) -> np.ndarray:
+    def forward(self, x: np.ndarray, rows: slice, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -138,7 +124,7 @@ class StackedDense(StackedLayer):
         #: Set by the network on its first parameter layer: the gradient
         #: w.r.t. the input is never consumed there, so backward skips it.
         self.skip_input_grad = False
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray, slice] | None = None
 
     def parameters(self) -> list[StackedParameter]:
         params = [self.weight]
@@ -146,24 +132,24 @@ class StackedDense(StackedLayer):
             params.append(self.bias)
         return params
 
-    def forward(self, x, idx, train=False):
-        w = _select(self.weight.value, idx)
+    def forward(self, x, rows, train=False):
+        w = self.weight.value[rows]
         if train:
-            self._cache = (x, w, idx)
+            self._cache = (x, w, rows)
         out = np.matmul(x, w)
         if self.bias is not None:
             # In-place into the fresh matmul buffer: same scalar adds as
             # the per-model ``out + bias``, one less allocation.
-            np.add(out, _select(self.bias.value, idx)[:, None, :], out=out)
+            np.add(out, self.bias.value[rows][:, None, :], out=out)
         return out
 
     def backward(self, grad_out):
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        x, w, idx = self._cache
-        self.weight.accumulate(idx, np.matmul(x.transpose(0, 2, 1), grad_out))
+        x, w, rows = self._cache
+        self.weight.grad[rows] += np.matmul(x.transpose(0, 2, 1), grad_out)
         if self.bias is not None:
-            self.bias.accumulate(idx, grad_out.sum(axis=1))
+            self.bias.grad[rows] += grad_out.sum(axis=1)
         if self.skip_input_grad:
             return grad_out  # unused upstream of the first parameter layer
         return np.matmul(grad_out, w.transpose(0, 2, 1))
@@ -173,8 +159,8 @@ class StackedReLU(StackedLayer):
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
-    def forward(self, x, idx, train=False):
-        del idx  # parameter-free: the subset is implicit in x
+    def forward(self, x, rows, train=False):
+        del rows  # parameter-free: the range is implicit in x
         if train:
             self._mask = x > 0
         return np.maximum(x, 0.0)
@@ -322,25 +308,22 @@ class StackedNetwork:
     # Forward / backward
     # ------------------------------------------------------------------
     def forward(
-        self,
-        x: np.ndarray,
-        train: bool = False,
-        idx: Sequence[int] | np.ndarray | None = None,
+        self, x: np.ndarray, train: bool = False, rows: slice | None = None
     ) -> np.ndarray:
-        """Batched forward over the models selected by ``idx``.
+        """Batched forward over the contiguous model range ``rows``.
 
-        ``x`` is either ``(m, batch, *sample)`` — one batch per selected
-        model — or a shared ``(batch, *sample)`` array evaluated by every
-        selected model (broadcast along the model axis without copying).
+        ``rows`` is a ``slice(a, b)`` of the stack (``None`` = every model).
+        ``x`` is either ``(b - a, batch, *sample)`` — one batch per model in
+        the range — or a shared ``(batch, *sample)`` array evaluated by
+        every model in it (broadcast along the model axis without copying).
         """
-        if idx is not None:
-            idx = np.asarray(idx, dtype=np.intp)
-        m = self.num_models if idx is None else len(idx)
+        rows = slice(None) if rows is None else rows
         x = np.asarray(x, dtype=active_dtype())
         if self._input_ndim is not None and x.ndim == self._input_ndim:
+            m = len(range(self.num_models)[rows])
             x = np.broadcast_to(x, (m, *x.shape))
         for layer in self.layers:
-            x = layer.forward(x, idx, train=train)
+            x = layer.forward(x, rows, train=train)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -426,32 +409,32 @@ def stacked_softmax_ce_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarr
 def clip_gradients_stacked(
     params: Sequence[StackedParameter],
     max_norm: float,
-    active: np.ndarray | None = None,
+    count: int | None = None,
 ) -> None:
     """Per-model global-norm clipping, mirroring ``fl.client.clip_gradients``.
 
-    The squared sums are vectorized, but the norm / comparison / scale
-    arithmetic runs in Python floats per model — the exact scalar ops the
-    per-model path performs — so clipped gradients stay bit-identical.
+    Clips the first ``count`` models of the stack (all when ``None``); the
+    rows behind them are not read or written.  The squared sums are
+    vectorized, but the norm / comparison / scale arithmetic runs in Python
+    floats per model — the exact scalar ops the per-model path performs —
+    so clipped gradients stay bit-identical.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     if not params:
         return
-    num_models = params[0].num_models
-    totals = [0.0] * num_models
+    count = params[0].num_models if count is None else count
+    totals = [0.0] * count
     for p in params:
-        sums = (p.grad**2).reshape(num_models, -1).sum(axis=1)
-        for m in range(num_models):
+        sums = (p.grad[:count] ** 2).reshape(count, -1).sum(axis=1)
+        for m in range(count):
             totals[m] += float(sums[m])
     # Scales live in the gradient dtype: the per-model path multiplies by
     # a Python float that numpy first casts to the array dtype, so the
     # stacked multiply must round each scale the same way before applying.
-    scales = np.ones(num_models, dtype=params[0].grad.dtype)
+    scales = np.ones(count, dtype=params[0].grad.dtype)
     any_clipped = False
-    for m in range(num_models):
-        if active is not None and not active[m]:
-            continue
+    for m in range(count):
         norm = totals[m] ** 0.5
         if norm > max_norm:
             scales[m] = max_norm / norm
@@ -459,17 +442,19 @@ def clip_gradients_stacked(
     if not any_clipped:
         return
     for p in params:
-        buffer = p.grad
-        buffer *= scales.reshape(num_models, *([1] * (buffer.ndim - 1)))
+        buffer = p.grad[:count]
+        buffer *= scales.reshape(count, *([1] * (buffer.ndim - 1)))
 
 
 class StackedSGD:
     """SGD with momentum/weight-decay over stacked parameters.
 
-    ``step(active=...)`` applies the update only to models that took a
-    batch this step (unequal shard sizes leave some models idle on the
-    tail steps); idle models keep their weights *and* velocities
-    bit-untouched, exactly as if their per-model optimizer never stepped.
+    ``step(count=k)`` updates only the first ``k`` models of the stack, in
+    place through views of their rows: a caller that orders its models by
+    how long they train (:mod:`repro.fl.cohort`) steps exactly the ones
+    that took a batch, while the idle rows behind them keep their weights
+    *and* velocities bit-untouched, as if their per-model optimizer never
+    stepped.
     """
 
     def __init__(
@@ -495,38 +480,25 @@ class StackedSGD:
         self.nesterov = nesterov
         self._velocity = [np.zeros_like(p.value) for p in self.params]
 
-    def step(self, active: np.ndarray | None = None, lr: float | None = None) -> None:
+    def step(self, count: int | None = None, lr: float | None = None) -> None:
+        """Update the first ``count`` models (all when ``None``).
+
+        The exact in-place update sequence the per-model SGD performs
+        (same ops, same order, no intermediate copies), on row views.
+        """
         eta = self.lr if lr is None else lr
+        rows = slice(count)
         for p, vel in zip(self.params, self._velocity):
-            grad = p.grad
+            value, grad, vel = p.value[rows], p.grad[rows], vel[rows]
             if self.weight_decay:
-                grad = grad + self.weight_decay * p.value
-            if active is None:
-                # Full-stack step: the exact in-place update sequence the
-                # per-model SGD performs (same ops, same order, no
-                # intermediate copies).
-                if self.momentum:
-                    vel *= self.momentum
-                    vel += grad
-                    update = grad + self.momentum * vel if self.nesterov else vel
-                else:
-                    update = grad
-                p.value -= eta * update
-                continue
+                grad = grad + self.weight_decay * value
             if self.momentum:
-                vel_new = self.momentum * vel + grad
-                update = grad + self.momentum * vel_new if self.nesterov else vel_new
+                vel *= self.momentum
+                vel += grad
+                update = grad + self.momentum * vel if self.nesterov else vel
             else:
-                vel_new = vel
                 update = grad
-            # Masked step: idle models keep weights and velocity
-            # bit-untouched, as if their per-model optimizer never ran.
-            mask = np.asarray(active, dtype=bool).reshape(
-                -1, *([1] * (p.value.ndim - 1))
-            )
-            if self.momentum:
-                vel[...] = np.where(mask, vel_new, vel)
-            p.value[...] = np.where(mask, p.value - eta * update, p.value)
+            value -= eta * update
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -110,7 +110,7 @@ class TestDegradePolicy:
         """A dropped vote whose surviving quorum still accepts changes
         nothing about the committed models, and the ledger counts the
         loss exactly once."""
-        with SequentialExecutor() as executor:
+        with SequentialExecutor(cohort_size=1) as executor:
             sim = build_policy_sim(executor, store=InProcessModelStore())
             base_records = sim.run(8)
             base_flat = sim.global_model.get_flat()

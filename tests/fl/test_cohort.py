@@ -51,60 +51,66 @@ def _per_model_updates(model, shards, config, seed0=100):
     ]
 
 
-class TestCohortUpdatesBitIdentity:
-    @pytest.mark.parametrize("sizes", [
-        (64, 64, 64),            # uniform: one group per step
-        (100, 64, 37, 5, 101),   # ragged tails, sub-batch shard
-        (3,),                    # M == 1 degenerate stack
-    ])
-    def test_updates_match_per_model_training(self, rng, sizes):
+#: Shard sets at batch size 32.  The stack trains them longest first;
+#: each ragged set stresses one part of that order.
+_SIZES = {
+    "uniform": (64, 64, 64),             # one group per step
+    "mixed": (100, 64, 37, 5, 101),      # ragged tails, sub-batch shard
+    "single": (3,),                      # M == 1 degenerate stack
+    "tied": (40, 23, 40, 23, 40),        # ties keep caller order; 2-model tail
+    "tails": (33, 100, 66, 75, 70, 45),  # several one-model groups in a step
+    "short": (7, 50, 1, 31),             # shorter than one batch, down to 1
+}
+
+#: The four update branches a ``LocalTrainingConfig`` reaches.
+_SGD = {
+    "plain": {"momentum": 0.0},
+    "momentum": {"momentum": 0.9},
+    "decay": {"momentum": 0.0, "weight_decay": 1e-2},
+    "momentum-decay": {"momentum": 0.9, "weight_decay": 1e-4},
+}
+
+
+def _assert_cohort_matches_per_model(rng, sizes, config, policy, hidden=(7,)):
+    from repro.nn.precision import dtype_policy
+
+    with dtype_policy(policy):
         shards = _shards(rng, sizes)
-        model = make_mlp(9, 4, rng, hidden=(7,))
-        config = LocalTrainingConfig(
-            epochs=2, batch_size=32, lr=0.1, momentum=0.9, weight_decay=1e-4
-        )
+        model = make_mlp(9, 4, rng, hidden=hidden)
         expected = _per_model_updates(model, shards, config)
         got = cohort_updates(
             model, shards, config,
             [np.random.default_rng(100 + i) for i in range(len(shards))],
         )
-        assert len(got) == len(expected)
-        for a, b in zip(expected, got):
-            np.testing.assert_array_equal(a, b)
+    assert len(got) == len(expected)
+    for a, b in zip(expected, got):
+        assert b.dtype == np.dtype(policy)
+        np.testing.assert_array_equal(a, b)
+
+
+class TestCohortUpdatesBitIdentity:
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("sgd", list(_SGD.values()), ids=list(_SGD))
+    @pytest.mark.parametrize("sizes", list(_SIZES.values()), ids=list(_SIZES))
+    def test_updates_match_per_model_training(self, rng, sizes, sgd, policy):
+        config = LocalTrainingConfig(epochs=2, batch_size=32, lr=0.1, **sgd)
+        _assert_cohort_matches_per_model(rng, sizes, config, policy)
 
     @pytest.mark.parametrize("policy", ["float64", "float32"])
     @pytest.mark.parametrize("hidden", [(), (7,), (7, 5)])
     def test_every_mlp_depth_under_both_policies(self, rng, hidden, policy):
-        from repro.nn.precision import dtype_policy
-
         config = LocalTrainingConfig(
             epochs=2, batch_size=16, lr=0.1, momentum=0.9, weight_decay=1e-4
         )
-        with dtype_policy(policy):
-            shards = _shards(rng, (40, 23, 40))
-            model = make_mlp(9, 4, rng, hidden=hidden)
-            expected = _per_model_updates(model, shards, config)
-            got = cohort_updates(
-                model, shards, config,
-                [np.random.default_rng(100 + i) for i in range(len(shards))],
-            )
-        assert len(got) == len(expected)
-        for a, b in zip(expected, got):
-            assert b.dtype == np.dtype(policy)
-            np.testing.assert_array_equal(a, b)
+        _assert_cohort_matches_per_model(rng, (40, 23, 40), config, policy, hidden)
 
-    def test_gradient_clipping_matches(self, rng):
-        shards = _shards(rng, (40, 25, 33))
-        model = make_mlp(9, 4, rng, hidden=(7,))
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    @pytest.mark.parametrize("sizes", list(_SIZES.values()), ids=list(_SIZES))
+    def test_gradient_clipping_matches(self, rng, sizes, policy):
         config = LocalTrainingConfig(
-            epochs=2, batch_size=16, lr=0.5, momentum=0.9, max_grad_norm=0.05
+            epochs=2, batch_size=32, lr=0.5, momentum=0.9, max_grad_norm=0.05
         )
-        expected = _per_model_updates(model, shards, config)
-        got = cohort_updates(
-            model, shards, config, [np.random.default_rng(100 + i) for i in range(3)]
-        )
-        for a, b in zip(expected, got):
-            np.testing.assert_array_equal(a, b)
+        _assert_cohort_matches_per_model(rng, sizes, config, policy)
 
     def test_empty_shard_rejected_like_per_model(self, rng):
         shards = _shards(rng, (10,)) + [Dataset(np.zeros((0, 9)), np.zeros(0, dtype=int), 4)]
@@ -178,7 +184,7 @@ class TestExecutorIntegration:
         )
         streams = RngStreams.from_seed(3)
         ids = [0, 2, 3, 5]
-        baseline = SequentialExecutor().run_clients(
+        baseline = SequentialExecutor(cohort_size=1).run_clients(
             clients, ids, model, local, 0, streams
         )
         cohorted = SequentialExecutor(cohort_size=3).run_clients(
@@ -195,7 +201,7 @@ class TestExecutorIntegration:
         )
         streams = RngStreams.from_seed(3)
         ids = [0, 1, 2, 4, 5]
-        baseline = SequentialExecutor().run_clients(
+        baseline = SequentialExecutor(cohort_size=1).run_clients(
             clients, ids, model, local, 0, streams
         )
         with make_engine(2, cohort_size=4) as engine:
@@ -216,7 +222,7 @@ class TestExecutorIntegration:
         )
         streams = RngStreams.from_seed(3)
         ids = [0, 2, 4, 5]
-        baseline = SequentialExecutor().run_clients(
+        baseline = SequentialExecutor(cohort_size=1).run_clients(
             clients, ids, model, local, 0, streams
         )
         with make_engine(2, cohort_size=4) as engine:
@@ -244,7 +250,9 @@ class TestCohortEquivalenceMatrix:
     @pytest.fixture(scope="class")
     def baseline(self):
         return run_and_snapshot(
-            build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
+            build_defended_sim(
+                SequentialExecutor(cohort_size=1), store=InProcessModelStore()
+            )
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -269,7 +277,9 @@ class TestCohortEquivalenceMatrix:
         train on the kept model through the cohort path and commit
         bit-identically to the per-model sequential run."""
         reject = (3, 5)
-        sync_sim = build_forced_sim(SequentialExecutor(), reject_rounds=reject)
+        sync_sim = build_forced_sim(
+            SequentialExecutor(cohort_size=1), reject_rounds=reject
+        )
         sync_records = sync_sim.run(8)
         sync_flat = sync_sim.global_model.get_flat()
 

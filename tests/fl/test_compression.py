@@ -388,7 +388,9 @@ class TestCodecEngineEquivalence:
         from tests.fl.test_parallel import build_defended_sim, run_and_snapshot
 
         baseline_flat, baseline_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
+            build_defended_sim(
+                SequentialExecutor(cohort_size=1), store=InProcessModelStore()
+            )
         )
         for engine in ("process", "thread"):
             with make_engine(2, engine=engine, codec="identity") as round_engine:
@@ -410,7 +412,7 @@ class TestCodecEngineEquivalence:
             store = store_cls(codec=name)
             with store:
                 if label == "seq+inproc":
-                    executor = SequentialExecutor()
+                    executor = SequentialExecutor(cohort_size=1)
                     executor.bind(store=store)
                 else:
                     executor = make_executor(workers, store=store)

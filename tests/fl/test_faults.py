@@ -242,7 +242,9 @@ class TestBindFaults:
 
 def _baseline():
     return run_and_snapshot(
-        build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
+        build_defended_sim(
+            SequentialExecutor(cohort_size=1), store=InProcessModelStore()
+        )
     )
 
 
@@ -406,7 +408,7 @@ class TestEquivalenceUnderFaults:
 
     @pytest.fixture(scope="class")
     def fault_free(self):
-        with SequentialExecutor() as executor:
+        with SequentialExecutor(cohort_size=1) as executor:
             sim = build_policy_sim(executor, store=InProcessModelStore())
             records = sim.run(8)
             flat = sim.global_model.get_flat()

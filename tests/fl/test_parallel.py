@@ -233,7 +233,7 @@ class TestMakeExecutor:
 class TestSequentialParallelEquivalence:
     def test_defended_runs_commit_bit_identical_models_and_records(self):
         seq_flat, seq_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor())
+            build_defended_sim(SequentialExecutor(cohort_size=1))
         )
         with make_engine(2) as engine:
             par_flat, par_records = run_and_snapshot(
@@ -246,7 +246,7 @@ class TestSequentialParallelEquivalence:
         """Clients with ``parallel_safe = False`` run in the parent but
         must not perturb the committed trajectory."""
         seq_flat, seq_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor())
+            build_defended_sim(SequentialExecutor(cohort_size=1))
         )
         with make_engine(2) as engine:
             par_flat, par_records = run_and_snapshot(
@@ -260,7 +260,7 @@ class TestSequentialParallelEquivalence:
         history; worker-side validation must abstain like the sequential
         path instead of crashing on the empty history."""
         seq_flat, seq_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor(), prime=False), rounds=3
+            build_defended_sim(SequentialExecutor(cohort_size=1), prime=False), rounds=3
         )
         with make_engine(2) as engine:
             par_flat, par_records = run_and_snapshot(
@@ -299,7 +299,7 @@ class TestParentSideOverlap:
         local = LocalTrainingConfig(epochs=1, batch_size=config.batch_size)
         streams = RngStreams.from_seed(0)
         ids = [0, 1, 2, 3]
-        baseline = SequentialExecutor().run_clients(
+        baseline = SequentialExecutor(cohort_size=1).run_clients(
             clients, ids, model, local, 0, streams
         )
         real_update = StayAtHomeClient.produce_update
@@ -491,7 +491,9 @@ class TestStoreExecutorEquivalenceMatrix:
     )
     def test_bit_identical_commits(self, workers, engine):
         baseline_flat, baseline_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
+            build_defended_sim(
+                SequentialExecutor(cohort_size=1), store=InProcessModelStore()
+            )
         )
         with make_engine(workers, engine=engine) as round_engine:
             flat, records = run_and_snapshot(
@@ -684,7 +686,7 @@ class TestSyncRoundLoop:
         "workers, engine", [(0, "process"), (2, "process"), (2, "thread")]
     )
     def test_bursts_continue_where_the_last_one_stopped(self, workers, engine):
-        baseline = build_defended_sim(SequentialExecutor())
+        baseline = build_defended_sim(SequentialExecutor(cohort_size=1))
         base_records = baseline.run(8)
         with make_engine(workers, engine=engine) as round_engine:
             sim = build_defended_sim(round_engine.executor)
@@ -697,7 +699,7 @@ class TestSyncRoundLoop:
         assert shm_leftovers(round_engine.store) == []
 
     def test_run_round_steps_match_one_run(self):
-        baseline = build_defended_sim(SequentialExecutor())
+        baseline = build_defended_sim(SequentialExecutor(cohort_size=1))
         base_records = baseline.run(4)
         sim = build_defended_sim(SequentialExecutor())
         records = [sim.run_round() for _ in range(4)]
@@ -715,7 +717,9 @@ class TestForcedRejections:
     ROUNDS = 8
 
     def _sequential(self, reject_rounds):
-        sim = build_forced_sim(SequentialExecutor(), reject_rounds=reject_rounds)
+        sim = build_forced_sim(
+            SequentialExecutor(cohort_size=1), reject_rounds=reject_rounds
+        )
         records = sim.run(self.ROUNDS)
         return sim.global_model.get_flat(), snapshot(records)
 
@@ -840,7 +844,9 @@ class TestGenericDefenseOnEngines:
     def test_scripted_defense_matches_sequential(self, engine):
         model, clients, _, config = make_world()
         flats = []
-        for round_engine in (make_engine(0), make_engine(2, engine=engine)):
+        for round_engine in (
+            make_engine(0, cohort_size=1), make_engine(2, engine=engine)
+        ):
             defense = _ScriptedDefense(reject_rounds=(1, 2))
             with round_engine:
                 sim = FederatedSimulation(
@@ -871,7 +877,7 @@ class TestFloat32EquivalenceMatrix:
         with dtype_policy("float32"):
             baseline_flat, baseline_records = run_and_snapshot(
                 build_defended_sim(
-                    SequentialExecutor(), store=InProcessModelStore()
+                    SequentialExecutor(cohort_size=1), store=InProcessModelStore()
                 )
             )
             assert baseline_flat.dtype == np.float32
@@ -924,7 +930,9 @@ class TestRegistryEngineEquivalence:
     )
     def test_registry_commits_match_sequential(self, workers, engine):
         sims = []
-        for round_engine in (make_engine(0), make_engine(workers, engine=engine)):
+        for round_engine in (
+            make_engine(0, cohort_size=1), make_engine(workers, engine=engine)
+        ):
             model, registry, config = self._registry_world()
             with round_engine:
                 sim = FederatedSimulation(
@@ -1120,7 +1128,7 @@ class TestThreadEngine:
 
     def test_parent_fallback_clients_preserve_equivalence(self):
         seq_flat, seq_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor())
+            build_defended_sim(SequentialExecutor(cohort_size=1))
         )
         with make_executor(2, engine="thread") as executor:
             thr_flat, thr_records = run_and_snapshot(

@@ -28,7 +28,9 @@ CHAOS = "crash@1.train;delay@3.validate.0=1.5"
 class TestChaosSmoke:
     def test_pool_shm_survives_crash_and_straggler(self):
         base_flat, base_records = run_and_snapshot(
-            build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
+            build_defended_sim(
+                SequentialExecutor(cohort_size=1), store=InProcessModelStore()
+            )
         )
         store = SharedMemoryModelStore()
         with store, make_executor(

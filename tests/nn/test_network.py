@@ -54,6 +54,32 @@ class TestCloneSemantics:
             tiny_mlp.predict(x), tiny_mlp.clone().predict(x)
         )
 
+    def test_clone_of_a_trained_network_carries_no_training_caches(self, rng):
+        """A clone copies weights only: it predicts like its parent, but it
+        has neither the parent's last batch nor its gradients, so a
+        backward before its own training forward raises."""
+        network = make_mlp(192, 10, rng, hidden=(64,))
+        loss = SoftmaxCrossEntropy()
+        x = rng.normal(size=(8, 192))
+        loss.forward(network.forward(x, train=True), rng.integers(0, 10, size=8))
+        network.backward(loss.backward())
+        clone = network.clone()
+        with pytest.raises(RuntimeError, match="before forward"):
+            clone.backward(np.ones((8, 10)))
+        assert not np.any(clone.get_grad_flat())
+        assert np.any(network.get_grad_flat())
+        np.testing.assert_array_equal(clone.predict(x), network.predict(x))
+        np.testing.assert_array_equal(clone.get_flat(), network.get_flat())
+
+    def test_clone_keeps_the_parameter_dtype_under_another_policy(self, rng):
+        from repro.nn.precision import dtype_policy
+
+        with dtype_policy("float32"):
+            network = make_mlp(4, 3, rng, hidden=(5,))
+        clone = network.clone()
+        assert clone.get_flat().dtype == np.float32
+        assert all(p.grad.dtype == np.float32 for p in clone.parameters())
+
 
 class TestInference:
     def test_predict_shape_and_range(self, tiny_mlp, rng):

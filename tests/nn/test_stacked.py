@@ -196,19 +196,21 @@ class TestForwardEquivalence:
 
     @pytest.mark.parametrize("hidden", _ARCHITECTURES)
     def test_mlp_per_model_inputs(self, rng, policy, hidden):
-        """One batch per model, over the whole stack or over the models an
-        ``idx`` selects, in its order."""
+        """One batch per model, over the whole stack or over a contiguous
+        row range of it; a shared input broadcasts over the range only."""
         models = _stack_of_perturbed(make_mlp(5, 3, rng, hidden=hidden), 4, rng)
         stacked = StackedNetwork.from_models(models)
         xs = rng.normal(size=(4, 9, 5))
         out = stacked.forward(xs)
         for i, model in enumerate(models):
             np.testing.assert_array_equal(out[i], model.forward(xs[i]))
-        idx = [3, 0]
-        out = stacked.forward(xs[:2], idx=idx)
+        out = stacked.forward(xs[:2], rows=slice(1, 3))
         assert out.shape == (2, 9, 3)
-        for row, i in enumerate(idx):
+        for row, i in enumerate((1, 2)):
             np.testing.assert_array_equal(out[row], models[i].forward(xs[row]))
+        out = stacked.forward(xs[0], rows=slice(3, 4))
+        assert out.shape == (1, 9, 3)
+        np.testing.assert_array_equal(out[0], models[3].forward(xs[0]))
 
     @pytest.mark.parametrize("hidden", _ARCHITECTURES)
     def test_predict_bitwise_equal_and_batched(self, rng, policy, hidden):
@@ -282,40 +284,65 @@ class TestTrainingStepEquivalence:
 
     @pytest.mark.parametrize("kwargs", list(_OPTIMIZERS.values()), ids=list(_OPTIMIZERS))
     def test_masked_step_leaves_idle_models_untouched(self, rng, policy, kwargs):
-        """Each model steps only where its mask is set; its weights and
-        velocity sit out the other steps bit-untouched, as if its
-        per-model optimizer never ran."""
-        masks = np.array([[True, False, True], [False, True, True], [True, True, False]])
+        """``step(count=k)`` updates the prefix of ``k`` models only: the
+        idle suffix keeps weights and velocity bit-untouched — its
+        gradient rows are not even read — as if its per-model optimizer
+        never ran.  Within the prefix, row ranges of different batch
+        sizes forward and backward separately."""
+        # (count, row ranges of equal batch size, batch size per range)
+        schedule = [
+            (3, [(0, 3)], [7]),
+            (3, [(0, 2), (2, 3)], [7, 4]),
+            (2, [(0, 1), (1, 2)], [7, 2]),
+            (1, [(0, 1)], [5]),
+        ]
         models = _stack_of_perturbed(make_mlp(5, 3, rng, hidden=(6,)), 3, rng)
-        xs = rng.normal(size=(3, 3, 7, 5))
-        ys = rng.integers(0, 3, size=(3, 3, 7))
+        xs = rng.normal(size=(4, 3, 7, 5))
+        ys = rng.integers(0, 3, size=(4, 3, 7))
         stacked = StackedNetwork.from_models(models)
-        optimizer = StackedSGD(stacked.parameters(), **kwargs)
-        for step, active in enumerate(masks):
-            idx = np.flatnonzero(active)
+        params = stacked.parameters()
+        optimizer = StackedSGD(params, **kwargs)
+        for step, (count, ranges, widths) in enumerate(schedule):
             stacked.zero_grad()
-            logits = stacked.forward(xs[step, idx], train=True, idx=idx)
-            stacked.backward(stacked_softmax_ce_grad(logits, ys[step, idx]))
-            optimizer.step(active=active)
+            for (a, b), width in zip(ranges, widths):
+                logits = stacked.forward(
+                    xs[step, a:b, :width], train=True, rows=slice(a, b)
+                )
+                stacked.backward(stacked_softmax_ce_grad(logits, ys[step, a:b, :width]))
+            for p in params:
+                p.grad[count:] = np.nan  # an idle row's gradient is never read
+            idle = [(p.value[count:].copy(), vel[count:].copy())
+                    for p, vel in zip(params, optimizer._velocity)]
+            optimizer.step(count=count)
+            for (value, vel), p, velocity in zip(idle, params, optimizer._velocity):
+                np.testing.assert_array_equal(p.value[count:], value)
+                np.testing.assert_array_equal(velocity[count:], vel)
+        batch_of = {(step, m): width for step, (_, ranges, ws) in enumerate(schedule)
+                    for (a, b), width in zip(ranges, ws) for m in range(a, b)}
         for i, model in enumerate(models):
-            steps = np.flatnonzero(masks[:, i])
-            expected = _per_model_train(model.clone(), xs[steps, i], ys[steps, i], kwargs)
+            steps = [step for step in range(len(schedule)) if (step, i) in batch_of]
+            expected = _per_model_train(
+                model.clone(),
+                [xs[step, i, : batch_of[step, i]] for step in steps],
+                [ys[step, i, : batch_of[step, i]] for step in steps],
+                kwargs,
+            )
             np.testing.assert_array_equal(stacked.get_flat()[i], expected)
 
     def test_step_lr_override(self, rng, policy):
-        """``step(lr=...)`` overrides the rate on the full-stack and the
-        masked branch alike, as ``SGD.step(lr=...)`` does per model."""
+        """``step(lr=...)`` overrides the rate for the whole stack and for
+        a prefix alike, as ``SGD.step(lr=...)`` does per model."""
         models = _stack_of_perturbed(make_mlp(4, 3, rng, hidden=(5,)), 2, rng)
         xs = rng.normal(size=(2, 2, 6, 4))  # (step, model, batch, feature)
         ys = rng.integers(0, 3, size=(2, 2, 6))
         rates = (0.03, 0.02)
         stacked = StackedNetwork.from_models(models)
         optimizer = StackedSGD(stacked.parameters(), lr=0.1, momentum=0.9)
-        for step, active in enumerate((None, np.array([True, True]))):
+        for step, count in enumerate((None, 2)):
             stacked.zero_grad()
             logits = stacked.forward(xs[step], train=True)
             stacked.backward(stacked_softmax_ce_grad(logits, ys[step]))
-            optimizer.step(active=active, lr=rates[step])
+            optimizer.step(count=count, lr=rates[step])
         loss = SoftmaxCrossEntropy()
         for i, model in enumerate(models):
             clone = model.clone()
@@ -327,10 +354,11 @@ class TestTrainingStepEquivalence:
                 sgd.step(lr=rates[step])
             np.testing.assert_array_equal(stacked.get_flat()[i], clone.get_flat())
 
-    @pytest.mark.parametrize("active", [None, (True, False, True)])
-    def test_clip_matches_per_model_clip(self, rng, policy, active):
+    @pytest.mark.parametrize("count", [None, 2])
+    def test_clip_matches_per_model_clip(self, rng, policy, count):
         """Clipping rounds each model's scale in the gradient dtype, as the
-        per-model multiply does; a model outside ``active`` is not clipped."""
+        per-model multiply does; a model behind the first ``count`` is not
+        clipped."""
         from repro.fl.client import clip_gradients
 
         models = _stack_of_perturbed(make_mlp(4, 3, rng, hidden=(4,)), 3, rng)
@@ -341,14 +369,13 @@ class TestTrainingStepEquivalence:
         logits = stacked.forward(xs, train=True)
         stacked.backward(stacked_softmax_ce_grad(logits, ys))
         before = _grad_rows(stacked)
-        mask = None if active is None else np.array(active)
-        clip_gradients_stacked(stacked.parameters(), 0.05, mask)
+        clip_gradients_stacked(stacked.parameters(), 0.05, count)
         after = _grad_rows(stacked)
 
         loss = SoftmaxCrossEntropy()
         for i, model in enumerate(models):
             assert np.linalg.norm(before[i]) > 0.05
-            if mask is not None and not mask[i]:
+            if count is not None and i >= count:
                 np.testing.assert_array_equal(after[i], before[i])
                 continue
             clone = model.clone()

@@ -67,7 +67,7 @@ class TestTracedUntracedBitIdentity:
     )
     def test_traced_run_matches_untraced(self, workers, engine, store_cls):
         untraced_flat, untraced_records = run_and_snapshot(
-            build_sim(SequentialExecutor(), store=InProcessModelStore()),
+            build_sim(SequentialExecutor(cohort_size=1), store=InProcessModelStore()),
             rounds=ROUNDS,
         )
         tracer = Tracer()
