@@ -130,27 +130,55 @@ def paired_ratio(
     until ``max_rounds`` rounds ran, so a gate decides from as many blocks
     as its noise needs; at the cap the verdict stays ``"inconclusive"``.
     """
-    ratios: list[float] = []
+    return paired_ratios(
+        run_row, {"ref": run_ref}, rounds, block, floor, max_rounds
+    )["ref"]
+
+
+def paired_ratios(
+    run_row, refs: dict, rounds: int, block: int,
+    floor: float | None = None, max_rounds: int | None = None,
+) -> dict[str, PairedRatio]:
+    """:func:`paired_ratio` of one row against several named references,
+    timed in the same blocks.
+
+    Each block runs the first reference, then the row, then the other
+    references, so the row stays adjacent in time to the first reference
+    and every other one.  ``floor`` gates the first reference's ratio; the
+    others ride along in whatever blocks that gate asks for.
+    """
+    names = list(refs)
+    ratios: dict[str, list[float]] = {name: [] for name in names}
     elapsed = 0.0
     done = 0
 
+    def timed(run, n: int) -> float:
+        start = time.perf_counter()
+        run(n)
+        return time.perf_counter() - start
+
     def run_block(n: int) -> None:
         nonlocal elapsed, done
-        start = time.perf_counter()
-        run_ref(n)
-        ref_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        run_row(n)
-        row_elapsed = time.perf_counter() - start
-        ratios.append(ref_elapsed / row_elapsed)
+        ref_elapsed = {names[0]: timed(refs[names[0]], n)}
+        row_elapsed = timed(run_row, n)
+        for name in names[1:]:
+            ref_elapsed[name] = timed(refs[name], n)
+        for name in names:
+            ratios[name].append(ref_elapsed[name] / row_elapsed)
         elapsed += row_elapsed
         done += n
 
+    def summarize() -> dict[str, PairedRatio]:
+        return {name: _summarize(ratios[name], elapsed, done) for name in names}
+
     while done < rounds:
         run_block(min(block, rounds - done))
-    result = _summarize(ratios, elapsed, done)
+    results = summarize()
     cap = rounds if max_rounds is None else max_rounds
-    while floor is not None and done < cap and result.verdict(floor) == "inconclusive":
+    while (
+        floor is not None and done < cap
+        and results[names[0]].verdict(floor) == "inconclusive"
+    ):
         run_block(min(block, cap - done))
-        result = _summarize(ratios, elapsed, done)
-    return result
+        results = summarize()
+    return results

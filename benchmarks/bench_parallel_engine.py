@@ -1,4 +1,4 @@
-"""Round-throughput benchmark: engines and codecs.
+"""Round-throughput benchmark: the round-execution engines.
 
 Runs one defended federated world once per engine row, each engine on the
 store :func:`~repro.fl.parallel.make_engine` gives it —
@@ -17,21 +17,14 @@ store :func:`~repro.fl.parallel.make_engine` gives it —
   :class:`SharedMemoryModelStore`, shipping version keys into a
   shared-memory arena: O(1 new model) per round, independent of history
   length and fan-out width;
-- ``pool+shm+f16`` / ``pool+shm+quant``: the shared-memory pool with a
-  weight-compression codec on the store path
-  (:mod:`repro.fl.compression`) — the paper's Sec. VI-D feasibility
-  budget assumes ~10x wire compression, and the codec column demonstrates
-  the measured reduction;
 - ``thread+wN`` / ``pool+shm+wN``: the same engines at half the worker
   count, demonstrating that the paired speedup scales with workers —
 
-and reports rounds/second, per-round transport bytes (compressed and
-raw), the codec compression ratio, the max absolute
-committed-weight divergence against the sequential run, and each row's
-final-model accuracy on a held-out set.  Divergence must be 0.0 for every
-losslessly transported row (the bit-identical equivalence guarantee);
-lossy codec rows report their divergence and accuracy delta instead —
-that is the measured cost of the transport reduction.
+and reports rounds/second, two paired speedups (against the per-model
+loop and against the stacking sequential default), per-round transport
+bytes, and the max absolute committed-weight divergence against both
+sequential references, which must be 0.0 for every row (the
+bit-identical equivalence guarantee).
 
 A fault-injection pass forces quorum rejections on the pool and audits
 the store afterwards: every version outside the retained history —
@@ -40,7 +33,7 @@ rejected candidates, task references, staged profiles — must be released
 
 Besides the text table, a full-setting run emits ``BENCH_parallel.json``
 under ``benchmarks/results/`` — a machine-readable per-row record
-(wall-clock, transport bytes, codec ratio, accuracy) tracked across PRs as
+(wall-clock, both paired speedups, transport bytes) tracked across PRs as
 the perf trajectory baseline.  ``--quick`` runs never write it.
 
 Usage::
@@ -50,27 +43,30 @@ Usage::
     python benchmarks/bench_parallel_engine.py --workers 8 --rounds 10
 
 Speedups are measured with a drift-robust paired estimator: each row runs
-alongside a private per-model sequential reference simulation, alternating
-blocks of two rounds, and ``speedup_vs_sequential`` is the median of the
-per-block (reference time / row time) ratios, reported with a 90 %
-block-bootstrap interval.  Ratios of independently timed runs are NOT
-comparable on shared hosts — throughput drifts 1.5x+ over tens of seconds
-— which is why every row carries its own time-adjacent reference, and
-why each row's committed weights are checked against that reference.
+alongside two private sequential reference simulations in the same
+blocks of two rounds — the per-model loop (``cohort_size=1``) and the
+stacking default — and ``speedup_vs_sequential`` / ``speedup_vs_stack``
+are the medians of the per-block (reference time / row time) ratios,
+each reported with a 90 % block-bootstrap interval.  Ratios of
+independently timed runs are NOT comparable on shared hosts — throughput
+drifts 1.5x+ over tens of seconds — which is why every row carries its
+own time-adjacent references (comparing two rows' speedups mixes two
+pairings; ``speedup_vs_stack`` pairs each engine with the sequential
+default directly), and why each row's committed weights are checked
+against both references.
 
 The default world is the FedAvg regime (local batch 10, wide fan-out):
 stacked cohort training amortizes per-step Python overhead across models,
 so the engines win even on a single core.  Gates: ``pool+shm`` paired
-speedup >= 1.0x always; ``thread`` >= 1.2x in the full setting (>= 1.0x
-under ``--quick``); tracing keeps >= 0.95x of untraced throughput;
-divergence 0.0 for every lossless row.  A timing gate passes only when
-its whole interval clears the floor and fails when the interval lies
-below it; a gate measures at least ``GATE_MIN_ROUNDS`` rounds, and while
-the interval straddles the floor it adds blocks, up to
-``GATE_MAX_ROUNDS``, and then reports "inconclusive" and fails the run.
-The transport numbers are host-independent, including the codec ratios
-(the gate: quantized must cut per-round transport >= 5x vs the identity
-codec).
+speedup over the per-model loop >= 1.0x always; ``thread`` >= 1.2x in
+the full setting (>= 1.0x under ``--quick``); tracing keeps >= 0.95x of
+untraced throughput; divergence 0.0 for every row; ``pool+shm`` ships at
+most one model per round.  A timing gate passes only when its whole
+interval clears the floor and fails when the interval lies below it; a
+gate measures at least ``GATE_MIN_ROUNDS`` rounds, and while the interval
+straddles the floor it adds blocks, up to ``GATE_MAX_ROUNDS``, and then
+reports "inconclusive" and fails the run.  ``speedup_vs_stack`` is
+recorded, not gated.  The transport numbers are host-independent.
 """
 
 from __future__ import annotations
@@ -89,6 +85,7 @@ sys.path.insert(
 from _common import (  # noqa: E402  (benchmarks/ helper)
     BOOTSTRAP_LEVEL,
     paired_ratio,
+    paired_ratios,
     write_json,
     write_result,
 )
@@ -179,43 +176,46 @@ def timed_run(
     store: ModelStore,
     floor: float | None = None,
 ) -> dict:
-    """One engine row: wall-clock, committed weights, transport, codec.
+    """One engine row: wall-clock, committed weights, transport.
 
-    Speedup is measured *paired* (:func:`_common.paired_ratio`): a private
-    per-model sequential reference simulation runs the same world,
-    alternating with the row in blocks of 2 rounds, and the row's speedup
-    is the median per-block reference/row wall-clock ratio.  Comparing a
-    row against a sequential run measured tens of seconds earlier would
-    measure the host's load curve, not the engine.  A gated row passes
-    its ``floor`` and may run extra blocks to decide it; the reference
-    runs the same rounds, so its committed weights are the row's
-    bit-identity reference.
+    Speedup is measured *paired* (:func:`_common.paired_ratios`): two
+    private sequential reference simulations run the same world in the
+    same blocks of 2 rounds as the row — the per-model loop
+    (``cohort_size=1``), which ``floor`` reads, and the stacking default
+    — and each speedup is the median per-block reference/row wall-clock
+    ratio.  Comparing a row against a sequential run measured tens of
+    seconds earlier would measure the host's load curve, not the engine.
+    A gated row may run extra blocks to decide its floor; both references
+    run the same rounds, so their committed weights are the row's
+    bit-identity references.
     """
-    ref_store = InProcessModelStore()
-    ref_executor = SequentialExecutor(cohort_size=1)
-    ref_executor.bind(store=ref_store)
-    with store, executor, ref_store:
+    with (
+        store, executor,
+        make_engine(0, cohort_size=1) as per_model,
+        make_engine(0) as stack,
+    ):
         sim = build_sim(args, executor, store)
-        ref = build_sim(args, ref_executor, ref_store)
+        refs = {
+            "per_model": build_sim(args, per_model.executor, per_model.store),
+            "stack": build_sim(args, stack.executor, stack.store),
+        }
         sim.run_round()  # warmup: process-pool startup, caches, JIT-ish costs
-        ref.run_round()
+        for ref in refs.values():
+            ref.run_round()
         records = []
-        paired = paired_ratio(
-            ref.run, lambda n: records.extend(sim.run(n)),
+        paired = paired_ratios(
+            lambda n: records.extend(sim.run(n)),
+            {name: ref.run for name, ref in refs.items()},
             args.rounds if floor is None else max(args.rounds, GATE_MIN_ROUNDS),
             block=2, floor=floor, max_rounds=GATE_MAX_ROUNDS,
         )
         return {
-            "rounds_per_s": paired.rounds / paired.elapsed,
-            "speedup": paired,
+            "rounds_per_s": paired["per_model"].rounds / paired["per_model"].elapsed,
+            "speedup": paired["per_model"],
+            "speedup_vs_stack": paired["stack"],
             "flat": sim.global_model.get_flat(),
-            "ref_flat": ref.global_model.get_flat(),
+            "ref_flats": [ref.global_model.get_flat() for ref in refs.values()],
             "transport": float(np.mean([r.transport_bytes for r in records])),
-            "raw_transport": float(
-                np.mean([r.raw_transport_bytes for r in records])
-            ),
-            "codec": store.codec.name,
-            "lossless": store.codec.lossless,
         }
 
 
@@ -368,30 +368,26 @@ def main(argv: list[str] | None = None) -> int:
         args.hidden = [32]
     args.hidden = tuple(args.hidden)
 
-    #: engine row -> (store codec, engine kind, workers, cohort size);
-    #: engine ``None`` is the sequential loop, ``workers=None`` means
-    #: ``args.workers`` and cohort ``None`` the engine's stacking default;
-    #: codec rows reuse the shared-memory pool so the codec is the only
-    #: variable.  Each row runs on the store ``make_engine`` pairs with its
-    #: engine.  The sequential row is pinned to the classic unstacked
-    #: per-model loop, so its rows and floors keep their meaning; the
-    #: other rows exercise the cohort-stacking default, which is part of
-    #: what every engine buys.
+    #: engine row -> (engine kind, workers, cohort size); engine ``None``
+    #: is the sequential loop, ``workers=None`` means ``args.workers`` and
+    #: cohort ``None`` the engine's stacking default.  Each row runs on the
+    #: store ``make_engine`` pairs with its engine.  The sequential row is
+    #: pinned to the classic unstacked per-model loop, so its rows and
+    #: floors keep their meaning; the other rows exercise the
+    #: cohort-stacking default, which is part of what every engine buys.
     ROWS = {
-        "sequential": ("identity", None, None, 1),
-        "sequential+stack": ("identity", None, None, None),
-        "thread": ("identity", "thread", None, None),
-        "pool+shm": ("identity", "process", None, None),
-        "pool+shm+f16": ("float16", "process", None, None),
-        "pool+shm+quant": ("quantized", "process", None, None),
+        "sequential": (None, None, 1),
+        "sequential+stack": (None, None, None),
+        "thread": ("thread", None, None),
+        "pool+shm": ("process", None, None),
     }
     # Worker-scaling rows: the same engines at half fan-out, so the report
     # shows throughput moving with worker count.  Redundant under --quick
     # (the smoke setting already runs 2 workers).
     scaled = max(2, args.workers // 2)
     if scaled != args.workers:
-        ROWS[f"thread+w{scaled}"] = ("identity", "thread", scaled, None)
-        ROWS[f"pool+shm+w{scaled}"] = ("identity", "process", scaled, None)
+        ROWS[f"thread+w{scaled}"] = ("thread", scaled, None)
+        ROWS[f"pool+shm+w{scaled}"] = ("process", scaled, None)
     # Dispatch-overhead gates: batched per-worker dispatch plus the
     # cohort-stacking default must make fan-out pay for itself even on a
     # single-core host.  Quick mode keeps the floors at parity (a small
@@ -400,13 +396,12 @@ def main(argv: list[str] | None = None) -> int:
     FLOORS = {"pool+shm": 1.0, "thread": 1.0 if args.quick else 1.2}
 
     def engine_for(name):
-        codec, engine, workers, cohort_size = ROWS[name]
+        engine, workers, cohort_size = ROWS[name]
         if engine is None:
-            return make_engine(0, codec=codec, cohort_size=cohort_size)
+            return make_engine(0, cohort_size=cohort_size)
         return make_engine(
             workers if workers is not None else args.workers,
-            engine=engine, codec=codec, require_lossless=False,
-            cohort_size=cohort_size,
+            engine=engine, cohort_size=cohort_size,
         )
 
     results = {}
@@ -418,21 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     model_bytes = results["sequential"]["flat"].nbytes
 
-    # Held-out accuracy: the measured cost of lossy transport (lossless
-    # rows must match their per-model reference exactly).
-    eval_task = SyntheticCifar()
-    eval_data = eval_task.sample(500, np.random.default_rng(999))
-    template = make_mlp(
-        eval_task.flat_dim, eval_task.num_classes,
-        np.random.default_rng(0), hidden=args.hidden,
-    )
-
-    def accuracy_of(flat: np.ndarray) -> float:
-        template.set_flat(flat)
-        return float((template.predict(eval_data.x) == eval_data.y).mean())
-
     lines = [
-        "Parallel round engine: transport paths, codecs",
+        "Parallel round engine: engines and transport",
         f"world: {args.clients} clients ({args.per_round}/round, "
         f"{args.epochs} local epochs, batch={args.batch}, "
         f"shard={args.shard}), {args.validators} validators, "
@@ -441,32 +423,28 @@ def main(argv: list[str] | None = None) -> int:
         f"rounds after 1 warmup (gated rows: {GATE_MIN_ROUNDS}-{GATE_MAX_ROUNDS}"
         f" rounds); model = "
         f"{model_bytes} bytes (float64); speedups are medians of paired "
-        "adjacent-in-time blocks against a private per-model sequential "
-        f"reference run, with {BOOTSTRAP_LEVEL:.0%} block-bootstrap intervals",
-        f"{'engine':<16} {'codec':>9} {'rounds/s':>9} {'speedup':>8} "
-        f"{'interval':>13} {'transport B/rd':>15} {'ratio':>6} "
-        f"{'divergence':>11} {'acc':>6}",
+        "adjacent-in-time blocks against two private sequential reference "
+        "runs (the per-model loop and the stacking default), with "
+        f"{BOOTSTRAP_LEVEL:.0%} block-bootstrap intervals",
+        f"{'engine':<16} {'rounds/s':>9} {'vs per-model':>12} "
+        f"{'interval':>13} {'vs stack':>9} {'interval':>13} "
+        f"{'transport B/rd':>15} {'divergence':>11}",
     ]
     json_rows = []
     divergence = 0.0
     for name, row in results.items():
-        row_divergence = float(np.max(np.abs(row["ref_flat"] - row["flat"])))
-        # Only identity-codec rows enter the zero-divergence gate: float16
-        # runs are bit-identical to *each other*, not to the identity
-        # baseline (the canonicalized trajectory differs), and lossy rows
-        # report divergence as their measured cost.
-        if row["codec"] == "identity":
-            divergence = max(divergence, row_divergence)
-        ratio = (
-            row["raw_transport"] / row["transport"] if row["transport"] else 1.0
+        row_divergence = max(
+            float(np.max(np.abs(ref_flat - row["flat"])))
+            for ref_flat in row["ref_flats"]
         )
-        acc = accuracy_of(row["flat"])
-        speed = row["speedup"]
+        divergence = max(divergence, row_divergence)
+        speed, vs_stack = row["speedup"], row["speedup_vs_stack"]
         lines.append(
-            f"{name:<16} {row['codec']:>9} {row['rounds_per_s']:9.3f} "
-            f"{speed.ratio:7.2f}x {f'[{speed.low:.2f}, {speed.high:.2f}]':>13} "
-            f"{row['transport']:15.1f} {ratio:5.1f}x {row_divergence:11.1e} "
-            f"{acc:6.3f}"
+            f"{name:<16} {row['rounds_per_s']:9.3f} {speed.ratio:11.2f}x "
+            f"{f'[{speed.low:.2f}, {speed.high:.2f}]':>13} "
+            f"{vs_stack.ratio:8.2f}x "
+            f"{f'[{vs_stack.low:.2f}, {vs_stack.high:.2f}]':>13} "
+            f"{row['transport']:15.1f} {row_divergence:11.1e}"
         )
         json_rows.append(
             {
@@ -476,50 +454,38 @@ def main(argv: list[str] | None = None) -> int:
                     else ROWS[name][2] if ROWS[name][2] is not None
                     else args.workers
                 ),
-                "cohort_size": ROWS[name][3],
-                "codec": row["codec"],
-                "lossless": row["lossless"],
+                "cohort_size": ROWS[name][2],
                 "rounds_per_s": round(row["rounds_per_s"], 4),
                 "speedup_vs_sequential": round(speed.ratio, 4),
                 "speedup_interval": [round(speed.low, 4), round(speed.high, 4)],
+                "speedup_vs_stack": round(vs_stack.ratio, 4),
+                "speedup_vs_stack_interval": [
+                    round(vs_stack.low, 4), round(vs_stack.high, 4)
+                ],
                 "measured_rounds": speed.rounds,
                 "gate_floor": FLOORS.get(name),
                 "gate_verdict": (
                     speed.verdict(FLOORS[name]) if name in FLOORS else None
                 ),
                 "transport_bytes_per_round": round(row["transport"], 1),
-                "raw_bytes_per_round": round(row["raw_transport"], 1),
-                "compression_ratio": round(ratio, 3),
                 "weight_divergence_vs_sequential": row_divergence,
-                "accuracy": round(acc, 4),
-                "accuracy_delta_vs_sequential": round(
-                    acc - accuracy_of(row["ref_flat"]), 4
-                ),
             }
         )
     lines.append(
-        f"max |seq - engine| committed-weight divergence "
-        f"(identity-codec rows): {divergence:.1e}"
+        f"max |seq - engine| committed-weight divergence: {divergence:.1e}"
     )
     shm_transport = results["pool+shm"]["transport"]
-    quant_transport = results["pool+shm+quant"]["transport"]
-    codec_reduction = (
-        shm_transport / quant_transport if quant_transport else float("inf")
-    )
     lines.append(
         "pool+shm ships "
         f"{shm_transport / model_bytes:.2f} models/round regardless of "
         "history length and fan-out width (O(1) new-model transport)."
     )
     lines.append(
-        f"thread engine: {results['thread']['speedup'].ratio:.2f}x sequential "
-        f"with zero transport ({results['thread']['transport']:.0f} B/round) "
-        "— fan-out without IPC or serialization, cohort stacking on by "
-        "default"
-    )
-    lines.append(
-        f"codec transport reduction vs identity shm: {codec_reduction:.1f}x "
-        "via pool+shm+quant (paper Sec. VI-D budgets ~10x; gate >= 5x)"
+        f"thread engine: {results['thread']['speedup'].ratio:.2f}x the "
+        f"per-model loop, {results['thread']['speedup_vs_stack'].ratio:.2f}x "
+        "the stacking sequential engine, with zero transport "
+        f"({results['thread']['transport']:.0f} B/round) — fan-out without "
+        "IPC or serialization, cohort stacking on by default"
     )
     trace_stats, trace_failures = tracing_overhead(args)
     low, high = trace_stats["interval"]
@@ -552,7 +518,6 @@ def main(argv: list[str] | None = None) -> int:
                 "model_bytes": int(model_bytes),
             },
             "rows": json_rows,
-            "codec_transport_reduction_vs_identity": round(codec_reduction, 3),
             "tracing_overhead": trace_stats,
         })
 
@@ -562,15 +527,10 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             "engines diverged — sequential/parallel equivalence broken"
         )
-    if shm_transport > model_bytes + 4096:
+    if shm_transport > model_bytes:
         failures.append(
             "shared-memory transport exceeds one model per round "
             f"({shm_transport:.0f} B vs model {model_bytes} B)"
-        )
-    if codec_reduction < 5.0:
-        failures.append(
-            f"codec transport reduction {codec_reduction:.2f}x below the "
-            "5x acceptance floor (paper budget ~10x)"
         )
     for name, floor in FLOORS.items():
         failures += gate_failures(

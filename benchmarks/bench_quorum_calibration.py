@@ -15,6 +15,7 @@ from repro.core.quorum import (
     estimate_rho_from_votes,
     max_tolerable_malicious,
     quorum_bounds,
+    recommended_quorum,
 )
 from repro.experiments import ExperimentConfig
 from repro.experiments.scenarios import run_stable_scenario
@@ -46,7 +47,11 @@ def test_quorum_calibration(benchmark):
     ]
     for n_m in (0, 1, 2, 3):
         lower, upper = quorum_bounds(n, n_m, rho)
-        status = "valid" if lower < upper else "empty"
+        try:
+            status = f"valid, q={recommended_quorum(n, n_m, rho)}"
+        except ValueError:
+            # A non-empty range can still hold no integer quorum.
+            status = "empty" if lower >= upper else "no integer quorum"
         lines.append(
             f"  n_M={n_m}: quorum range ({lower:.2f}, {upper:.2f}] ({status})"
         )

@@ -3,8 +3,8 @@
 Uses :mod:`repro.analysis` to open up the defense's decision signal:
 
 1. replay a clean and a poisoned model trajectory through a single
-   validator and print the LOF/threshold margin per round — the raw
-   quantity behind every vote;
+   validator and print the margin ``LOF / (slack * threshold)`` per
+   round — the raw quantity behind every vote (above 1 is a reject);
 2. summarise detection latency and vote statistics of a defended run;
 3. compare honest update norms against the boosted malicious update (what
    norm-clipping baselines see).
@@ -32,7 +32,7 @@ from repro.nn import make_mlp
 
 
 def lof_margins() -> None:
-    print("=== 1. LOF/threshold margins: clean vs poisoned trajectory ===")
+    print("=== 1. LOF margins: clean vs poisoned trajectory ===")
     rng = np.random.default_rng(5)
     task = SyntheticCifar()
     pool = task.sample(1500, rng)
@@ -74,7 +74,7 @@ def lof_margins() -> None:
     )
     clean_margin = clean_trace.margin()
     poisoned_margin = poisoned_trace.margin()
-    print("  round   clean LOF/tau   poisoned LOF/tau")
+    print("  round    clean margin    poisoned margin")
     for i in range(len(clean_margin)):
         c = f"{clean_margin[i]:.2f}" if np.isfinite(clean_margin[i]) else "  - "
         p = f"{poisoned_margin[i]:.2f}" if np.isfinite(poisoned_margin[i]) else "  - "

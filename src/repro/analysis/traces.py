@@ -15,20 +15,23 @@ class ValidatorTrace:
     """Round-by-round Algorithm 2 diagnostics for one validator.
 
     Lists are aligned; ``None`` entries mark rounds where the validator
-    abstained (history too short).
+    abstained (history too short).  ``slack`` is the validator's
+    ``threshold_slack``: it votes reject iff ``LOF > slack * threshold``.
     """
 
+    slack: float = 1.0
     rounds: list[int] = field(default_factory=list)
     candidate_lofs: list[float | None] = field(default_factory=list)
     thresholds: list[float | None] = field(default_factory=list)
     votes: list[int] = field(default_factory=list)
 
     def margin(self) -> np.ndarray:
-        """``LOF / threshold`` per round (NaN where abstained)."""
+        """``LOF / (slack * threshold)`` per round (NaN where abstained):
+        a margin above 1 is a reject vote."""
         out = np.full(len(self.rounds), np.nan)
         for i, (lof, tau) in enumerate(zip(self.candidate_lofs, self.thresholds)):
             if lof is not None and tau is not None and tau > 0:
-                out[i] = lof / tau
+                out[i] = lof / (self.slack * tau)
         return out
 
 
@@ -48,7 +51,7 @@ def collect_validator_trace(
         raise ValueError(f"lookback must be >= 4, got {lookback}")
     if len(model_sequence) < 2:
         raise ValueError("need at least two models")
-    trace = ValidatorTrace()
+    trace = ValidatorTrace(slack=validator.threshold_slack)
     history: list[tuple[int, Network]] = [(0, model_sequence[0])]
     for r in range(1, len(model_sequence)):
         candidate = model_sequence[r]

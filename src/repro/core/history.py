@@ -12,11 +12,7 @@ releases the store reference (unlinking the shared-memory segment when the
 store is a :class:`~repro.fl.model_store.SharedMemoryModelStore` and no
 other consumer holds it).  ``entries()`` materializes ``Network`` views
 lazily from the stored vectors — parameter state only, matching what the
-transport path has always shipped between processes.  Stores may compress
-at the publish seam (:mod:`repro.fl.compression`): ``store.get`` returns
-the *decoded* vector, so with a lossy codec the history view is exactly
-what workers decode from the arena — server-side and worker-side
-validation always judge the same bytes.
+transport path has always shipped between processes.
 
 The candidate round-trip uses the staging API: :meth:`stage_candidate`
 publishes the candidate once at review time (so a shared-memory executor

@@ -41,16 +41,19 @@ def quorum_bounds(n: int, n_malicious: int, rho: float) -> tuple[float, float]:
 def recommended_quorum(n: int, n_malicious: int, rho: float) -> int:
     """The paper's setting ``q := rho * (n - n_M)``, floored to an integer.
 
-    Raises ``ValueError`` when the valid range is empty (the deployment
-    cannot distinguish malicious from erring-honest votes).
+    Raises ``ValueError`` when the valid range holds no integer (the
+    deployment cannot distinguish malicious from erring-honest votes).
+    That includes a non-empty range such as ``(3.15, 3.85]``: flooring its
+    upper end would give a quorum the erring voters alone can reach.
     """
     lower, upper = quorum_bounds(n, n_malicious, rho)
-    if lower >= upper:
+    quorum = int(np.floor(upper))
+    if quorum <= lower:
         raise ValueError(
             f"no valid quorum for n={n}, n_M={n_malicious}, rho={rho}: "
-            f"range ({lower:.2f}, {upper:.2f}] is empty"
+            f"range ({lower:.2f}, {upper:.2f}] holds no integer"
         )
-    return int(np.floor(upper))
+    return quorum
 
 
 def max_tolerable_malicious(n: int, rho: float) -> float:

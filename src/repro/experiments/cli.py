@@ -46,7 +46,6 @@ from repro.experiments.runner import (
     sweep_lookback,
     sweep_quorum,
 )
-from repro.fl.compression import codec_names
 from repro.fl.faults import QUORUM_POLICIES
 from repro.fl.parallel import ENGINE_KINDS
 from repro.nn.precision import DTYPE_POLICIES
@@ -74,7 +73,6 @@ def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
     return ExperimentConfig(
         workers=args.workers, engine=args.engine,
         cohort_size=args.cohort_size,
-        codec=args.codec, allow_lossy=args.allow_lossy,
         sanitize=args.sanitize, trace=args.trace,
         dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
         faults=args.faults, task_deadline_s=args.task_deadline,
@@ -234,14 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0/1 = one model at a time; default: every "
                             "engine stacks everything eligible; results "
                             "are identical)")
-        p.add_argument("--codec", choices=codec_names(), default="identity",
-                       help="weight-compression codec on the store "
-                            "transport path (lossless: identity, float16; "
-                            "lossy codecs additionally need --allow-lossy)")
-        p.add_argument("--allow-lossy", action="store_true", dest="allow_lossy",
-                       help="admit the lossy quantized codec: trades "
-                            "the bit-identical engine-equivalence guarantee "
-                            "for ~5-10x transport reduction")
         p.add_argument("--dtype", choices=DTYPE_POLICIES, default="float64",
                        help="execution precision policy (repro.nn.precision): "
                             "float64 commits bit-identically to the seed "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.fl.compression import codec_names, make_codec
 from repro.fl.faults import QUORUM_POLICIES, FaultPlan
 from repro.fl.parallel import ENGINE_KINDS
 from repro.nn.precision import DTYPE_POLICIES
@@ -104,14 +103,6 @@ class ExperimentConfig:
     # models, so this is a pure throughput knob like ``workers`` and stays
     # out of ``environment_key``.
     cohort_size: int | None = None
-    # Weight-compression codec on the store transport path
-    # (repro.fl.compression).  Unlike the engine knobs above, a
-    # non-identity codec is *not* a pure throughput knob — it changes the
-    # committed trajectory — so it participates in ``environment_key``.
-    # Lossy codecs additionally void the cross-engine bit-identity
-    # guarantee and must be opted into via ``allow_lossy``.
-    codec: str = "identity"
-    allow_lossy: bool = False
     # Runtime sanitizer (repro.analysis.sanitize): dtype assertions on
     # the hot numeric paths plus per-round/per-layer candidate hashing.
     # Pure instrumentation — it never changes the committed trajectory —
@@ -129,7 +120,7 @@ class ExperimentConfig:
     # committed models bit-identical to the seed baseline) or "float32"
     # (~half the memory and transport volume, with its own cross-engine
     # bit-identity contract).  The policy changes every committed weight,
-    # so — like the codec — it participates in ``environment_key``.
+    # so it participates in ``environment_key``.
     dtype_policy: str = "float64"
     # Virtual client population (repro.fl.registry): clients are pure IDs,
     # materialized on selection from the environment's recorded partition
@@ -153,9 +144,9 @@ class ExperimentConfig:
     # Quorum policy for rounds whose validator votes go missing (dropped
     # by a fault, or lost to an exhausted recovery path): "strict" stalls
     # the round (QuorumStallError), "degrade" proceeds over the shrunken
-    # quorum once ``quorum_min`` votes arrived.  Unlike the knobs above
-    # this changes which models get committed when votes are lost, so it
-    # participates in ``environment_key``.
+    # quorum once ``quorum_min`` votes arrived.  This changes which models
+    # get committed when votes are lost, but only in the defended phase:
+    # pretraining runs undefended, so both stay out of ``environment_key``.
     quorum_policy: str = "strict"
     quorum_min: int = 1
 
@@ -186,23 +177,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"cohort_size must be >= 0, got {self.cohort_size}"
             )
-        # Fail here, not deep inside make_engine: an unknown or
-        # unauthorized codec should abort before any environment is
-        # pretrained.
-        if self.codec not in codec_names():
-            raise ValueError(
-                f"codec must be one of {codec_names()}, got {self.codec!r}"
-            )
         if self.dtype_policy not in DTYPE_POLICIES:
             raise ValueError(
                 f"dtype_policy must be one of {DTYPE_POLICIES}, got "
                 f"{self.dtype_policy!r}"
-            )
-        if not self.allow_lossy and not make_codec(self.codec).lossless:
-            raise ValueError(
-                f"codec {self.codec!r} is lossy (committed models are no "
-                "longer bit-identical across engines); set allow_lossy=True "
-                "(CLI: --allow-lossy) to admit it for scale runs"
             )
         # Fault-spec grammar errors abort before any environment work.
         FaultPlan.parse(self.faults)
@@ -226,20 +204,15 @@ class ExperimentConfig:
         Everything that influences the stable model and data layout — but
         *not* the defense parameters, which only affect the cheap defended
         phase.  Experiments sweeping l / q / mode over one environment reuse
-        the pretraining.  The codec *is* part of the key: a non-identity
-        codec canonicalizes committed models (or, for lossy transport,
-        perturbs what workers train on), so environments pretrained under
-        different codecs are not interchangeable.  So is the quorum
-        policy: when votes go missing, ``strict`` and ``degrade`` runs
-        commit different models, and hiding that in a shared cache entry
-        would silently mix trajectories.  The fault plan itself stays out
-        — recovery replays to bit-identical models by contract.
+        the pretraining.  The precision policy *is* part of the key: it
+        changes every pretrained weight.  The quorum policy and
+        ``quorum_min`` are not: they decide rounds whose votes went
+        missing, and pretraining runs undefended, so no vote is ever taken
+        there.  The fault plan stays out too — recovery replays to
+        bit-identical models by contract.
         """
         return (
-            self.codec,
             self.dtype_policy,
-            self.quorum_policy,
-            self.quorum_min,
             self.dataset,
             self.client_share,
             self.num_clients,

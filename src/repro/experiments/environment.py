@@ -185,14 +185,10 @@ def _pretrain(
         batch_size=config.batch_size,
         client_lr=config.pretrain_lr,
     )
-    # Pretraining is undefended; it runs on the configured
-    # workers/engine/codec (one factory decides the weight path).  The
-    # codec matters here: a non-identity codec changes the pretrained
-    # model, which is why environment_key includes it.
+    # Pretraining is undefended; it runs on the configured workers/engine
+    # (one factory decides the weight path).
     with make_engine(
         config.workers,
-        codec=config.codec,
-        require_lossless=not config.allow_lossy,
         cohort_size=config.cohort_size,
         engine=config.engine,
     ) as engine:

@@ -142,21 +142,11 @@ def format_execution_report(
         return "execution report: no rounds"
     rejected = [r for r in records if not r.accepted]
     transport = [r.transport_bytes for r in records]
-    raw = [getattr(r, "raw_transport_bytes", r.transport_bytes) for r in records]
-    # Rounds of one run may have run under different codecs (e.g. a sweep
-    # reusing one record list): report the union, not round 0's codec.
-    codecs = sorted({getattr(r, "codec", "identity") for r in records})
-    codec = codecs[0] if len(codecs) == 1 else "mixed: " + "+".join(codecs)
-    # In-process runs move zero bytes; a silent "1.00x" there would read
-    # as a measured ratio, so say "n/a" explicitly.
-    ratio = f"{sum(raw) / sum(transport):.2f}x" if sum(transport) else "n/a"
     lines = [
         "Execution report",
         f"rounds: {len(records)} "
         f"({len(records) - len(rejected)} accepted, {len(rejected)} rejected)",
-        f"transport: {np.mean(transport):.0f} B/round mean "
-        f"(codec {codec}: {np.mean(raw):.0f} B/round raw, "
-        f"{ratio} compression)",
+        f"transport: {np.mean(transport):.0f} B/round mean",
     ]
     # Population-scale telemetry (getattr-defensive: pre-registry record
     # objects lack these fields).  peak_rss_kb is the OS high-water mark,

@@ -364,8 +364,6 @@ def _engine(config: ExperimentConfig):
     with sanitize.scope(config.sanitize):
         with make_engine(
             config.workers,
-            codec=config.codec,
-            require_lossless=not config.allow_lossy,
             cohort_size=config.cohort_size,
             engine=config.engine,
             faults=config.faults,

@@ -30,17 +30,6 @@ from repro.fl.client import (
     local_train,
 )
 from repro.fl.cohort import cohort_updates, is_cohortable, plan_cohorts
-from repro.fl.compression import (
-    CompressedSegment,
-    Float16Codec,
-    IdentityCodec,
-    QuantizedCodec,
-    WeightCodec,
-    codec_names,
-    decode_segment,
-    make_codec,
-    register_codec,
-)
 from repro.fl.config import FLConfig
 from repro.fl.faults import (
     QUORUM_POLICIES,
@@ -82,7 +71,6 @@ from repro.fl.simulation import (
 __all__ = [
     "Aggregator",
     "Client",
-    "CompressedSegment",
     "cohort_updates",
     "is_cohortable",
     "plan_cohorts",
@@ -90,10 +78,6 @@ __all__ = [
     "DefenseDecision",
     "ENGINE_KINDS",
     "FLConfig",
-    "Float16Codec",
-    "IdentityCodec",
-    "QuantizedCodec",
-    "WeightCodec",
     "FaultPlan",
     "FaultSpec",
     "FedAvgAggregator",
@@ -123,12 +107,8 @@ __all__ = [
     "ValidatorProfileTable",
     "apply_global_update",
     "clip_gradients",
-    "codec_names",
-    "decode_segment",
     "local_train",
-    "make_codec",
     "make_engine",
-    "register_codec",
     "make_executor",
     "make_model_store",
     "make_pairwise_masks",

@@ -17,15 +17,19 @@ refers to them by that version key.  Each engine has exactly one store
 and both implementations share the exact same publish/release bookkeeping,
 so engine runs are bit-identical across them:
 
-- :class:`InProcessModelStore`: a plain in-process dict of codec segments,
-  for the sequential and thread engines, which share one address space.
+- :class:`InProcessModelStore`: a read-only copy of each vector, for the
+  sequential and thread engines, which share one address space.
 - :class:`SharedMemoryModelStore`: one ``multiprocessing.shared_memory``
-  segment per version, for the process engine.  Worker processes attach
-  to the arena once (via the picklable
+  segment per version holding the vector's bytes, for the process engine.
+  Worker processes attach to the arena once (via the picklable
   :meth:`~SharedMemoryModelStore.worker_handle`) and resolve version keys
   locally, so per-round transport is O(1 new model): only the bytes
   *newly copied into the arena* move, independent of history length and
   fan-out width.
+
+Every store holds the vector in the precision-policy dtype
+(:mod:`repro.nn.precision`) and :meth:`ModelStore.get` returns it as is,
+so ``bytes_published`` counts exactly the policy-dtype bytes copied in.
 
 Publishing is content-addressed: :meth:`ModelStore.publish` digests the
 weight bytes and returns the existing version when identical content is
@@ -40,16 +44,6 @@ and a shared-memory segment is unlinked the moment its count reaches zero.
 :meth:`~ModelStore.close` (also ``__exit__`` and a best-effort ``__del__``)
 unlinks every live segment, so a crashed *worker* never leaks ``/dev/shm``
 entries: workers only attach, the owning process is the only creator.
-
-Weight compression rides on the publish/attach seam: every store applies a
-:class:`~repro.fl.compression.WeightCodec` when a vector is published and
-decodes on :meth:`~ModelStore.get`, so compressed transport needs no
-second code path — the arena simply holds codec-encoded segments (a
-self-contained, self-describing header plus payload, see
-:class:`~repro.fl.compression.CompressedSegment`) and workers decode
-locally after attaching.  ``bytes_published`` counts *compressed* payload
-bytes (what transport actually moves); ``raw_bytes_published`` keeps the
-uncompressed figure for the compression-ratio telemetry.
 
 :class:`ValidatorProfileTable` rides along: a table of validator error
 profiles keyed by ``(validator_id, version)``.  Profiles are deterministic
@@ -72,12 +66,6 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.fl.compression import (
-    CompressedSegment,
-    WeightCodec,
-    decode_segment,
-    make_codec,
-)
 from repro.nn.precision import active_dtype
 
 #: Prefix shared by every shared-memory segment this package creates; the
@@ -90,7 +78,7 @@ def _as_flat(flat: np.ndarray) -> np.ndarray:
 
     The store's content digests and byte counters are taken over the
     policy-dtype bytes, so a float32 run dedups, transports, and accounts
-    in float32 end to end (exactly half the identity-codec bytes).
+    in float32 end to end (exactly half the float64 bytes).
     """
     flat = np.ascontiguousarray(flat, dtype=active_dtype())
     if flat.ndim != 1:
@@ -101,27 +89,27 @@ def _as_flat(flat: np.ndarray) -> np.ndarray:
 class ModelStore:
     """Versioned weight-vector store with refcounted entries.
 
-    Subclasses implement the four storage primitives (``_write``, ``_read``,
-    ``_delete``, ``_delete_all``); all version allocation, content
-    addressing and refcount bookkeeping lives here so every store behaves
-    identically — the spine of the cross-store equivalence guarantee.
+    Subclasses implement the storage primitives (``_write``, and
+    ``_delete``/``_delete_all`` where storage outlives the vector); all
+    version allocation, content addressing and refcount bookkeeping lives
+    here so every store behaves identically — the spine of the
+    cross-store equivalence guarantee.
     """
 
     #: Whether worker processes can attach to this store's storage
     #: (:meth:`worker_handle` returns a picklable handle).
     shareable = False
 
-    def __init__(self, codec: "WeightCodec | str | None" = None) -> None:
-        #: The transport codec applied at publish time (identity default).
-        self.codec: WeightCodec = make_codec(codec)
+    def __init__(self) -> None:
         self._refs: dict[int, int] = {}
+        #: ``version -> read-only policy-dtype vector`` that ``get`` returns.
+        self._vectors: dict[int, np.ndarray] = {}
         #: ``digest -> live versions holding that content`` (``publish_new``
         #: can legitimately create several); dedup resolves to the newest.
         self._digests: dict[bytes, list[int]] = {}
         self._by_version_digest: dict[int, bytes] = {}
         self._next_version = 0
         self._bytes_published = 0
-        self._raw_bytes_published = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -171,21 +159,18 @@ class ModelStore:
     def _publish_at(self, version: int, flat: np.ndarray, digest: bytes) -> int:
         if self._closed:
             raise RuntimeError("model store is closed")
-        segment = self.codec.encode(flat)
-        self._write(version, segment)
-        self._bytes_published += segment.nbytes
-        self._raw_bytes_published += flat.nbytes
+        self._vectors[version] = self._write(version, flat)
+        self._bytes_published += flat.nbytes
         self._refs[version] = 1
         self._digests.setdefault(digest, []).append(version)
         self._by_version_digest[version] = digest
         return version
 
     def get(self, version: int) -> np.ndarray:
-        """Read-only flat weight vector stored under ``version``, decoded
-        through the codec registry."""
+        """Read-only flat policy-dtype vector stored under ``version``."""
         if version not in self._refs:
             raise KeyError(f"version {version} is not live in this store")
-        return decode_segment(self._read(version))
+        return self._vectors[version]
 
     def __contains__(self, version: int) -> bool:
         return version in self._refs
@@ -209,21 +194,9 @@ class ModelStore:
 
     @property
     def bytes_published(self) -> int:
-        """Cumulative *compressed* payload bytes copied into the store
-        (dedup hits cost 0; the identity codec makes this the raw figure)."""
+        """Cumulative policy-dtype bytes copied into the store (dedup
+        hits cost 0)."""
         return self._bytes_published
-
-    @property
-    def raw_bytes_published(self) -> int:
-        """Cumulative uncompressed float64 bytes published (dedup = 0)."""
-        return self._raw_bytes_published
-
-    @property
-    def compression_ratio(self) -> float:
-        """``raw / compressed`` bytes published so far (1.0 when empty)."""
-        if not self._bytes_published:
-            return 1.0
-        return self._raw_bytes_published / self._bytes_published
 
     # ------------------------------------------------------------------
     # Refcounting
@@ -248,6 +221,8 @@ class ModelStore:
         live.remove(version)
         if not live:
             del self._digests[digest]
+        # Drop the store's own view first, so a shared segment can close.
+        del self._vectors[version]
         self._delete(version)
 
     def refcount(self, version: int) -> int:
@@ -273,6 +248,7 @@ class ModelStore:
         self._refs.clear()
         self._digests.clear()
         self._by_version_digest.clear()
+        self._vectors.clear()
         self._delete_all()
 
     def __enter__(self) -> "ModelStore":
@@ -290,42 +266,26 @@ class ModelStore:
     # ------------------------------------------------------------------
     # Storage primitives
     # ------------------------------------------------------------------
-    def _write(self, version: int, segment: CompressedSegment) -> None:
-        """Copy the codec-encoded ``segment`` into storage."""
-        raise NotImplementedError
-
-    def _read(self, version: int) -> CompressedSegment:
+    def _write(self, version: int, flat: np.ndarray) -> np.ndarray:
+        """Copy ``flat`` into storage; return the read-only stored vector."""
         raise NotImplementedError
 
     def _delete(self, version: int) -> None:
-        raise NotImplementedError
+        """Free ``version``'s storage beyond the vector itself."""
 
     def _delete_all(self) -> None:
-        raise NotImplementedError
+        """Free every version's storage beyond the vectors themselves."""
 
 
 class InProcessModelStore(ModelStore):
-    """Plain in-process storage: codec segments in a dict (the sequential
-    and thread engines' store)."""
+    """Plain in-process storage: a read-only copy of each vector (the
+    sequential and thread engines' store)."""
 
-    def __init__(self, codec: "WeightCodec | str | None" = None) -> None:
-        super().__init__(codec)
-        self._segments: dict[int, CompressedSegment] = {}
-
-    def _write(self, version: int, segment: CompressedSegment) -> None:
-        # Pin the payload down as immutable bytes: encode may hand back a
-        # view into a caller-owned buffer.
-        segment.payload = bytes(segment.payload)
-        self._segments[version] = segment
-
-    def _read(self, version: int) -> CompressedSegment:
-        return self._segments[version]
-
-    def _delete(self, version: int) -> None:
-        del self._segments[version]
-
-    def _delete_all(self) -> None:
-        self._segments.clear()
+    def _write(self, version: int, flat: np.ndarray) -> np.ndarray:
+        # Copy: ``flat`` may be the caller's own array.
+        stored = flat.copy()
+        stored.flags.writeable = False
+        return stored
 
 
 class SharedMemoryModelStore(ModelStore):
@@ -341,12 +301,8 @@ class SharedMemoryModelStore(ModelStore):
 
     shareable = True
 
-    def __init__(
-        self,
-        name_prefix: str | None = None,
-        codec: "WeightCodec | str | None" = None,
-    ) -> None:
-        super().__init__(codec)
+    def __init__(self, name_prefix: str | None = None) -> None:
+        super().__init__()
         self.name_prefix = name_prefix or (
             f"{SHM_NAME_PREFIX}-{os.getpid():x}-{secrets.token_hex(4)}"
         )
@@ -358,19 +314,18 @@ class SharedMemoryModelStore(ModelStore):
     def worker_handle(self) -> "ShmStoreHandle":
         return ShmStoreHandle(self.name_prefix)
 
-    def _write(self, version: int, segment: CompressedSegment) -> None:
-        # The shared segment holds the self-describing wire form (header +
-        # payload): attached workers parse the header and decode locally,
-        # so no out-of-band metadata needs to travel per version.
-        raw = segment.to_bytes()
-        shm_segment = shared_memory.SharedMemory(
-            name=self.segment_name(version), create=True, size=len(raw)
+    def _write(self, version: int, flat: np.ndarray) -> np.ndarray:
+        # The segment holds the vector's bytes and nothing else: workers
+        # read them with their template network's dtype and parameter
+        # count.  (A segment cannot be empty, hence the 1-byte floor.)
+        segment = shared_memory.SharedMemory(
+            name=self.segment_name(version), create=True, size=max(flat.nbytes, 1)
         )
-        shm_segment.buf[: len(raw)] = raw
-        self._segments[version] = shm_segment
-
-    def _read(self, version: int) -> CompressedSegment:
-        return CompressedSegment.from_buffer(self._segments[version].buf)
+        self._segments[version] = segment
+        stored = np.ndarray(flat.shape, dtype=flat.dtype, buffer=segment.buf)
+        stored[...] = flat
+        stored.flags.writeable = False
+        return stored
 
     def _delete(self, version: int) -> None:
         self._destroy(self._segments.pop(version))
@@ -420,11 +375,13 @@ class ShmWorkerView:
         self.attach_count = 0
         self.cache_hits = 0
 
-    def get(self, version: int) -> np.ndarray:
-        """Read-only flat vector for ``version`` (attaches on first use).
+    def get(self, version: int) -> memoryview:
+        """Read-only view of ``version``'s segment bytes (attaches on first
+        use).
 
-        The attached segment is self-describing (codec header + payload),
-        so the vector is decoded locally through the codec registry.
+        The segment carries no header: the caller reads the vector out of
+        it with the dtype and element count it knows (a pool worker, its
+        template network's).
         """
         segment = self._segments.get(version)
         if segment is not None:
@@ -442,7 +399,7 @@ class ShmWorkerView:
                 name=f"{self.name_prefix}-{version}"
             )
             self._segments[version] = segment
-        return decode_segment(CompressedSegment.from_buffer(segment.buf))
+        return segment.buf.toreadonly()
 
     def evict_below(self, floor: int | None) -> None:
         """Close cached attachments for versions below ``floor``."""
@@ -520,30 +477,10 @@ def reap_orphan_segments(keep_prefixes: Iterable[str] = ()) -> list[str]:
     return reaped
 
 
-def make_model_store(
-    shared: bool = False,
-    codec: "WeightCodec | str | None" = None,
-    require_lossless: bool = True,
-) -> ModelStore:
+def make_model_store(shared: bool = False) -> ModelStore:
     """The store an engine needs: shared memory for the process engine
-    (``shared=True``), the in-process store for the others.
-
-    ``codec`` selects the transport compression
-    (:mod:`repro.fl.compression`).  ``require_lossless=True`` (default)
-    rejects lossy codecs: they void the cross-engine bit-identical
-    equivalence guarantee and must be admitted explicitly
-    (``require_lossless=False``; the experiment layer's ``allow_lossy``).
-    """
-    codec_obj = make_codec(codec)
-    if require_lossless and not codec_obj.lossless:
-        raise ValueError(
-            f"codec {codec_obj.name!r} is lossy and voids the bit-identical "
-            "equivalence guarantee; pass require_lossless=False (config/CLI: "
-            "allow_lossy / --allow-lossy) to admit it for scale runs"
-        )
-    if shared:
-        return SharedMemoryModelStore(codec=codec_obj)
-    return InProcessModelStore(codec=codec_obj)
+    (``shared=True``), the in-process store for the others."""
+    return SharedMemoryModelStore() if shared else InProcessModelStore()
 
 
 class ValidatorProfileTable:

@@ -240,6 +240,9 @@ def _local_task(fault, body, *args):
 _W_CLIENTS: dict[int, Client] = {}
 _W_VALIDATORS: dict[int, Validator] = {}
 _W_TEMPLATE: Network | None = None
+#: The template's parameter dtype: arena segments carry only the vector's
+#: bytes, read back in this dtype.
+_W_DTYPE: np.dtype | None = None
 _W_MODELS: dict[int, Network] = {}
 _W_STORE: ShmWorkerView | None = None
 _W_REGISTRY: ClientRegistry | None = None
@@ -261,13 +264,14 @@ def _init_worker(
     registry: ClientRegistry | None = None,
     trace_enabled: bool = False,
 ) -> None:
-    global _W_TEMPLATE, _W_STORE, _W_REGISTRY, _W_TRACING
+    global _W_TEMPLATE, _W_DTYPE, _W_STORE, _W_REGISTRY, _W_TRACING
     _W_CLIENTS.clear()
     _W_CLIENTS.update(clients)
     _W_VALIDATORS.clear()
     _W_VALIDATORS.update(validators)
     _W_MODELS.clear()
     _W_TEMPLATE = template
+    _W_DTYPE = template.get_flat().dtype
     _W_STORE = store_handle.attach()
     _W_REGISTRY = registry
     _W_TRACING = bool(trace_enabled)
@@ -336,7 +340,9 @@ def _materialize(version: int) -> Network:
     """
     assert _W_TEMPLATE is not None, "worker used before initialization"
     model = _W_TEMPLATE.clone()
-    model.set_flat(_W_STORE.get(version))
+    model.set_flat(np.frombuffer(
+        _W_STORE.get(version), dtype=_W_DTYPE, count=model.num_parameters
+    ))
     return model
 
 
@@ -795,18 +801,11 @@ class RoundExecutor:
     @property
     def transport_bytes(self) -> int:
         """Cumulative model-weight bytes moved across process boundaries:
-        the codec payload bytes copied into the shared arena (0 for the
+        the policy-dtype bytes copied into the shared arena (0 for the
         in-process engines)."""
         if not self._reads_arena or self._store is None:
             return 0
         return self._store.bytes_published
-
-    @property
-    def raw_transport_bytes(self) -> int:
-        """What :attr:`transport_bytes` would be without compression."""
-        if not self._reads_arena or self._store is None:
-            return 0
-        return self._store.raw_bytes_published
 
     # ------------------------------------------------------------------
     # Round phases
@@ -1189,11 +1188,6 @@ class RoundEngine:
         self.executor = executor
         self.store = store
 
-    @property
-    def codec(self):
-        """The store's transport codec (:mod:`repro.fl.compression`)."""
-        return self.store.codec
-
     def __enter__(self) -> "RoundEngine":
         return self
 
@@ -1209,8 +1203,6 @@ class RoundEngine:
 
 def make_engine(
     workers: int,
-    codec: str | None = None,
-    require_lossless: bool = True,
     cohort_size: int | None = None,
     engine: str = "auto",
     faults: "FaultPlan | str | None" = None,
@@ -1223,12 +1215,6 @@ def make_engine(
     two, so the weight path is decided here, in one place: the process
     engine gets a shared-memory arena, the sequential and thread engines,
     which share the caller's address space, the in-process store.
-
-    ``codec`` selects the store's weight-compression codec
-    (:mod:`repro.fl.compression`; name or instance, default identity);
-    with ``require_lossless=True`` (the default) lossy codecs are rejected
-    here — the bit-identical equivalence matrix only holds for lossless
-    codecs, so admitting a lossy one is an explicit opt-out.
     """
     executor = make_executor(
         workers,
@@ -1237,10 +1223,6 @@ def make_engine(
         faults=faults,
         task_deadline_s=task_deadline_s,
     )
-    model_store = make_model_store(
-        isinstance(executor, ProcessPoolRoundExecutor),
-        codec=codec,
-        require_lossless=require_lossless,
-    )
+    model_store = make_model_store(isinstance(executor, ProcessPoolRoundExecutor))
     executor.bind(store=model_store)
     return RoundEngine(executor, model_store)

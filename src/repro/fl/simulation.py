@@ -97,16 +97,10 @@ class RoundRecord:
     decision: DefenseDecision
     metrics: dict[str, float] = field(default_factory=dict)
     #: Model-weight bytes the executor moved across process boundaries this
-    #: round: 0 for in-process execution, bytes newly copied into the
-    #: shared-memory arena for the process pool (O(1 new model) per round),
-    #: counted as codec-*compressed* payload bytes.
+    #: round: 0 for in-process execution, policy-dtype bytes newly copied
+    #: into the shared-memory arena for the process pool (O(1 new model)
+    #: per round).
     transport_bytes: int = 0
-    #: What ``transport_bytes`` would have been uncompressed (equal under
-    #: the identity codec; the basis of ``compression_ratio``).
-    raw_transport_bytes: int = 0
-    #: Name of the weight codec the round's model store ran
-    #: (:mod:`repro.fl.compression`).
-    codec: str = "identity"
     #: Parent-process peak RSS in KiB when this round's record was built
     #: (monotone within a run — the OS high-water mark — so the *last*
     #: round's value is the run's peak; 0 where unobservable).
@@ -135,20 +129,6 @@ class RoundRecord:
     #: fault-injected runs still compare clean against fault-free ones on
     #: the committed trajectory.
     quorum_size: int = field(default=0, compare=False)
-
-    @property
-    def compressed_bytes(self) -> int:
-        """The round's transport volume after codec encoding (alias of
-        ``transport_bytes``, named for the compression telemetry)."""
-        return self.transport_bytes
-
-    @property
-    def compression_ratio(self) -> float:
-        """``raw / compressed`` transport bytes this round (1.0 when the
-        round moved nothing)."""
-        if not self.transport_bytes:
-            return 1.0
-        return self.raw_transport_bytes / self.transport_bytes
 
 
 class FederatedSimulation:
@@ -258,17 +238,6 @@ class FederatedSimulation:
                 "build both through make_engine() or pass the same store"
             )
         self.model_store = model_store or executor_store or InProcessModelStore()
-        #: The store's transport codec.  Codecs project every vector they
-        #: are asked to carry onto their exactly representable domain, so
-        #: the simulation *canonicalizes* the initial model and each
-        #: aggregated candidate through the codec before review/commit:
-        #: everything transported then round-trips bit-exactly for
-        #: lossless codecs, preserving the cross-engine equivalence
-        #: guarantee (see repro.fl.compression).
-        self._codec = self.model_store.codec
-        self.global_model.set_flat(
-            self._codec.canonicalize(self.global_model.get_flat())
-        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         bind_kwargs = {
             "clients": self.clients,
@@ -321,7 +290,6 @@ class FederatedSimulation:
         round_idx = self.round_idx
         tracer = self.tracer
         transport_before = self.executor.transport_bytes
-        raw_before = self.executor.raw_transport_bytes
         with tracer.span("select", round_idx=round_idx) as span_select:
             contributor_ids = self.selector.select(round_idx, self.rng)
         with tracer.span("train", round_idx=round_idx) as span_train:
@@ -375,8 +343,6 @@ class FederatedSimulation:
                 name: hook(self.global_model) for name, hook in self.metric_hooks.items()
             },
             transport_bytes=self.executor.transport_bytes - transport_before,
-            raw_transport_bytes=self.executor.raw_transport_bytes - raw_before,
-            codec=self._codec.name,
             peak_rss_kb=_peak_rss_kb(),
             materialized_clients=resident_clients,
             retries=self._resilience_delta(),
@@ -413,8 +379,6 @@ class FederatedSimulation:
             "rounds_accepted" if record.accepted else "rounds_rejected"
         ).inc()
         metrics.counter("transport_bytes").inc(record.transport_bytes)
-        metrics.counter("raw_transport_bytes").inc(record.raw_transport_bytes)
-        metrics.gauge("compression_ratio").set(record.compression_ratio)
         metrics.gauge("peak_rss_kb").set(record.peak_rss_kb)
         metrics.gauge("materialized_clients").set(record.materialized_clients)
         rounds = metrics.counter("rounds_total").value
@@ -460,11 +424,10 @@ class FederatedSimulation:
     ) -> tuple[Network, np.ndarray]:
         """Combine updates into the candidate global model.
 
-        The candidate is canonicalized through the codec here — the single
-        point every downstream consumer (defense review, history commit,
-        next round's training base) inherits from — so the committed
-        trajectory is the codec's exactly-representable one and identical
-        across engines.
+        The candidate is cast to the precision-policy dtype here — the
+        single point every downstream consumer (defense review, history
+        commit, next round's training base) inherits from — so the
+        committed trajectory is policy-dtype on every engine.
         """
         mean_update = self._combine(contributor_ids, updates, round_idx, rng)
         candidate_flat = apply_global_update(
@@ -474,12 +437,9 @@ class FederatedSimulation:
             global_lr=self.config.effective_global_lr,
             num_clients=self.config.num_clients,
         )
-        candidate_flat = self._codec.canonicalize(candidate_flat)
-        # The secure-aggregation simulation and the quantized codec compute
-        # in float64 internally; under a float32 policy the committed
-        # trajectory must still be policy-dtype everywhere (no-op under
-        # float64, and under float32 every value is float64-exact so the
-        # cast loses nothing on the lossless paths).
+        # The secure-aggregation simulation computes in float64 internally;
+        # under a float32 policy the committed trajectory must still be
+        # policy-dtype everywhere (a no-op under float64).
         candidate_flat = np.ascontiguousarray(candidate_flat, dtype=active_dtype())
         candidate = self.global_model.clone()
         candidate.set_flat(candidate_flat)

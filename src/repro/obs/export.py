@@ -169,10 +169,7 @@ def summarize_trace(
         lines.append(f"throughput: {gauges['rounds_per_s']:.2f} rounds/s")
     transport = counters.get("transport_bytes")
     if transport is not None:
-        lines.append(
-            f"transport: {transport} B compressed, "
-            f"{counters.get('raw_transport_bytes', transport)} B raw"
-        )
+        lines.append(f"transport: {transport} B")
     table = phase_table(spans)
     if table:
         lines.append(f"{'phase':<18} {'count':>6} {'total s':>10} {'mean ms':>10}")

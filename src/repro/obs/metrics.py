@@ -3,11 +3,10 @@
 One :class:`MetricsRegistry` per traced run unifies the ad-hoc telemetry
 previously scattered across ``RoundRecord`` fields, executor byte
 counters and the model store: rounds/s, per-phase wall-clock,
-transport volume and compression, shared-memory
-attach cache hits, materialized clients, peak RSS.  ``snapshot()``
-returns one JSON-serializable dict — the API a future streaming server
-polls, and what :mod:`repro.experiments.persistence` embeds in saved
-run files.
+transport volume, shared-memory attach cache hits, materialized clients,
+peak RSS.  ``snapshot()`` returns one JSON-serializable dict — the API a
+future streaming server polls, and what
+:mod:`repro.experiments.persistence` embeds in saved run files.
 
 All operations are lock-protected: the thread engine observes from pool
 threads, and worker-batch merges land from gather threads.
@@ -34,7 +33,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (e.g. rounds/s, peak RSS, compression ratio)."""
+    """A point-in-time value (e.g. rounds/s, peak RSS, materialized clients)."""
 
     __slots__ = ("name", "value", "_lock")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    ValidatorTrace,
     collect_validator_trace,
     detection_latency,
     rejection_bursts,
@@ -13,6 +14,7 @@ from repro.analysis import (
     vote_summary,
 )
 from repro.core.validation import MisclassificationValidator
+from repro.data.dataset import Dataset
 from repro.fl.client import HonestClient, LocalTrainingConfig, local_train
 from repro.fl.simulation import DefenseDecision, RoundRecord
 from repro.nn.models import make_mlp
@@ -105,6 +107,58 @@ class TestValidatorTrace:
         trace = collect_validator_trace(validator, model_sequence, lookback=8)
         assert trace.candidate_lofs[0] is None  # history of 1: abstain
         assert not np.isnan(trace.margin()[-1])  # mature history: real LOF
+
+    @staticmethod
+    def _noisy_world():
+        """Overlapping classes and randomly perturbed models: the error
+        profiles differ, so LOFs spread on both sides of ``slack * tau``
+        (the separable ``tiny_dataset`` ties every LOF at tau)."""
+        rng = np.random.default_rng(1)
+        centers = np.array([[1.0, 0.0], [-1.0, 0.7], [0.0, -1.2]])
+        labels = np.repeat(np.arange(3), 40)
+        x = centers[labels] + rng.normal(0.0, 0.8, size=(120, 2))
+        dataset = Dataset(x, labels, num_classes=3)
+        model = make_mlp(2, 3, rng, hidden=(8,))
+        local_train(model, dataset, LocalTrainingConfig(epochs=5, lr=0.1), rng)
+        sequence = [model.clone()]
+        for i in range(24):
+            perturbed = model.clone()
+            perturbed.set_flat(model.get_flat() + rng.normal(
+                0.0, 0.05 * (1 + i % 5), size=model.num_parameters
+            ))
+            sequence.append(perturbed)
+        return dataset, sequence
+
+    @pytest.mark.parametrize("slack", [1.15, 1.0])
+    def test_margin_above_one_is_exactly_a_reject_vote(self, slack):
+        """The margin divides by ``slack * tau``, the validator's own
+        rejection threshold, so its sign against 1 is the vote."""
+        dataset, sequence = self._noisy_world()
+        validator = MisclassificationValidator(dataset, threshold_slack=slack)
+        trace = collect_validator_trace(validator, sequence, lookback=8)
+        assert trace.slack == slack
+        margins = trace.margin()
+        voted = [i for i, lof in enumerate(trace.candidate_lofs) if lof is not None]
+        votes = {trace.votes[i] for i in voted}
+        assert votes == {0, 1}  # both outcomes occur
+        for i in voted:
+            assert (margins[i] > 1) == (trace.votes[i] == 1), i
+        if slack > 1:
+            # The world has accept votes with LOF/tau in (1, slack]: the
+            # rounds an undivided LOF/tau would misread as rejects.
+            assert any(
+                1 < trace.candidate_lofs[i] / trace.thresholds[i] <= slack
+                for i in voted
+            )
+
+    def test_margin_between_one_and_slack_is_an_accept(self):
+        """LOF/tau = 1.1 sits under the default 1.15 slack: an accept vote,
+        so its margin must read below 1."""
+        trace = ValidatorTrace(
+            slack=1.15, rounds=[1], candidate_lofs=[1.1], thresholds=[1.0],
+            votes=[0],
+        )
+        assert trace.margin()[0] == pytest.approx(1.1 / 1.15)
 
     def test_input_validation(self, model_sequence, tiny_dataset):
         validator = MisclassificationValidator(tiny_dataset)

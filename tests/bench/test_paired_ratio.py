@@ -18,14 +18,16 @@ from benchmarks import _common
 class FakeHost:
     """A clock that advances only while a fake benchmark run works.
 
-    ``ref_costs``/``row_costs`` give the per-round cost of each block in
-    turn; every call is logged as ``(side, rounds)``.
+    ``ref_costs``/``row_costs`` (and ``other_costs`` for further named
+    references) give the per-round cost of each block in turn; every call
+    is logged as ``(side, rounds)``.
     """
 
-    def __init__(self, ref_costs, row_costs):
+    def __init__(self, ref_costs, row_costs, **other_costs):
         self.now = 0.0
         self.calls: list[tuple[str, int]] = []
         self._costs = {"ref": list(ref_costs), "row": list(row_costs)}
+        self._costs.update({side: list(c) for side, c in other_costs.items()})
 
     def perf_counter(self) -> float:
         return self.now
@@ -40,8 +42,8 @@ class FakeHost:
 
 @pytest.fixture
 def host(monkeypatch):
-    def make(ref_costs, row_costs):
-        fake = FakeHost(ref_costs, row_costs)
+    def make(ref_costs, row_costs, **other_costs):
+        fake = FakeHost(ref_costs, row_costs, **other_costs)
         monkeypatch.setattr(
             _common, "time", SimpleNamespace(perf_counter=fake.perf_counter)
         )
@@ -150,3 +152,36 @@ def test_no_floor_runs_the_nominal_blocks_only(host):
     result = _run(fake, rounds=3, block=1)
     assert result.blocks == 3
     assert result.verdict(1.0) == "inconclusive"
+
+
+def _run_two(fake: FakeHost, rounds: int, block: int, **gate):
+    return _common.paired_ratios(
+        fake.runner("row"),
+        {"ref": fake.runner("ref"), "stack": fake.runner("stack")},
+        rounds, block, **gate,
+    )
+
+
+def test_several_references_share_each_block(host):
+    """A block runs the first reference, the row, then the others; each
+    ratio reads its own reference against the same row time."""
+    fake = host([2.0] * 3, [1.0] * 3, stack=[1.5] * 3)
+    results = _run_two(fake, rounds=6, block=2)
+    assert fake.calls == [
+        call for _ in range(3) for call in (("ref", 2), ("row", 2), ("stack", 2))
+    ]
+    assert (results["ref"].ratio, results["stack"].ratio) == (2.0, 1.5)
+    assert results["ref"].elapsed == results["stack"].elapsed == 6.0
+
+
+def test_only_the_first_reference_gates(host):
+    """Blocks are added while the first reference's interval straddles the
+    floor and stop once it decides; the second reference rides along in
+    the same blocks whatever its own interval reads."""
+    ref = [0.9, 1.1, 1.05] + [1.3] * 9
+    fake = host(ref, [1.0] * len(ref), stack=[0.8, 1.2] * 6)
+    results = _run_two(fake, rounds=6, block=2, floor=1.0, max_rounds=24)
+    assert results["ref"].verdict(1.0) == "pass"
+    assert 3 < results["ref"].blocks < 12
+    assert results["stack"].blocks == results["ref"].blocks
+    assert results["stack"].verdict(1.0) == "inconclusive"

@@ -68,7 +68,7 @@ class TestSharedExecutionFlags:
         with pytest.raises(_ConfigBuilt) as built:
             main([
                 command, "--workers", "3", "--engine", "thread",
-                "--cohort-size", "5", "--codec", "quantized", "--allow-lossy",
+                "--cohort-size", "5",
                 "--dtype", "float32", "--virtual-clients", "--sanitize",
                 "--trace", str(tmp_path), "--faults", "crash@3.train",
                 "--task-deadline", "0.5", "--quorum-policy", "degrade",
@@ -77,7 +77,6 @@ class TestSharedExecutionFlags:
         config = built.value.args[0]
         assert (config.workers, config.engine) == (3, "thread")
         assert config.cohort_size == 5
-        assert (config.codec, config.allow_lossy) == ("quantized", True)
         assert config.dtype_policy == "float32"
         assert config.virtual_clients and config.sanitize
         assert config.trace == str(tmp_path)
@@ -89,6 +88,16 @@ class TestSharedExecutionFlags:
         for command in ENTRY_POINTS:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--store", "shared"])
+
+    @pytest.mark.parametrize(
+        "flag", [["--codec", "identity"], ["--allow-lossy"]]
+    )
+    def test_no_subcommand_takes_a_codec_flag(self, flag):
+        """Every store holds the policy-dtype vector itself; there is no
+        weight codec to pick."""
+        for command in ENTRY_POINTS:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, *flag])
 
 
 class TestExecution:

@@ -59,9 +59,19 @@ class TestExperimentConfig:
         assert config.lookback == 20
 
     def test_environment_key_ignores_defense_params(self):
+        """Pretraining runs undefended: no defense parameter, the quorum
+        policy for missing votes included, can change the stable model."""
         base = ExperimentConfig()
         assert base.environment_key(0) == base.with_updates(
-            lookback=30, quorum=7, mode="server"
+            lookback=30, quorum=7, mode="server",
+            quorum_policy="degrade", quorum_min=2,
+        ).environment_key(0)
+
+    def test_environment_key_tracks_dtype_policy(self):
+        """The precision policy changes every pretrained weight."""
+        base = ExperimentConfig()
+        assert base.environment_key(0) != base.with_updates(
+            dtype_policy="float32"
         ).environment_key(0)
 
     def test_environment_key_tracks_data_params(self):

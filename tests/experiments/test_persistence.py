@@ -70,7 +70,6 @@ class TestRunFiles:
                 round_idx=0, contributor_ids=[1, 2], malicious_present=False,
                 accepted=True, decision=DefenseDecision(True, 1, 4),
                 metrics={"accuracy": 0.5}, transport_bytes=80,
-                raw_transport_bytes=160, codec="float32",
             ),
             RoundRecord(
                 round_idx=1, contributor_ids=[0, 3], malicious_present=True,
@@ -85,17 +84,31 @@ class TestRunFiles:
         assert [r["accepted"] for r in rounds] == [True, False]
         assert [r["reject_votes"] for r in rounds] == [1, 3]
         assert rounds[0]["transport_bytes"] == 80
-        assert rounds[0]["raw_transport_bytes"] == 160
-        assert rounds[0]["codec"] == "float32"
         assert rounds[0]["metrics"] == {"accuracy": 0.5}
         assert "phase_times" not in rounds[0]  # untraced rounds carry none
 
+    def test_rounds_carry_exactly_the_documented_keys(self, tmp_path):
+        """The round keys of a run file are its format: any change to them
+        is deliberate (and may need a new format version)."""
+        record = RoundRecord(
+            round_idx=0, contributor_ids=[1], malicious_present=False,
+            accepted=True, decision=DefenseDecision(True, 0, 2),
+        )
+        rounds, _, _ = load_run(save_run([record], tmp_path / "run.json"))
+        assert set(rounds[0]) == {
+            "round_idx", "accepted", "reject_votes", "num_validators",
+            "transport_bytes", "peak_rss_kb", "materialized_clients",
+            "metrics",
+        }
+
     def test_files_with_retired_round_keys_still_load(self, tmp_path):
         """Run files written while the round loop could run pipelined
-        carry three more keys per round; they load unchanged."""
+        carry three more keys per round, and those written while stores
+        ran weight codecs two more; they load unchanged."""
         old_round = {
             "round_idx": 0, "accepted": True, "reject_votes": 0,
             "accepted_at_round": 2, "validation_lag": 2, "rollback_count": 1,
+            "codec": "float16", "raw_transport_bytes": 160,
         }
         path = tmp_path / "old.run.json"
         path.write_text(json.dumps({

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import pytest
+
 from repro.experiments.metrics import AggregateStats
 from repro.experiments.reporting import (
     format_execution_report,
@@ -89,8 +91,6 @@ class FakeRecord:
     round_idx: int = 0
     accepted: bool = True
     transport_bytes: int = 0
-    raw_transport_bytes: int = 0
-    codec: str = "identity"
     phase_times: dict = field(default_factory=dict)
     retries: int = 0
     materialized_clients: int = 0
@@ -98,36 +98,19 @@ class FakeRecord:
 
 
 class TestExecutionReport:
-    def test_zero_transport_reports_na_not_a_fake_ratio(self):
-        # In-process runs move zero bytes: "1.00x compression" there would
-        # read as a measurement that never happened.
-        text = format_execution_report([FakeRecord(), FakeRecord(round_idx=1)])
-        assert "n/a compression" in text
-        assert "1.00x" not in text
-
-    def test_single_codec_reports_measured_ratio(self):
+    @pytest.mark.parametrize(
+        "per_round, line",
+        [
+            ((500, 1500), "transport: 1000 B/round mean"),
+            ((0, 0), "transport: 0 B/round mean"),  # in-process engines
+        ],
+    )
+    def test_transport_line_reports_mean_bytes_per_round(self, per_round, line):
         records = [
-            FakeRecord(transport_bytes=500, raw_transport_bytes=1000,
-                       codec="f32"),
-            FakeRecord(round_idx=1, transport_bytes=500,
-                       raw_transport_bytes=1000, codec="f32"),
+            FakeRecord(round_idx=i, transport_bytes=b)
+            for i, b in enumerate(per_round)
         ]
-        text = format_execution_report(records)
-        assert "codec f32" in text
-        assert "2.00x compression" in text
-
-    def test_mixed_codecs_flagged_not_round_zeros(self):
-        # The old report read round 0's codec and pooled every round's
-        # bytes into one ratio — a sweep's mixed record list came out
-        # labelled with whatever codec happened to run first.
-        records = [
-            FakeRecord(transport_bytes=1000, raw_transport_bytes=1000,
-                       codec="identity"),
-            FakeRecord(round_idx=1, transport_bytes=500,
-                       raw_transport_bytes=1000, codec="f32"),
-        ]
-        text = format_execution_report(records)
-        assert "mixed: f32+identity" in text
+        assert line in format_execution_report(records).splitlines()
 
     def test_phase_times_render_when_present(self):
         records = [

@@ -1,12 +1,16 @@
 """Tests for the versioned model store and the shared profile table.
 
-Three properties matter:
+Four properties matter:
 
 1. both store implementations run the exact same publish/release
    bookkeeping (refcounts, content dedup, version allocation);
-2. shared-memory segments never outlive the store — eviction, ``close()``,
+2. under either precision policy every store holds the policy-dtype vector
+   itself: reads are bit-exact and read-only, ``bytes_published`` counts
+   the policy-dtype bytes copied in, and a worker reads a segment's bytes
+   with its own dtype and parameter count;
+3. shared-memory segments never outlive the store — eviction, ``close()``,
    ``__exit__`` and even a crashed worker leave ``/dev/shm`` clean;
-3. the profile table's staging mirrors the round commit protocol.
+4. the profile table's staging mirrors the round commit protocol.
 """
 
 from __future__ import annotations
@@ -24,20 +28,22 @@ from repro.fl.model_store import (
     make_model_store,
 )
 from repro.nn.models import make_mlp
+from repro.nn.precision import DTYPE_POLICIES, dtype_policy
 from tests.conftest import shm_entries
 
 STORES = [InProcessModelStore, SharedMemoryModelStore]
 
 
+@pytest.fixture(params=DTYPE_POLICIES)
+def policy(request):
+    """Run the test under each precision policy; yields its dtype."""
+    with dtype_policy(request.param):
+        yield np.dtype(request.param)
+
+
+@pytest.mark.usefixtures("policy")
 @pytest.mark.parametrize("store_cls", STORES)
 class TestStoreBookkeeping:
-    def test_publish_get_roundtrip(self, store_cls, rng):
-        with store_cls() as store:
-            flat = rng.normal(size=64)
-            version = store.publish(flat)
-            np.testing.assert_array_equal(store.get(version), flat)
-            assert not store.get(version).flags.writeable
-
     def test_versions_allocate_monotonically(self, store_cls, rng):
         with store_cls() as store:
             versions = [store.publish_new(rng.normal(size=8)) for _ in range(4)]
@@ -126,6 +132,124 @@ class TestStoreBookkeeping:
             store.publish(rng.normal(size=8))
 
 
+@pytest.mark.parametrize("store_cls", STORES)
+class TestPolicyDtypeVectors:
+    @pytest.mark.parametrize("n", [0, 1, 3, 17, 4097])
+    def test_publish_get_roundtrip_is_bit_exact_and_read_only(
+        self, store_cls, policy, rng, n
+    ):
+        flat = rng.normal(size=n).astype(policy)
+        with store_cls() as store:
+            version = store.publish(flat)
+            stored = store.get(version)
+            assert (stored.dtype, stored.shape) == (policy, (n,))
+            np.testing.assert_array_equal(stored, flat)
+            assert not stored.flags.writeable
+            expected = flat.copy()
+            flat += 1.0  # the store holds its own copy, not the caller's array
+            np.testing.assert_array_equal(store.get(version), expected)
+
+    def test_bytes_published_counts_policy_dtype_bytes(
+        self, store_cls, policy, rng
+    ):
+        """float64 input is cast to the policy dtype, and the counter reads
+        the bytes of that cast; a dedup hit copies nothing."""
+        flats = [rng.normal(size=300) for _ in range(3)]
+        with store_cls() as store:
+            versions = [store.publish(flat) for flat in flats]
+            assert store.bytes_published == 3 * 300 * policy.itemsize
+            assert store.get(versions[0]).dtype == policy
+            assert store.publish(flats[1].copy()) == versions[1]
+            assert store.bytes_published == 3 * 300 * policy.itemsize
+
+    def test_release_leaves_other_versions_readable(
+        self, store_cls, policy, rng
+    ):
+        """No version depends on another: releasing versions (a rejected
+        candidate, an evicted window) never changes what the rest read."""
+        with store_cls() as store:
+            base = rng.normal(size=128)
+            versions = [store.publish_new(base + 0.01 * i) for i in range(4)]
+            expected = {v: store.get(v).copy() for v in versions}
+            store.release(versions[0])
+            store.release(versions[2])
+            assert store.versions() == [versions[1], versions[3]]
+            for version in store.versions():
+                assert store.refcount(version) == 1
+                np.testing.assert_array_equal(store.get(version), expected[version])
+
+
+class TestSharedMemoryVectors:
+    def test_empty_vector_gets_a_segment_and_reads_back_empty(
+        self, policy, rng
+    ):
+        """A segment cannot be empty: a zero-length vector still gets one
+        (of one byte), and owner and worker both read it back empty."""
+        with SharedMemoryModelStore() as store:
+            version = store.publish(np.zeros(0))
+            assert shm_entries(store.name_prefix) == [store.segment_name(version)]
+            assert store.get(version).shape == (0,)
+            assert store.bytes_published == 0
+            view = store.worker_handle().attach()
+            assert np.frombuffer(view.get(version), policy, 0).shape == (0,)
+            view.close()
+
+    def test_worker_view_is_read_only(self, rng):
+        """Workers only attach: writing through a worker's view of the
+        arena raises, so no task can change a published version."""
+        with SharedMemoryModelStore() as store:
+            version = store.publish(rng.normal(size=32))
+            view = store.worker_handle().attach()
+            segment = view.get(version)
+            with pytest.raises(TypeError):
+                segment[0] = 1
+            del segment  # a live view would keep the attachment open
+            view.close()
+
+    def test_segment_holds_only_the_vector_bytes(self, policy, rng):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("needs a /dev/shm tmpfs")
+        with SharedMemoryModelStore() as store:
+            version = store.publish(rng.normal(size=33))
+            size = os.stat(f"/dev/shm/{store.segment_name(version)}").st_size
+            assert size == 33 * policy.itemsize
+
+    def test_publish_evict_cycles_unlink_every_segment(self, policy, rng):
+        store = SharedMemoryModelStore()
+        with store:
+            live = []
+            for _ in range(20):
+                live.append(store.publish_new(rng.normal(size=64)))
+                if len(live) > 3:
+                    store.release(live.pop(0))
+            assert len(shm_entries(store.name_prefix)) == len(store.versions())
+            for version in live:
+                store.release(version)
+            assert store.versions() == []
+            assert shm_entries(store.name_prefix) == []
+        assert shm_entries(store.name_prefix) == []
+
+    def test_worker_view_reads_each_segment_alone(self, policy, rng):
+        """A worker reads any version from its own segment, with the
+        dtype and parameter count it supplies, even after the versions
+        published before it are gone."""
+        with SharedMemoryModelStore() as store:
+            base = rng.normal(size=48)
+            v0 = store.publish_new(base)
+            v1 = store.publish_new(base + 0.005)
+            expected = store.get(v1).copy()
+            store.release(v0)
+            view = store.worker_handle().attach()
+            read = np.frombuffer(view.get(v1), policy, 48)
+            assert read.dtype == policy
+            np.testing.assert_array_equal(read, expected)
+            assert not read.flags.writeable
+            assert view.attach_count == 1
+            del read  # a live view would keep the attachment open
+            view.close()
+
+
+@pytest.mark.usefixtures("policy")
 class TestSharedMemoryLifecycle:
     def test_segment_exists_while_live_and_unlinks_on_release(self, rng):
         with SharedMemoryModelStore() as store:
@@ -153,11 +277,13 @@ class TestSharedMemoryLifecycle:
 
     def test_worker_view_reads_parent_segments(self, rng):
         with SharedMemoryModelStore() as store:
-            flat = rng.normal(size=32)
-            version = store.publish(flat)
+            version = store.publish(rng.normal(size=32))
+            flat = store.get(version)
             view = store.worker_handle().attach()
-            np.testing.assert_array_equal(view.get(version), flat)
-            assert not view.get(version).flags.writeable
+            read = np.frombuffer(view.get(version), flat.dtype, 32)
+            np.testing.assert_array_equal(read, flat)
+            assert not read.flags.writeable
+            del read  # a live view would keep the attachment open
             view.evict_below(version + 1)
             view.close()
 
@@ -192,18 +318,8 @@ class TestMakeModelStore:
         with make_model_store(shared=True) as store:
             assert isinstance(store, SharedMemoryModelStore)
 
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_codec_and_lossless_gate_apply_to_either_store(self, shared):
-        with make_model_store(shared, codec="float16") as store:
-            assert store.codec.name == "float16"
-        with pytest.raises(ValueError, match="lossy"):
-            make_model_store(shared, codec="quantized")
-        with make_model_store(
-            shared, codec="quantized", require_lossless=False
-        ) as store:
-            assert store.codec.name == "quantized"
 
-
+@pytest.mark.usefixtures("policy")
 class TestStoreBackedHistory:
     def test_append_publishes_and_eviction_releases(self, rng):
         model = make_mlp(2, 2, rng, hidden=(4,))

@@ -374,6 +374,22 @@ class TestEngineFactory:
     """make_engine gives each engine its one store; a process pool refuses
     any store but the shared-memory arena."""
 
+    def test_no_factory_or_config_takes_a_codec(self):
+        """Every store holds the policy-dtype vector itself: no factory,
+        store or config selects a weight codec any more."""
+        from repro.experiments.configs import ExperimentConfig
+        from repro.fl.model_store import make_model_store
+
+        for build in (
+            lambda: make_engine(0, codec="identity"),
+            lambda: make_model_store(False, codec="identity"),
+            lambda: InProcessModelStore(codec="identity"),
+            lambda: ExperimentConfig(codec="identity"),
+            lambda: ExperimentConfig(allow_lossy=True),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
     def test_make_executor_prebinds_store(self):
         store = SharedMemoryModelStore()
         with store, make_executor(2, store=store) as executor:
@@ -424,11 +440,10 @@ class TestEngineFactory:
     ):
         """One weight path per engine: only the process pool, whose
         workers live in other address spaces, gets the shared arena."""
-        with make_engine(workers, engine=engine, codec="float16") as round_engine:
+        with make_engine(workers, engine=engine) as round_engine:
             assert type(round_engine.executor) is executor_cls
             assert type(round_engine.store) is store_cls
             assert round_engine.executor.store is round_engine.store
-            assert round_engine.codec.name == "float16"
         assert round_engine.store.closed
 
     def test_process_executor_refuses_an_in_process_store(self):
@@ -965,19 +980,7 @@ class TestTransportAccounting:
         """Threads read the parent's in-process store: nothing is copied."""
         with make_engine(2, engine="thread") as engine:
             records = build_defended_sim(engine.executor).run(4)
-        assert all(
-            r.transport_bytes == r.raw_transport_bytes == 0 for r in records
-        )
-
-    def test_identity_arena_transport_equals_raw_bytes(self):
-        """Under the identity codec the arena's compressed and raw
-        counters agree: segment headers are not counted as transport."""
-        with make_engine(2) as engine:
-            records = build_defended_sim(engine.executor).run(4)
-        assert all(r.codec == "identity" for r in records)
-        assert all(
-            r.transport_bytes == r.raw_transport_bytes > 0 for r in records
-        )
+        assert all(r.transport_bytes == 0 for r in records)
 
     def test_shared_memory_transport_independent_of_history_and_fanout(self):
         """The acceptance criterion: shm bytes/round do not grow with the
@@ -1018,6 +1021,27 @@ class TestSharedProfileTable:
         sim = build_defended_sim(SequentialExecutor(), store=InProcessModelStore())
         sim.run(8)
         assert len(sim.defense.profile_table) == 0
+
+
+class TestWorkerMaterialization:
+    @pytest.mark.parametrize("policy", ["float64", "float32"])
+    def test_worker_reads_segments_in_the_template_dtype(self, policy):
+        """Arena segments carry only the vector's bytes: a worker reads a
+        version back with its template's dtype and parameter count."""
+        from repro.fl import parallel as parallel_mod
+        from repro.nn.precision import dtype_policy
+
+        with dtype_policy(policy), SharedMemoryModelStore() as store:
+            model, _, _, _ = make_world()
+            version = store.publish(model.get_flat())
+            parallel_mod._init_worker({}, {}, model.clone(), store.worker_handle())
+            try:
+                assert parallel_mod._W_DTYPE == np.dtype(policy)
+                materialized = parallel_mod._materialize(version).get_flat()
+            finally:
+                parallel_mod._W_STORE.close()
+        assert materialized.dtype == np.dtype(policy)
+        np.testing.assert_array_equal(materialized, model.get_flat())
 
 
 class TestWorkerTaskProfileFlow:

@@ -117,7 +117,15 @@ class TestSummaries:
         text = summarize_trace(tracer.finalized_spans(), tracer.metrics.snapshot())
         assert "rounds: 3 (3 accepted" in text
         assert "throughput: 12.50 rounds/s" in text
+        assert "transport: 1000 B" in text.splitlines()
         assert "train" in text and "validate" in text
+
+    def test_summary_omits_transport_when_no_counter_was_kept(self):
+        tracer = traced_run()
+        snapshot = tracer.metrics.snapshot()
+        del snapshot["counters"]["transport_bytes"]
+        text = summarize_trace(tracer.finalized_spans(), snapshot)
+        assert "transport" not in text
 
     def test_diff_identical_traces_is_structurally_clean(self):
         spans = traced_run().finalized_spans()

@@ -21,7 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 
 class TestCheckAttrs:
     def test_scalars_pass_through_unchanged(self):
-        attrs = {"clients": 3, "ratio": 0.5, "codec": "identity",
+        attrs = {"clients": 3, "ratio": 0.5, "engine": "thread",
                  "ok": True, "missing": None}
         assert check_attrs(attrs) is attrs
 
