@@ -40,7 +40,7 @@ Usage::
 
     python benchmarks/bench_parallel_engine.py           # full setting
     python benchmarks/bench_parallel_engine.py --quick   # CI smoke (<1 min)
-    python benchmarks/bench_parallel_engine.py --workers 8 --rounds 10
+    python benchmarks/bench_parallel_engine.py --workers 8 --rounds 16
 
 Speedups are measured with a drift-robust paired estimator: each row runs
 alongside two private sequential reference simulations in the same
@@ -61,12 +61,13 @@ so the engines win even on a single core.  Gates: ``pool+shm`` paired
 speedup over the per-model loop >= 1.0x always; ``thread`` >= 1.2x in
 the full setting (>= 1.0x under ``--quick``); tracing keeps >= 0.95x of
 untraced throughput; divergence 0.0 for every row; ``pool+shm`` ships at
-most one model per round.  A timing gate passes only when its whole
-interval clears the floor and fails when the interval lies below it; a
-gate measures at least ``GATE_MIN_ROUNDS`` rounds, and while the interval
-straddles the floor it adds blocks, up to ``GATE_MAX_ROUNDS``, and then
-reports "inconclusive" and fails the run.  ``speedup_vs_stack`` is
-recorded, not gated.  The transport numbers are host-independent.
+most one model per round.  Every row measures at least
+``GATE_MIN_ROUNDS`` rounds.  A timing gate passes only when its whole
+interval clears the floor and fails when the interval lies below it;
+while the interval straddles the floor it adds blocks, up to
+``GATE_MAX_ROUNDS``, and then reports "inconclusive" and fails the run.
+``speedup_vs_stack`` is recorded, not gated.  The transport numbers are
+host-independent.
 """
 
 from __future__ import annotations
@@ -115,10 +116,10 @@ from repro.fl.parallel import (
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import make_mlp
 
-#: A timing gate measures at least ``GATE_MIN_ROUNDS`` rounds (6 blocks of
-#: 2: with fewer, a bootstrap interval is little more than the blocks'
-#: range), and while its interval straddles the floor it adds blocks up to
-#: ``GATE_MAX_ROUNDS``.
+#: Every row measures at least ``GATE_MIN_ROUNDS`` rounds (6 blocks of 2:
+#: with fewer, a bootstrap interval is little more than the blocks'
+#: range), and while a timing gate's interval straddles its floor it adds
+#: blocks up to ``GATE_MAX_ROUNDS``.
 GATE_MIN_ROUNDS = 12
 GATE_MAX_ROUNDS = 96
 #: Tracing may cost at most 5 % of round throughput.
@@ -206,7 +207,7 @@ def timed_run(
         paired = paired_ratios(
             lambda n: records.extend(sim.run(n)),
             {name: ref.run for name, ref in refs.items()},
-            args.rounds if floor is None else max(args.rounds, GATE_MIN_ROUNDS),
+            max(args.rounds, GATE_MIN_ROUNDS),
             block=2, floor=floor, max_rounds=GATE_MAX_ROUNDS,
         )
         return {
@@ -340,8 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4,
                         help="worker processes for the parallel engines")
-    parser.add_argument("--rounds", type=int, default=8,
-                        help="measured rounds per engine")
+    parser.add_argument("--rounds", type=int, default=GATE_MIN_ROUNDS,
+                        help="measured rounds per engine (at least "
+                             f"{GATE_MIN_ROUNDS}; a gated row may add more)")
     parser.add_argument("--clients", type=int, default=64)
     parser.add_argument("--per-round", type=int, default=32, dest="per_round")
     parser.add_argument("--validators", type=int, default=8)
@@ -419,9 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{args.epochs} local epochs, batch={args.batch}, "
         f"shard={args.shard}), {args.validators} validators, "
         f"lookback={args.lookback}, hidden={args.hidden}",
-        f"host: {os.cpu_count()} cpu core(s); measured over {args.rounds} "
-        f"rounds after 1 warmup (gated rows: {GATE_MIN_ROUNDS}-{GATE_MAX_ROUNDS}"
-        f" rounds); model = "
+        f"host: {os.cpu_count()} cpu core(s); each row measured over "
+        f"{max(args.rounds, GATE_MIN_ROUNDS)} rounds after 1 warmup (gated "
+        f"rows: up to {GATE_MAX_ROUNDS}); model = "
         f"{model_bytes} bytes (float64); speedups are medians of paired "
         "adjacent-in-time blocks against two private sequential reference "
         "runs (the per-model loop and the stacking default), with "
@@ -450,8 +452,8 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "engine": name,
                 "workers": (
-                    1 if ROWS[name][1] is None
-                    else ROWS[name][2] if ROWS[name][2] is not None
+                    1 if ROWS[name][0] is None
+                    else ROWS[name][1] if ROWS[name][1] is not None
                     else args.workers
                 ),
                 "cohort_size": ROWS[name][2],
@@ -512,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
                 "shard": args.shard,
                 "lookback": args.lookback,
                 "hidden": list(args.hidden),
-                "rounds": args.rounds,
+                "rounds": max(args.rounds, GATE_MIN_ROUNDS),
                 "workers": args.workers,
                 "quick": False,
                 "model_bytes": int(model_bytes),

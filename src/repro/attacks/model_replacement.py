@@ -22,6 +22,7 @@ from repro.attacks.base import BackdoorTask, MaliciousClient
 from repro.attacks.poisoning import make_poison_blend
 from repro.data.dataset import Dataset
 from repro.fl.client import LocalTrainingConfig, local_train
+from repro.nn.blas import l2_norm
 from repro.nn.network import Network
 
 
@@ -145,7 +146,7 @@ class ModelReplacementClient(MaliciousClient):
         )
         cap = self.replacement.max_update_norm
         if cap is not None:
-            norm = float(np.linalg.norm(update))
+            norm = l2_norm(update)
             if norm > cap:
                 update = update * (cap / norm)
         return update

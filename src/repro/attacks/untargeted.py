@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.attacks.base import MaliciousClient
 from repro.fl.client import LocalTrainingConfig, local_train
+from repro.nn.blas import l2_norm
 from repro.nn.network import Network
 
 
@@ -68,4 +69,4 @@ class RandomUpdateClient(MaliciousClient):
             local_train(local, self.dataset, config, rng)
             return local.get_flat() - global_model.get_flat()
         noise = rng.normal(size=global_model.num_parameters)
-        return noise * (self.norm / np.linalg.norm(noise))
+        return noise * (self.norm / l2_norm(noise))

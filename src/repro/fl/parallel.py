@@ -43,9 +43,20 @@ process     one per worker, greedy least-loaded     worker processes
 Every engine stacks the whole eligible fan-out by default
 (``cohort_size=None``), the process pool spreading the stack over its
 workers; ``cohort_size=1`` selects the per-model loop.  Threads share the
-live clients and validators (the kernels are BLAS-bound and release the
-GIL); a per-validator lock serializes a written-off straggler's vote with
-its parent-side replay, which uses the same validator object.
+live clients and validators (NumPy releases the GIL inside its kernels);
+a per-validator lock serializes a written-off straggler's vote with its
+parent-side replay, which uses the same validator object.
+
+BLAS threads
+------------
+numpy's OpenBLAS starts one thread per core for any GEMM large enough to
+split, so ``workers`` concurrent kernels would run ``workers x cores``
+threads.  The thread and process engines therefore keep ``workers x BLAS
+threads <= cores`` (:mod:`repro.nn.blas`): ``max(1, usable cores //
+workers)`` threads, held in the parent from a fan-out's first submit until
+its ``collect`` returns (which covers the pool threads and the parent-side
+entities), and in each worker process for its lifetime.  The sequential
+engine, aggregation and the server's own vote keep the host default.
 
 Stragglers
 ----------
@@ -118,6 +129,7 @@ from repro.fl.model_store import (
 )
 from repro.fl.registry import ClientRegistry
 from repro.fl.rng import RngStreams
+from repro.nn import blas
 from repro.nn.network import Network
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
@@ -263,8 +275,11 @@ def _init_worker(
     store_handle,
     registry: ClientRegistry | None = None,
     trace_enabled: bool = False,
+    blas_threads: int | None = None,
 ) -> None:
     global _W_TEMPLATE, _W_DTYPE, _W_STORE, _W_REGISTRY, _W_TRACING
+    if blas_threads is not None:
+        blas.hold(blas_threads)  # again in every worker a rebuild starts
     _W_CLIENTS.clear()
     _W_CLIENTS.update(clients)
     _W_VALIDATORS.clear()
@@ -450,6 +465,9 @@ class _InlineDispatcher:
     remote = False
     #: ``plan_cohorts`` spread: cap chunk sizes to spread over workers.
     spread: int | None = None
+    #: BLAS threads per worker (:func:`repro.nn.blas.budget`); ``None``
+    #: keeps the host default.
+    blas_threads: int | None = None
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -482,6 +500,7 @@ class _ThreadDispatcher(_InlineDispatcher):
     def __init__(self, workers: int) -> None:
         super().__init__(workers)
         self._pool = None
+        self.blas_threads = blas.budget(workers)
 
     def start(self, ex: "RoundExecutor") -> None:
         if self._pool is None:
@@ -543,6 +562,7 @@ class _ProcessDispatcher(_ThreadDispatcher):
                     ex._store.worker_handle(),
                     ex._registry.worker_view() if ex._registry is not None else None,
                     ex._tracer.enabled,
+                    self.blas_threads,
                 ),
             )
 
@@ -868,7 +888,10 @@ class RoundExecutor:
             results.update(rows)
             return [results[cid] for cid in contributor_ids]
 
-        return self._launch("train", round_idx, tasks, parent, finish, holds).collect()
+        with self._blas_budget():
+            return self._launch(
+                "train", round_idx, tasks, parent, finish, holds
+            ).collect()
 
     def run_validators(
         self,
@@ -929,7 +952,10 @@ class RoundExecutor:
                     table.stage(vid, context.candidate_version, candidate_profile)
             return {vid: votes[vid] for vid in voters}
 
-        return self._launch("validate", round_idx, tasks, parent, finish, holds).collect()
+        with self._blas_budget():
+            return self._launch(
+                "validate", round_idx, tasks, parent, finish, holds
+            ).collect()
 
     def close(self) -> None:
         """Release executor resources (idempotent).
@@ -966,6 +992,13 @@ class RoundExecutor:
         self._abandoned = [p for p in self._abandoned if not p.reap()]
         self._dispatcher.start(self)
         return self._dispatcher
+
+    def _blas_budget(self):
+        """The dispatcher's BLAS budget, held from a fan-out's first submit
+        until its ``collect`` returns, parent-side entities included; the
+        inline dispatcher keeps the host default."""
+        threads = self._dispatcher.blas_threads
+        return contextlib.nullcontext() if threads is None else blas.limit(threads)
 
     def _span(self, name: str, round_idx: int | None = None, **attrs):
         """A worker span on the executor's tracer (in-process slices)."""
@@ -1116,8 +1149,12 @@ class ThreadPoolRoundExecutor(RoundExecutor):
 
     One task per cohort chunk, per-model client and validator; models and
     live objects are shared by reference, so :attr:`transport_bytes` stays
-    zero.  The whole eligible fan-out stacks into one chunk by default:
-    the stacked kernels already multithread inside BLAS.
+    zero.  The whole eligible fan-out stacks into one chunk by default.
+    A training stack's GEMMs (``(10, 32, 192) @ (10, 192, 64)`` on the
+    paper protocol) are too small for OpenBLAS to split and run on one
+    thread either way; the validators' cold profile stacks are large
+    enough to split, and the BLAS budget (module docstring) keeps the
+    concurrent votes from oversubscribing the cores.
     """
 
     def __init__(self, workers: int, cohort_size: int | None = None) -> None:

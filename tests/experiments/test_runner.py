@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.runner import (
+    _map_over_seeds,
     run_adaptive_experiment,
     run_detection_experiment,
     sweep_lookback,
     sweep_quorum,
 )
+from repro.nn import blas
+
+
+def _blas_threads(payload, seed):
+    """A seed task that reports the BLAS thread count it ran under."""
+    return blas.thread_count()
 
 
 class TestRunDetectionExperiment:
@@ -35,6 +44,20 @@ class TestRunDetectionExperiment:
         serial = run_detection_experiment(fast_config, seeds=(0, 1))
         fanned = run_detection_experiment(fast_config, seeds=(0, 1), seed_workers=2)
         assert fanned == serial
+
+    @pytest.mark.skipif(
+        blas.BOUND is None, reason="no known OpenBLAS thread-count setter found"
+    )
+    def test_seed_workers_hold_the_pool_budget(self):
+        """Each seed process keeps cores // workers BLAS threads; a serial
+        run and the parent keep the host count."""
+        host = blas.thread_count()
+        fanned = _map_over_seeds(_blas_threads, None, (0, 1, 2), seed_workers=2)
+        assert fanned == [min(host, blas.budget(2))] * 3
+        assert blas.thread_count() == host
+        assert _map_over_seeds(_blas_threads, None, (0, 1), seed_workers=0) == [
+            host, host,
+        ]
 
 
 class TestSweeps:

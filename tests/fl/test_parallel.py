@@ -39,6 +39,7 @@ from repro.fl.parallel import (
 )
 from repro.fl.rng import RngStreams
 from repro.fl.simulation import DefenseDecision, FederatedSimulation
+from repro.nn import blas
 from repro.nn.models import make_mlp
 
 
@@ -1277,3 +1278,140 @@ class TestStandaloneContextOnSharedStore:
             assert store.bytes_published == 7 * model.get_flat().nbytes
             # ...all released once the phase's tasks finished.
             assert store.versions() == []
+
+
+class BlasProbeClient(HonestClient):
+    """Submits the BLAS thread count its update ran under, as the update."""
+
+    def produce_update(self, global_model, config, round_idx, rng):
+        return np.full(global_model.num_parameters, float(blas.thread_count()))
+
+
+class ParentBlasProbeClient(BlasProbeClient):
+    parallel_safe = False
+
+
+@pytest.mark.skipif(
+    blas.BOUND is None, reason="no known OpenBLAS thread-count setter found"
+)
+class TestBlasBudget:
+    """The thread and process engines keep workers x BLAS threads <= cores;
+    the sequential engine and the parent between fan-outs keep the host
+    count."""
+
+    @pytest.mark.parametrize(
+        "workers, engine", [(0, "process"), (2, "thread"), (2, "process")]
+    )
+    def test_tasks_run_under_the_budget(self, workers, engine):
+        host = blas.thread_count()
+        expected = host if workers < 2 else min(host, blas.budget(workers))
+        model, clients, _, config = make_world(num_clients=4)
+        probes = [
+            (ParentBlasProbeClient if c.client_id == 1 else BlasProbeClient)(
+                c.client_id, c.dataset
+            )
+            for c in clients
+        ]
+        local = LocalTrainingConfig(epochs=1, batch_size=config.batch_size)
+        streams = RngStreams.from_seed(0)
+        with make_engine(workers, engine=engine) as round_engine:
+            executor = round_engine.executor
+            executor.bind(clients=probes, template=model.clone())
+            for round_idx in range(2):
+                updates = executor.run_clients(
+                    probes, [0, 1, 2, 3], model, local, round_idx, streams
+                )
+                # Client 1 runs in the parent, inside the fan-out's window.
+                assert [update[0] for update in updates] == [expected] * 4
+                assert blas.thread_count() == host
+        assert blas.thread_count() == host
+
+    @pytest.mark.parametrize("engine", ["thread", "process"])
+    def test_parent_keeps_its_count_across_defended_rounds(self, engine):
+        host = blas.thread_count()
+        with make_engine(2, engine=engine) as round_engine:
+            sim = build_defended_sim(round_engine.executor)
+            for _ in range(6):
+                sim.run_round()
+                assert blas.thread_count() == host
+        assert blas.thread_count() == host
+
+    def test_a_process_worker_holds_the_budget_from_its_initializer(self):
+        """``_init_worker`` sets the budget, so it holds in every worker a
+        pool (re)build starts, even a spawned one that inherits nothing."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.fl import parallel as parallel_mod
+
+        model, _, _, _ = make_world()
+        with SharedMemoryModelStore() as store, ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("spawn"),
+            initializer=parallel_mod._init_worker,
+            initargs=({}, {}, model.clone(), store.worker_handle(), None,
+                      False, 1),
+        ) as pool:
+            assert pool.submit(blas.thread_count).result() == 1
+
+
+class TestAttackerNormsAcrossEngines:
+    """Attackers that take a norm inside the training fan-out commit the
+    same bits on every engine.  The pool engines train under the BLAS
+    budget and the sequential one at the host count, and
+    ``np.linalg.norm`` of a CIFAR-sized update runs OpenBLAS ``dot``, whose
+    sum OpenBLAS splits across threads above 10 000 elements."""
+
+    @staticmethod
+    def _world(make_attacker):
+        from repro.data.synthetic_cifar import SyntheticCifar
+
+        rng = np.random.default_rng(5)
+        task = SyntheticCifar()
+        pool = task.sample(6 * 32, rng)
+        shards = [pool.subset(p) for p in iid_partition(len(pool), 6, rng)]
+        clients = [HonestClient(i, shards[i]) for i in range(5)]
+        clients.append(make_attacker(5, shards[5], task))
+        model = make_mlp(task.flat_dim, task.num_classes, rng, hidden=(64,))
+        assert model.num_parameters == 13_002  # the detect protocol's MLP
+        config = FLConfig(num_clients=6, clients_per_round=6, local_epochs=1)
+        return model, clients, config
+
+    @staticmethod
+    def _replacement(cid, shard, task):
+        from repro.attacks.model_replacement import (
+            ModelReplacementClient,
+            ReplacementConfig,
+        )
+        from repro.attacks.semantic_backdoor import SemanticBackdoor
+
+        replacement = ReplacementConfig(
+            boost=6.0, poison_samples=16, attack_epochs=1, max_update_norm=0.5
+        )
+        return ModelReplacementClient(
+            cid, shard, SemanticBackdoor(task), replacement, range(6)
+        )
+
+    @staticmethod
+    def _random(cid, shard, task):
+        from repro.attacks.untargeted import RandomUpdateClient
+
+        return RandomUpdateClient(cid, shard, norm=0.5, attack_rounds=range(6))
+
+    @pytest.mark.parametrize("attacker", ["_replacement", "_random"])
+    def test_commits_match_across_engines_and_thread_counts(self, attacker):
+        model, clients, config = self._world(getattr(self, attacker))
+
+        def commit(workers=0, engine="process"):
+            with make_engine(workers, engine=engine) as round_engine:
+                sim = FederatedSimulation(
+                    model.clone(), clients, config, np.random.default_rng(9),
+                    executor=round_engine.executor,
+                )
+                sim.run(6)
+            return sim.global_model.get_flat()
+
+        baseline = commit()
+        with blas.limit(1):
+            np.testing.assert_array_equal(baseline, commit())
+        for engine in ("thread", "process"):
+            np.testing.assert_array_equal(baseline, commit(2, engine))
