@@ -2,7 +2,7 @@
 
 Every sweep here is many independent (config, seed) scenarios, and
 ``run_detection_experiment(..., seed_workers=N)`` fans the seeds over N
-processes, each of which keeps ``cores // N`` BLAS threads
+processes, each of which keeps the host's BLAS thread count // N threads
 (:mod:`repro.nn.blas`).  This bench runs the paper-default detection
 experiment (``ExperimentConfig()``: CIFAR, 90-10 split, l=20, q=5,
 ``mode=both``) over 8 seeds serially and on a 2-process seed pool,
@@ -46,23 +46,20 @@ from repro.experiments.environment import clear_environment_cache
 from repro.experiments.runner import run_detection_experiment
 from repro.nn import blas
 
+#: Seeds per experiment, processes of the seed pool, and paired blocks (one
+#: experiment per side each); ``--quick`` runs 2 seeds in 2 blocks.
+SEEDS, SEED_WORKERS, BLOCKS = 8, 2, 6
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=8,
-                        help="seeds per experiment")
-    parser.add_argument("--seed-workers", type=int, default=2,
-                        dest="seed_workers", help="processes of the seed pool")
-    parser.add_argument("--blocks", type=int, default=6,
-                        help="paired blocks, one experiment per side each")
     parser.add_argument("--quick", action="store_true",
                         help="smoke setting: 2 seeds, 2 blocks, no JSON")
     args = parser.parse_args(argv)
-    if args.quick:
-        args.seeds, args.blocks = 2, 2
+    seeds = tuple(range(2 if args.quick else SEEDS))
+    blocks = 2 if args.quick else BLOCKS
     config = ExperimentConfig()
-    seeds = tuple(range(args.seeds))
-    sides = {"serial": 0, "pool": args.seed_workers}
+    sides = {"serial": 0, "pool": SEED_WORKERS}
     stats = {name: [] for name in sides}
     seconds = dict.fromkeys(sides, 0.0)
 
@@ -78,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         return run
 
     paired = paired_ratio(
-        runner("serial"), runner("pool"), args.blocks, block=1
+        runner("serial"), runner("pool"), blocks, block=1
     )
     reference = stats["serial"][0]
     identical = all(s == reference for runs in stats.values() for s in runs)
@@ -90,9 +87,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(seeds)} seeds per experiment, {paired.blocks} paired blocks; "
         f"host: {blas.usable_cores()} usable core(s), BLAS "
         f"{blas.BOUND or 'unbound (no thread budget)'}, "
-        f"{blas.budget(args.seed_workers)} BLAS thread(s) per seed process",
+        f"{blas.budget(SEED_WORKERS)} BLAS thread(s) per seed process",
         f"serial (seed_workers=0): {rates['serial']:.3f} scenarios/s",
-        f"pool (seed_workers={args.seed_workers}): {rates['pool']:.3f} "
+        f"pool (seed_workers={SEED_WORKERS}): {rates['pool']:.3f} "
         "scenarios/s",
         f"paired serial/pool wall-clock ratio: {paired.ratio:.3f}x, "
         f"{BOOTSTRAP_LEVEL:.0%} interval [{paired.low:.3f}, {paired.high:.3f}]",
@@ -106,11 +103,11 @@ def main(argv: list[str] | None = None) -> int:
             "benchmark": "seed_workers",
             "config": "ExperimentConfig() (paper-default detect)",
             "seeds": len(seeds),
-            "seed_workers": args.seed_workers,
+            "seed_workers": SEED_WORKERS,
             "blocks": paired.blocks,
             "usable_cores": blas.usable_cores(),
             "blas": blas.BOUND,
-            "blas_threads_per_seed_process": blas.budget(args.seed_workers),
+            "blas_threads_per_seed_process": blas.budget(SEED_WORKERS),
             "serial_scenarios_per_s": round(rates["serial"], 4),
             "pool_scenarios_per_s": round(rates["pool"], 4),
             "speedup": round(paired.ratio, 4),

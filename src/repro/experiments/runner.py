@@ -7,9 +7,11 @@ fan seeds out over a process pool (``seed_workers``).  Each seed process
 builds its own environment (the in-process environment cache does not
 cross process boundaries) and returns only the small per-run statistics;
 per-seed results are deterministic, so serial and fanned-out runs
-aggregate identically.  Each seed process keeps ``max(1, cores // pool
-size)`` BLAS threads for its lifetime (:mod:`repro.nn.blas`), so the pool
-does not oversubscribe the cores.
+aggregate identically.  Each seed process keeps ``max(1, count // pool
+size)`` BLAS threads for its lifetime, ``count`` being the parent's BLAS
+thread count (:func:`repro.nn.blas.budget`), so the pool does not
+oversubscribe the cores; a parallel round engine inside a seed process
+splits that share again.
 """
 
 from __future__ import annotations

@@ -52,11 +52,13 @@ BLAS threads
 numpy's OpenBLAS starts one thread per core for any GEMM large enough to
 split, so ``workers`` concurrent kernels would run ``workers x cores``
 threads.  The thread and process engines therefore keep ``workers x BLAS
-threads <= cores`` (:mod:`repro.nn.blas`): ``max(1, usable cores //
-workers)`` threads, held in the parent from a fan-out's first submit until
-its ``collect`` returns (which covers the pool threads and the parent-side
-entities), and in each worker process for its lifetime.  The sequential
-engine, aggregation and the server's own vote keep the host default.
+threads <= cores`` (:mod:`repro.nn.blas`): ``max(1, count // workers)``
+threads, where ``count`` is the BLAS count in effect when the executor is
+built (the host default, or a seed process's share), held in the parent
+from a fan-out's first submit until its ``collect`` returns (which covers
+the pool threads and the parent-side entities), and in each worker process
+for its lifetime.  The sequential engine, aggregation and the server's own
+vote keep the host default.
 
 Stragglers
 ----------
@@ -465,9 +467,9 @@ class _InlineDispatcher:
     remote = False
     #: ``plan_cohorts`` spread: cap chunk sizes to spread over workers.
     spread: int | None = None
-    #: BLAS threads per worker (:func:`repro.nn.blas.budget`); ``None``
+    #: Whether fan-outs run under the executor's BLAS budget; ``False``
     #: keeps the host default.
-    blas_threads: int | None = None
+    budgeted = False
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -496,11 +498,11 @@ class _ThreadDispatcher(_InlineDispatcher):
 
     kind = "thread"
     below = _InlineDispatcher
+    budgeted = True
 
     def __init__(self, workers: int) -> None:
         super().__init__(workers)
         self._pool = None
-        self.blas_threads = blas.budget(workers)
 
     def start(self, ex: "RoundExecutor") -> None:
         if self._pool is None:
@@ -562,7 +564,7 @@ class _ProcessDispatcher(_ThreadDispatcher):
                     ex._store.worker_handle(),
                     ex._registry.worker_view() if ex._registry is not None else None,
                     ex._tracer.enabled,
-                    self.blas_threads,
+                    ex._blas_threads,
                 ),
             )
 
@@ -722,6 +724,10 @@ class RoundExecutor:
         #: Recovery-incident ledger: one per run, whatever the dispatcher.
         self.resilience = ResilienceStats()
         self._dispatcher = dispatcher(workers)
+        #: BLAS threads per worker (:func:`repro.nn.blas.budget`), fixed
+        #: here: a dispatcher swapped in during a fan-out would otherwise
+        #: split that fan-out's own cap again.
+        self._blas_threads = blas.budget(workers) if workers >= 2 else None
         #: Bumped on every teardown, so the futures of one breakage
         #: trigger exactly one rebuild.
         self._generation = 0
@@ -994,11 +1000,12 @@ class RoundExecutor:
         return self._dispatcher
 
     def _blas_budget(self):
-        """The dispatcher's BLAS budget, held from a fan-out's first submit
+        """The executor's BLAS budget, held from a fan-out's first submit
         until its ``collect`` returns, parent-side entities included; the
         inline dispatcher keeps the host default."""
-        threads = self._dispatcher.blas_threads
-        return contextlib.nullcontext() if threads is None else blas.limit(threads)
+        if not self._dispatcher.budgeted:
+            return contextlib.nullcontext()
+        return blas.limit(self._blas_threads)
 
     def _span(self, name: str, round_idx: int | None = None, **attrs):
         """A worker span on the executor's tracer (in-process slices)."""

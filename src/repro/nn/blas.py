@@ -6,6 +6,10 @@ would then run ``workers x cores`` compute threads, and OpenBLAS's
 spin-waiting threads lose that contest.  So every parallel path keeps
 ``workers x BLAS threads <= cores``: it runs under :func:`limit` at
 :func:`budget` threads, and the sequential path keeps the host default.
+The budget divides the count in effect, not the machine's cores: OpenBLAS
+sizes its default from the affinity mask and ``OPENBLAS_NUM_THREADS``, and
+inside a seed process the count in effect is that process's share, so an
+engine pool nested in a seed pool splits the share again.
 
 :func:`limit` caps the count for a block:
 
@@ -82,7 +86,7 @@ _lock = threading.Lock()
 _caps: list[int] = []
 #: The count the first of those limits found, restored when the last leaves.
 _restore = 0
-#: The cap :func:`hold` keeps for the rest of the process's life.
+#: The caps :func:`hold` keeps for the rest of the process's life.
 _held = ExitStack()
 
 
@@ -110,8 +114,9 @@ def usable_cores() -> int:
 
 
 def budget(workers: int) -> int:
-    """BLAS threads per worker so that ``workers x threads <= cores``."""
-    return max(1, usable_cores() // workers)
+    """BLAS threads per worker so that ``workers x threads`` stays within
+    the count in effect (:func:`usable_cores` when unbound)."""
+    return max(1, (thread_count() or usable_cores()) // workers)
 
 
 @contextmanager
@@ -141,8 +146,9 @@ def limit(threads: int) -> Iterator[int | None]:
 
 def hold(threads: int) -> None:
     """Enter :func:`limit` for the rest of this process's life (a pool
-    worker's initializer); a later call replaces the earlier cap."""
-    _held.close()
+    worker's initializer).  Like nested limits, holds combine by the
+    smallest cap, so a worker forked from a seed process keeps the seed's
+    lower cap."""
     _held.enter_context(limit(threads))
 
 

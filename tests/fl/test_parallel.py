@@ -23,6 +23,7 @@ from repro.core.baffle import (
 from repro.core.validation import MisclassificationValidator
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
+from repro.experiments.runner import _map_over_seeds
 from repro.fl.client import HonestClient, LocalTrainingConfig
 from repro.fl.config import FLConfig
 from repro.fl.model_store import (
@@ -1291,6 +1292,21 @@ class ParentBlasProbeClient(BlasProbeClient):
     parallel_safe = False
 
 
+def _probe_engine(engine: str, seed: int) -> list[float]:
+    """The BLAS counts four probe clients trained under in one fan-out of a
+    2-worker ``engine`` built in this process (a seed-pool task)."""
+    model, clients, _, config = make_world(num_clients=4)
+    probes = [BlasProbeClient(c.client_id, c.dataset) for c in clients]
+    local = LocalTrainingConfig(epochs=1, batch_size=config.batch_size)
+    with make_engine(2, engine=engine) as round_engine:
+        executor = round_engine.executor
+        executor.bind(clients=probes, template=model.clone())
+        updates = executor.run_clients(
+            probes, [0, 1, 2, 3], model, local, 0, RngStreams.from_seed(seed)
+        )
+    return [float(update[0]) for update in updates]
+
+
 @pytest.mark.skipif(
     blas.BOUND is None, reason="no known OpenBLAS thread-count setter found"
 )
@@ -1304,7 +1320,7 @@ class TestBlasBudget:
     )
     def test_tasks_run_under_the_budget(self, workers, engine):
         host = blas.thread_count()
-        expected = host if workers < 2 else min(host, blas.budget(workers))
+        expected = host if workers < 2 else blas.budget(workers)
         model, clients, _, config = make_world(num_clients=4)
         probes = [
             (ParentBlasProbeClient if c.client_id == 1 else BlasProbeClient)(
@@ -1335,6 +1351,19 @@ class TestBlasBudget:
                 sim.run_round()
                 assert blas.thread_count() == host
         assert blas.thread_count() == host
+
+    @pytest.mark.parametrize("engine", ["thread", "process"])
+    def test_an_engine_in_a_seed_process_splits_the_seeds_share(self, engine):
+        """``--seed-workers 2 --workers 2`` on an 8-thread host: each seed
+        process holds 8 // 2 BLAS threads and its engine's workers 4 // 2,
+        so seeds x workers x threads stays at 8."""
+        host = blas.thread_count()
+        blas._set(8)  # stands in for an 8-core host's default count
+        try:
+            counts = _map_over_seeds(_probe_engine, engine, (0, 1), seed_workers=2)
+        finally:
+            blas._set(host)
+        assert counts == [[2.0] * 4] * 2
 
     def test_a_process_worker_holds_the_budget_from_its_initializer(self):
         """``_init_worker`` sets the budget, so it holds in every worker a

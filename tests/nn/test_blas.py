@@ -96,16 +96,31 @@ class TestLimit:
         assert errors == []
         assert blas.thread_count() == host
 
-    def test_hold_replaces_its_earlier_cap(self):
+    def test_holds_combine_by_the_smallest_cap(self):
+        """A later hold never raises an earlier one, as a pool worker forked
+        from a seed process must keep the seed's cap."""
         host = blas.thread_count()
         try:
             blas.hold(1)
+            blas.hold(2)
             assert blas.thread_count() == 1
             blas.hold(host)
-            assert blas.thread_count() == host
+            assert blas.thread_count() == 1
         finally:
             blas._held.close()
         assert blas.thread_count() == host
+
+    def test_budget_divides_the_count_in_effect(self):
+        """Inside a seed process's cap, an engine's budget splits that cap,
+        not the machine's cores."""
+        with blas.limit(1):
+            assert blas.budget(1) == 1
+            assert blas.budget(2) == 1
+        try:
+            blas.hold(1)
+            assert blas.budget(1) == 1
+        finally:
+            blas._held.close()
 
 
 def test_limit_is_a_no_op_when_unbound(monkeypatch):
@@ -115,16 +130,17 @@ def test_limit_is_a_no_op_when_unbound(monkeypatch):
     assert blas.thread_count() is None
     with blas.limit(1) as count:
         assert count is None
+    assert blas.budget(1) == blas.usable_cores()
     monkeypatch.undo()
     assert blas.thread_count() == before
 
 
-def test_budget_splits_the_usable_cores():
-    cores = blas.usable_cores()
-    assert cores >= 1
-    assert blas.budget(1) == cores
-    assert blas.budget(2) == max(1, cores // 2)
-    assert blas.budget(cores + 1) == 1
+def test_budget_splits_the_host_count():
+    host = blas.thread_count() or blas.usable_cores()
+    assert host >= 1
+    assert blas.budget(1) == host
+    assert blas.budget(2) == max(1, host // 2)
+    assert blas.budget(host + 1) == 1
 
 
 class TestL2Norm:
