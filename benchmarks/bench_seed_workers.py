@@ -2,12 +2,12 @@
 
 Every sweep here is many independent (config, seed) scenarios, and
 ``run_detection_experiment(..., seed_workers=N)`` fans the seeds over N
-processes, each of which keeps the host's BLAS thread count // N threads
-(:mod:`repro.nn.blas`).  This bench runs the paper-default detection
-experiment (``ExperimentConfig()``: CIFAR, 90-10 split, l=20, q=5,
-``mode=both``) over 8 seeds serially and on a 2-process seed pool,
-alternated in paired blocks (:func:`_common.paired_ratio`, one whole
-experiment per side per block), and reports the median serial/pool
+processes; every round, in a seed process or in a serial run, runs at
+one BLAS thread (:mod:`repro.nn.blas`).  This bench runs the
+paper-default detection experiment (``ExperimentConfig()``: CIFAR, 90-10
+split, l=20, q=5, ``mode=both``) over 8 seeds serially and on a 2-process
+seed pool, alternated in paired blocks (:func:`_common.paired_ratio`, one
+whole experiment per side per block), and reports the median serial/pool
 wall-clock ratio with its 90 % block-bootstrap interval, plus each side's
 scenarios (seeds) per second.  Every experiment starts from an empty
 environment cache, as a fresh ``repro detect --seeds 8`` does.
@@ -51,6 +51,14 @@ from repro.nn import blas
 SEEDS, SEED_WORKERS, BLOCKS = 8, 2, 6
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS keeps
+    one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -82,12 +90,12 @@ def main(argv: list[str] | None = None) -> int:
     rates = {
         name: len(stats[name]) * len(seeds) / seconds[name] for name in sides
     }
+    rule = (f"{blas.BOUND}, 1 BLAS thread inside every round" if blas.BOUND
+            else "unbound (rounds keep the host's BLAS threads)")
     lines = [
         "Seed throughput: the paper-default detect experiment over a seed pool",
         f"{len(seeds)} seeds per experiment, {paired.blocks} paired blocks; "
-        f"host: {blas.usable_cores()} usable core(s), BLAS "
-        f"{blas.BOUND or 'unbound (no thread budget)'}, "
-        f"{blas.budget(SEED_WORKERS)} BLAS thread(s) per seed process",
+        f"host: {usable_cores()} usable core(s), BLAS {rule}",
         f"serial (seed_workers=0): {rates['serial']:.3f} scenarios/s",
         f"pool (seed_workers={SEED_WORKERS}): {rates['pool']:.3f} "
         "scenarios/s",
@@ -105,9 +113,9 @@ def main(argv: list[str] | None = None) -> int:
             "seeds": len(seeds),
             "seed_workers": SEED_WORKERS,
             "blocks": paired.blocks,
-            "usable_cores": blas.usable_cores(),
+            "usable_cores": usable_cores(),
             "blas": blas.BOUND,
-            "blas_threads_per_seed_process": blas.budget(SEED_WORKERS),
+            "blas_threads_per_round": 1 if blas.BOUND else None,
             "serial_scenarios_per_s": round(rates["serial"], 4),
             "pool_scenarios_per_s": round(rates["pool"], 4),
             "speedup": round(paired.ratio, 4),

@@ -7,11 +7,9 @@ fan seeds out over a process pool (``seed_workers``).  Each seed process
 builds its own environment (the in-process environment cache does not
 cross process boundaries) and returns only the small per-run statistics;
 per-seed results are deterministic, so serial and fanned-out runs
-aggregate identically.  Each seed process keeps ``max(1, count // pool
-size)`` BLAS threads for its lifetime, ``count`` being the parent's BLAS
-thread count (:func:`repro.nn.blas.budget`), so the pool does not
-oversubscribe the cores; a parallel round engine inside a seed process
-splits that share again.
+aggregate identically.  A seed process spends its time in rounds, and
+every round runs at one BLAS thread (:mod:`repro.nn.blas`), so the pool
+keeps to one core per process without a thread setting of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.experiments.metrics import (
     detection_stats,
 )
 from repro.experiments.scenarios import run_stable_scenario
-from repro.nn import blas
 
 #: The paper averages each cell over 5 repeated experiments.
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -43,13 +40,9 @@ def _detection_seed_task(config: ExperimentConfig, seed: int) -> DetectionStats:
 
 def _map_over_seeds(task, payload, seeds: Sequence[int], seed_workers: int):
     """Run ``task(payload, seed)`` per seed, serially or over a process
-    pool whose workers each hold the pool's BLAS budget."""
+    pool."""
     if seed_workers >= 2 and len(seeds) > 1:
-        workers = min(seed_workers, len(seeds))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=blas.hold,
-            initargs=(blas.budget(workers),),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(seed_workers, len(seeds))) as pool:
             return list(pool.map(task, repeat(payload), seeds))
     return [task(payload, seed) for seed in seeds]
 

@@ -49,16 +49,14 @@ parent-side replay, which uses the same validator object.
 
 BLAS threads
 ------------
-numpy's OpenBLAS starts one thread per core for any GEMM large enough to
-split, so ``workers`` concurrent kernels would run ``workers x cores``
-threads.  The thread and process engines therefore keep ``workers x BLAS
-threads <= cores`` (:mod:`repro.nn.blas`): ``max(1, count // workers)``
-threads, where ``count`` is the BLAS count in effect when the executor is
-built (the host default, or a seed process's share), held in the parent
-from a fan-out's first submit until its ``collect`` returns (which covers
-the pool threads and the parent-side entities), and in each worker process
-for its lifetime.  The sequential engine, aggregation and the server's own
-vote keep the host default.
+The round loop fans out inside
+:meth:`~repro.fl.simulation.FederatedSimulation.run_round`, which holds
+numpy's OpenBLAS at one thread for the whole round (:mod:`repro.nn.blas`).
+The count is process-wide, so that covers the pool threads, the
+parent-side entities and the server's own vote.  Each worker process holds
+one thread for its lifetime, set in its initializer, so a rebuilt or
+spawned pool holds it too.  An executor driven outside a round runs at its
+caller's count.
 
 Stragglers
 ----------
@@ -277,11 +275,9 @@ def _init_worker(
     store_handle,
     registry: ClientRegistry | None = None,
     trace_enabled: bool = False,
-    blas_threads: int | None = None,
 ) -> None:
     global _W_TEMPLATE, _W_DTYPE, _W_STORE, _W_REGISTRY, _W_TRACING
-    if blas_threads is not None:
-        blas.hold(blas_threads)  # again in every worker a rebuild starts
+    blas.hold(1)  # again in every worker a rebuild starts
     _W_CLIENTS.clear()
     _W_CLIENTS.update(clients)
     _W_VALIDATORS.clear()
@@ -467,9 +463,6 @@ class _InlineDispatcher:
     remote = False
     #: ``plan_cohorts`` spread: cap chunk sizes to spread over workers.
     spread: int | None = None
-    #: Whether fan-outs run under the executor's BLAS budget; ``False``
-    #: keeps the host default.
-    budgeted = False
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -498,7 +491,6 @@ class _ThreadDispatcher(_InlineDispatcher):
 
     kind = "thread"
     below = _InlineDispatcher
-    budgeted = True
 
     def __init__(self, workers: int) -> None:
         super().__init__(workers)
@@ -564,7 +556,6 @@ class _ProcessDispatcher(_ThreadDispatcher):
                     ex._store.worker_handle(),
                     ex._registry.worker_view() if ex._registry is not None else None,
                     ex._tracer.enabled,
-                    ex._blas_threads,
                 ),
             )
 
@@ -724,10 +715,6 @@ class RoundExecutor:
         #: Recovery-incident ledger: one per run, whatever the dispatcher.
         self.resilience = ResilienceStats()
         self._dispatcher = dispatcher(workers)
-        #: BLAS threads per worker (:func:`repro.nn.blas.budget`), fixed
-        #: here: a dispatcher swapped in during a fan-out would otherwise
-        #: split that fan-out's own cap again.
-        self._blas_threads = blas.budget(workers) if workers >= 2 else None
         #: Bumped on every teardown, so the futures of one breakage
         #: trigger exactly one rebuild.
         self._generation = 0
@@ -894,10 +881,9 @@ class RoundExecutor:
             results.update(rows)
             return [results[cid] for cid in contributor_ids]
 
-        with self._blas_budget():
-            return self._launch(
-                "train", round_idx, tasks, parent, finish, holds
-            ).collect()
+        return self._launch(
+            "train", round_idx, tasks, parent, finish, holds
+        ).collect()
 
     def run_validators(
         self,
@@ -958,10 +944,9 @@ class RoundExecutor:
                     table.stage(vid, context.candidate_version, candidate_profile)
             return {vid: votes[vid] for vid in voters}
 
-        with self._blas_budget():
-            return self._launch(
-                "validate", round_idx, tasks, parent, finish, holds
-            ).collect()
+        return self._launch(
+            "validate", round_idx, tasks, parent, finish, holds
+        ).collect()
 
     def close(self) -> None:
         """Release executor resources (idempotent).
@@ -998,14 +983,6 @@ class RoundExecutor:
         self._abandoned = [p for p in self._abandoned if not p.reap()]
         self._dispatcher.start(self)
         return self._dispatcher
-
-    def _blas_budget(self):
-        """The executor's BLAS budget, held from a fan-out's first submit
-        until its ``collect`` returns, parent-side entities included; the
-        inline dispatcher keeps the host default."""
-        if not self._dispatcher.budgeted:
-            return contextlib.nullcontext()
-        return blas.limit(self._blas_threads)
 
     def _span(self, name: str, round_idx: int | None = None, **attrs):
         """A worker span on the executor's tracer (in-process slices)."""
@@ -1158,10 +1135,9 @@ class ThreadPoolRoundExecutor(RoundExecutor):
     live objects are shared by reference, so :attr:`transport_bytes` stays
     zero.  The whole eligible fan-out stacks into one chunk by default.
     A training stack's GEMMs (``(10, 32, 192) @ (10, 192, 64)`` on the
-    paper protocol) are too small for OpenBLAS to split and run on one
-    thread either way; the validators' cold profile stacks are large
-    enough to split, and the BLAS budget (module docstring) keeps the
-    concurrent votes from oversubscribing the cores.
+    paper protocol) are too small for OpenBLAS to split; the round runs
+    every GEMM at one BLAS thread (module docstring), so concurrent votes
+    never start OpenBLAS's helper threads on top of the pool's.
     """
 
     def __init__(self, workers: int, cohort_size: int | None = None) -> None:

@@ -31,6 +31,7 @@ from repro.fl.registry import ClientRegistry
 from repro.fl.rng import RngStreams
 from repro.fl.secure_agg import SecureAggregator
 from repro.fl.selection import Selector, UniformSelector
+from repro.nn import blas
 from repro.nn.network import Network
 from repro.nn.precision import active_dtype
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -286,80 +287,86 @@ class FederatedSimulation:
     # Round loop
     # ------------------------------------------------------------------
     def run_round(self) -> RoundRecord:
-        """Execute one full round and return its record."""
-        round_idx = self.round_idx
-        tracer = self.tracer
-        transport_before = self.executor.transport_bytes
-        with tracer.span("select", round_idx=round_idx) as span_select:
-            contributor_ids = self.selector.select(round_idx, self.rng)
-        with tracer.span("train", round_idx=round_idx) as span_train:
-            updates = self.executor.run_clients(
-                self.clients,
-                contributor_ids,
-                self.global_model,
-                self._local_config(),
-                round_idx,
-                self.streams,
-            )
-        with tracer.span("aggregate", round_idx=round_idx) as span_aggregate:
-            candidate, candidate_flat = self._aggregate(
-                contributor_ids, updates, round_idx, self.rng
-            )
-        resident_clients = self._end_client_round()
-        if tracer.enabled:
-            tracer.event(
-                "materialize", round_idx=round_idx, clients=resident_clients
-            )
+        """Execute one full round and return its record.
 
-        span_validate = None
-        if not np.isfinite(candidate_flat).all():
-            # A client produced a non-finite update (diverged training or a
-            # crash-faulty participant).  Under secure aggregation the
-            # server cannot identify or drop the culprit — the whole round
-            # is poisoned by NaN/inf — so the only safe reaction is to
-            # discard the round, exactly like a defense rejection.
-            decision = DefenseDecision(accepted=False)
-        elif self.defense is None:
-            decision = DefenseDecision(accepted=True)
-        else:
-            with tracer.span("validate", round_idx=round_idx) as span_validate:
-                decision = self.defense.review(candidate, round_idx, self.rng)
-        outcome = "commit" if decision.accepted else "reject"
-        with tracer.span(outcome, cat="round", round_idx=round_idx):
-            if decision.accepted:
-                self.global_model = candidate
-            if self.defense is not None:
-                self.defense.record_outcome(candidate, decision.accepted)
+        The whole round runs at one BLAS thread (:mod:`repro.nn.blas`):
+        training on every engine, every vote, the server's vote and the
+        metric hooks.  The caller's count comes back when it returns.
+        """
+        with blas.limit(1):
+            round_idx = self.round_idx
+            tracer = self.tracer
+            transport_before = self.executor.transport_bytes
+            with tracer.span("select", round_idx=round_idx) as span_select:
+                contributor_ids = self.selector.select(round_idx, self.rng)
+            with tracer.span("train", round_idx=round_idx) as span_train:
+                updates = self.executor.run_clients(
+                    self.clients,
+                    contributor_ids,
+                    self.global_model,
+                    self._local_config(),
+                    round_idx,
+                    self.streams,
+                )
+            with tracer.span("aggregate", round_idx=round_idx) as span_aggregate:
+                candidate, candidate_flat = self._aggregate(
+                    contributor_ids, updates, round_idx, self.rng
+                )
+            resident_clients = self._end_client_round()
+            if tracer.enabled:
+                tracer.event(
+                    "materialize", round_idx=round_idx, clients=resident_clients
+                )
 
-        record = RoundRecord(
-            round_idx=round_idx,
-            contributor_ids=contributor_ids,
-            malicious_present=any(
-                self._client_is_malicious(cid) for cid in contributor_ids
-            ),
-            accepted=decision.accepted,
-            decision=decision,
-            metrics={
-                name: hook(self.global_model) for name, hook in self.metric_hooks.items()
-            },
-            transport_bytes=self.executor.transport_bytes - transport_before,
-            peak_rss_kb=_peak_rss_kb(),
-            materialized_clients=resident_clients,
-            retries=self._resilience_delta(),
-            quorum_size=len(decision.client_votes),
-        )
-        if tracer.enabled:
-            record.phase_times.update(
-                select=span_select.duration_s,
-                train=span_train.duration_s,
-                aggregate=span_aggregate.duration_s,
+            span_validate = None
+            if not np.isfinite(candidate_flat).all():
+                # A client produced a non-finite update (diverged training or a
+                # crash-faulty participant).  Under secure aggregation the
+                # server cannot identify or drop the culprit — the whole round
+                # is poisoned by NaN/inf — so the only safe reaction is to
+                # discard the round, exactly like a defense rejection.
+                decision = DefenseDecision(accepted=False)
+            elif self.defense is None:
+                decision = DefenseDecision(accepted=True)
+            else:
+                with tracer.span("validate", round_idx=round_idx) as span_validate:
+                    decision = self.defense.review(candidate, round_idx, self.rng)
+            outcome = "commit" if decision.accepted else "reject"
+            with tracer.span(outcome, cat="round", round_idx=round_idx):
+                if decision.accepted:
+                    self.global_model = candidate
+                if self.defense is not None:
+                    self.defense.record_outcome(candidate, decision.accepted)
+
+            record = RoundRecord(
+                round_idx=round_idx,
+                contributor_ids=contributor_ids,
+                malicious_present=any(
+                    self._client_is_malicious(cid) for cid in contributor_ids
+                ),
+                accepted=decision.accepted,
+                decision=decision,
+                metrics={
+                    name: hook(self.global_model) for name, hook in self.metric_hooks.items()
+                },
+                transport_bytes=self.executor.transport_bytes - transport_before,
+                peak_rss_kb=_peak_rss_kb(),
+                materialized_clients=resident_clients,
+                retries=self._resilience_delta(),
+                quorum_size=len(decision.client_votes),
             )
-            if span_validate is not None:
-                record.phase_times["validate"] = span_validate.duration_s
-            self._observe_round(record)
-        self.history.append(record)
-        self.round_idx += 1
-        return record
+            if tracer.enabled:
+                record.phase_times.update(
+                    select=span_select.duration_s,
+                    train=span_train.duration_s,
+                    aggregate=span_aggregate.duration_s,
+                )
+                if span_validate is not None:
+                    record.phase_times["validate"] = span_validate.duration_s
+                self._observe_round(record)
+            self.history.append(record)
+            self.round_idx += 1
+            return record
 
     def _resilience_delta(self) -> int:
         """Recovery incidents since the last emitted record."""

@@ -1,15 +1,17 @@
-"""The thread count of numpy's bundled OpenBLAS, and the engines' budget.
+"""The thread count of numpy's bundled OpenBLAS, and one thread per round.
 
 numpy's bundled OpenBLAS starts one thread per core for any GEMM large
-enough to split.  A parallel engine that runs ``workers`` kernels at once
-would then run ``workers x cores`` compute threads, and OpenBLAS's
-spin-waiting threads lose that contest.  So every parallel path keeps
-``workers x BLAS threads <= cores``: it runs under :func:`limit` at
-:func:`budget` threads, and the sequential path keeps the host default.
-The budget divides the count in effect, not the machine's cores: OpenBLAS
-sizes its default from the affinity mask and ``OPENBLAS_NUM_THREADS``, and
-inside a seed process the count in effect is that process's share, so an
-engine pool nested in a seed pool splits the share again.
+enough to split, and after a split its helper threads spin-wait for the
+next one.  On the paper protocol the only GEMMs that large are the server
+validator's 300-row profile stacks; the helper woken by them then spins
+on a second core through the next several rounds, costing more CPU than
+the split saves, and under a parallel engine it contends with the pool's
+workers.  So every round runs at one BLAS thread:
+:meth:`~repro.fl.simulation.FederatedSimulation.run_round` runs its whole
+body under ``limit(1)`` (training on every engine, every vote, the
+server's vote and the metric hooks), and each process-pool worker holds
+one thread from its initializer (:func:`hold`).  The caller's count
+comes back after each round.
 
 :func:`limit` caps the count for a block:
 
@@ -28,13 +30,12 @@ The count is reached through ``ctypes``.  Where no known OpenBLAS setter is
 found (numpy built on MKL or Accelerate), :data:`BOUND` is ``None`` and
 :func:`limit` is a no-op that yields ``None``.
 
-GEMMs split their output across threads, not their sums, so the weights
-the engines commit do not depend on the count; the engine equivalence
-tests compare the pools, under the budget, with the sequential engine at
-the host count.  BLAS-1 reductions do depend on it: OpenBLAS splits
-``dot`` across threads above 10 000 elements, and ``np.linalg.norm`` of a
-1-D vector runs it.  Code that runs inside a fan-out takes norms with
-:func:`l2_norm`, which BLAS does not run.
+GEMMs split their output across threads, not their sums, so the weights a
+round commits do not depend on the count.  BLAS-1 reductions do depend on
+it: OpenBLAS splits ``dot`` across threads above 10 000 elements, and
+``np.linalg.norm`` of a 1-D vector runs it.  The attackers take their
+update norms with :func:`l2_norm`, which BLAS does not run, so they give
+the same bits inside a round and outside one.
 """
 
 from __future__ import annotations
@@ -105,20 +106,6 @@ def thread_count() -> int | None:
     return None if _get is None else _get()
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: its affinity mask where the OS keeps
-    one, else the machine's core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def budget(workers: int) -> int:
-    """BLAS threads per worker so that ``workers x threads`` stays within
-    the count in effect (:func:`usable_cores` when unbound)."""
-    return max(1, (thread_count() or usable_cores()) // workers)
-
-
 @contextmanager
 def limit(threads: int) -> Iterator[int | None]:
     """Cap OpenBLAS at ``threads`` threads for the block (see the module
@@ -147,8 +134,7 @@ def limit(threads: int) -> Iterator[int | None]:
 def hold(threads: int) -> None:
     """Enter :func:`limit` for the rest of this process's life (a pool
     worker's initializer).  Like nested limits, holds combine by the
-    smallest cap, so a worker forked from a seed process keeps the seed's
-    lower cap."""
+    smallest cap."""
     _held.enter_context(limit(threads))
 
 

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+from repro.data.dataset import Dataset
 from repro.experiments.runner import (
     _map_over_seeds,
     run_adaptive_experiment,
@@ -11,12 +17,24 @@ from repro.experiments.runner import (
     sweep_lookback,
     sweep_quorum,
 )
+from repro.fl.client import HonestClient
+from repro.fl.config import FLConfig
+from repro.fl.simulation import FederatedSimulation
 from repro.nn import blas
+from repro.nn.models import make_mlp
 
 
-def _blas_threads(payload, seed):
-    """A seed task that reports the BLAS thread count it ran under."""
-    return blas.thread_count()
+def _round_blas_threads(payload, seed):
+    """A seed task: the BLAS count one round ran under (read by a metric
+    hook), and the count its process keeps outside rounds."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.normal(size=(40, 2)), np.tile(np.arange(2), 20), 2)
+    sim = FederatedSimulation(
+        make_mlp(2, 2, rng, hidden=(4,)), [HonestClient(0, data)],
+        FLConfig(num_clients=1, clients_per_round=1, local_epochs=1), rng,
+        metric_hooks={"blas": lambda model: blas.thread_count()},
+    )
+    return sim.run_round().metrics["blas"], blas.thread_count()
 
 
 class TestRunDetectionExperiment:
@@ -45,19 +63,39 @@ class TestRunDetectionExperiment:
         fanned = run_detection_experiment(fast_config, seeds=(0, 1), seed_workers=2)
         assert fanned == serial
 
-    @pytest.mark.skipif(
-        blas.BOUND is None, reason="no known OpenBLAS thread-count setter found"
-    )
-    def test_seed_workers_hold_the_pool_budget(self):
-        """Each seed process keeps the host count // workers BLAS threads;
-        a serial run and the parent keep the host count."""
+
+@pytest.mark.skipif(
+    blas.BOUND is None, reason="no known OpenBLAS thread-count setter found"
+)
+class TestRoundsRunAtOneBlasThread:
+    def test_seed_rounds_run_at_one_thread_without_a_pool_initializer(self):
+        """A seed process's rounds run at one BLAS thread, and outside them
+        it keeps the parent's count: the pool sets nothing itself."""
         host = blas.thread_count()
-        fanned = _map_over_seeds(_blas_threads, None, (0, 1, 2), seed_workers=2)
-        assert fanned == [blas.budget(2)] * 3
+        expected = [(1, host)] * 3
+        assert _map_over_seeds(
+            _round_blas_threads, None, (0, 1, 2), seed_workers=2
+        ) == expected
         assert blas.thread_count() == host
-        assert _map_over_seeds(_blas_threads, None, (0, 1), seed_workers=0) == [
-            host, host,
-        ]
+        assert _map_over_seeds(
+            _round_blas_threads, None, (0, 1, 2), seed_workers=0
+        ) == expected
+
+    def test_a_lower_user_setting_is_kept(self):
+        """``OPENBLAS_NUM_THREADS=1`` reads 1 before, inside and after a
+        round."""
+        code = (
+            "from repro.nn import blas\n"
+            "from tests.experiments.test_runner import _round_blas_threads\n"
+            "print(blas.thread_count(), *_round_blas_threads(None, 0))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.split()
+        assert out == ["1", "1", "1"]
 
 
 class TestSweeps:

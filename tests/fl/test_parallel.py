@@ -8,6 +8,7 @@ defends that property.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from concurrent.futures import Future
 
@@ -23,7 +24,6 @@ from repro.core.baffle import (
 from repro.core.validation import MisclassificationValidator
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
-from repro.experiments.runner import _map_over_seeds
 from repro.fl.client import HonestClient, LocalTrainingConfig
 from repro.fl.config import FLConfig
 from repro.fl.model_store import (
@@ -68,6 +68,22 @@ def make_world(seed: int = 7, num_clients: int = 6, home_client: int | None = No
     config = FLConfig(num_clients=num_clients, clients_per_round=3, local_epochs=1,
                       batch_size=16)
     return model, clients, server_data, config
+
+
+@contextlib.contextmanager
+def worker_globals(*init_args):
+    """The process-pool worker globals set in this process by
+    ``_init_worker(*init_args)``; on exit the worker's store view closes and
+    the BLAS thread it holds is released, so later tests see the host
+    count."""
+    from repro.fl import parallel as parallel_mod
+
+    parallel_mod._init_worker(*init_args)
+    try:
+        yield parallel_mod
+    finally:
+        parallel_mod._W_STORE.close()
+        blas._held.close()
 
 
 def build_defended_sim(
@@ -1030,18 +1046,16 @@ class TestWorkerMaterialization:
     def test_worker_reads_segments_in_the_template_dtype(self, policy):
         """Arena segments carry only the vector's bytes: a worker reads a
         version back with its template's dtype and parameter count."""
-        from repro.fl import parallel as parallel_mod
         from repro.nn.precision import dtype_policy
 
         with dtype_policy(policy), SharedMemoryModelStore() as store:
             model, _, _, _ = make_world()
             version = store.publish(model.get_flat())
-            parallel_mod._init_worker({}, {}, model.clone(), store.worker_handle())
-            try:
+            with worker_globals(
+                {}, {}, model.clone(), store.worker_handle()
+            ) as parallel_mod:
                 assert parallel_mod._W_DTYPE == np.dtype(policy)
                 materialized = parallel_mod._materialize(version).get_flat()
-            finally:
-                parallel_mod._W_STORE.close()
         assert materialized.dtype == np.dtype(policy)
         np.testing.assert_array_equal(materialized, model.get_flat())
 
@@ -1055,18 +1069,12 @@ class TestWorkerTaskProfileFlow:
     def worker(self):
         """``(parallel module, store, model, validator)`` with the worker
         globals initialized in this process, attached to ``store``."""
-        from repro.fl import parallel as parallel_mod
-
         model, _, server_data, _ = make_world()
         validator = MisclassificationValidator(server_data, min_history=4)
-        with SharedMemoryModelStore() as store:
-            parallel_mod._init_worker(
-                {}, {0: validator}, model.clone(), store.worker_handle()
-            )
-            try:
-                yield parallel_mod, store, model, validator
-            finally:
-                parallel_mod._W_STORE.close()
+        with SharedMemoryModelStore() as store, worker_globals(
+            {}, {0: validator}, model.clone(), store.worker_handle()
+        ) as parallel_mod:
+            yield parallel_mod, store, model, validator
 
     @staticmethod
     def _publish(store, model, count, rng):
@@ -1193,17 +1201,15 @@ class TestWarmAttachCaching:
 
     def test_one_attach_per_version_across_rounds(self, monkeypatch):
         from repro.fl import model_store as model_store_mod
-        from repro.fl import parallel as parallel_mod
 
         model, _, _, _ = make_world()
         store = SharedMemoryModelStore()
-        with store:
+        with store, worker_globals(
+            {}, {0: _OneVoteValidator(), 1: _OneVoteValidator()},
+            model.clone(), store.worker_handle(),
+        ) as parallel_mod:
             versions = [store.publish_new(model.get_flat()) for _ in range(7)]
             *history_versions, candidate_version = versions
-            parallel_mod._init_worker(
-                {}, {0: _OneVoteValidator(), 1: _OneVoteValidator()},
-                model.clone(), store.worker_handle(),
-            )
 
             attaches: list[str] = []
             real_shm = model_store_mod.shared_memory.SharedMemory
@@ -1247,7 +1253,6 @@ class TestWarmAttachCaching:
             assert set(parallel_mod._W_STORE._segments) == set(
                 slid_history + [new_candidate]
             )
-            parallel_mod._W_STORE.close()
 
 
 class TestStandaloneContextOnSharedStore:
@@ -1292,54 +1297,95 @@ class ParentBlasProbeClient(BlasProbeClient):
     parallel_safe = False
 
 
-def _probe_engine(engine: str, seed: int) -> list[float]:
-    """The BLAS counts four probe clients trained under in one fan-out of a
-    2-worker ``engine`` built in this process (a seed-pool task)."""
-    model, clients, _, config = make_world(num_clients=4)
-    probes = [BlasProbeClient(c.client_id, c.dataset) for c in clients]
-    local = LocalTrainingConfig(epochs=1, batch_size=config.batch_size)
-    with make_engine(2, engine=engine) as round_engine:
-        executor = round_engine.executor
-        executor.bind(clients=probes, template=model.clone())
-        updates = executor.run_clients(
-            probes, [0, 1, 2, 3], model, local, 0, RngStreams.from_seed(seed)
+class BlasProbeValidator(MisclassificationValidator):
+    """Records the BLAS thread count each of its votes ran under."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.counts: list[int] = []
+
+    def vote(self, context, rng):
+        self.counts.append(blas.thread_count())
+        return super().vote(context, rng)
+
+
+def build_probe_sim(executor, metric_hooks):
+    """A ``mode="both"`` defended sim whose clients (client 1 parent-side)
+    submit their BLAS count as their update, whose server validator records
+    its count, and whose ``executor.run_clients`` keeps each round's
+    client counts in ``sim.client_counts``."""
+    model, clients, server_data, config = make_world()
+    probes = [
+        (ParentBlasProbeClient if c.client_id == 1 else BlasProbeClient)(
+            c.client_id, c.dataset
         )
-    return [float(update[0]) for update in updates]
+        for c in clients
+    ]
+    defense = BaffleDefense(
+        BaffleConfig(lookback=4, quorum=2, num_validators=3, mode="both"),
+        ValidatorPool.from_datasets(
+            {c.client_id: c.dataset for c in clients}, min_history=4
+        ),
+        BlasProbeValidator(server_data, min_history=4),
+    )
+    defense.prime(model)
+    sim = FederatedSimulation(
+        model.clone(), probes, config, np.random.default_rng(8),
+        defense=defense, metric_hooks=metric_hooks, executor=executor,
+    )
+    sim.client_counts = []
+    run_clients = executor.run_clients
+
+    def probed(*args):
+        updates = run_clients(*args)
+        sim.client_counts.append([float(update[0]) for update in updates])
+        return updates
+
+    executor.run_clients = probed
+    return sim
+
+
+ENGINES = pytest.mark.parametrize(
+    "workers, engine", [(0, "process"), (2, "thread"), (2, "process")]
+)
 
 
 @pytest.mark.skipif(
     blas.BOUND is None, reason="no known OpenBLAS thread-count setter found"
 )
-class TestBlasBudget:
-    """The thread and process engines keep workers x BLAS threads <= cores;
-    the sequential engine and the parent between fan-outs keep the host
-    count."""
+class TestOneBlasThreadPerRound:
+    """Every GEMM a round runs, on every engine, runs at one BLAS thread;
+    the caller's count comes back after each round."""
 
-    @pytest.mark.parametrize(
-        "workers, engine", [(0, "process"), (2, "thread"), (2, "process")]
-    )
-    def test_tasks_run_under_the_budget(self, workers, engine):
+    @ENGINES
+    def test_every_probe_inside_a_round_reads_one(self, workers, engine):
         host = blas.thread_count()
-        expected = host if workers < 2 else blas.budget(workers)
-        model, clients, _, config = make_world(num_clients=4)
-        probes = [
-            (ParentBlasProbeClient if c.client_id == 1 else BlasProbeClient)(
-                c.client_id, c.dataset
-            )
-            for c in clients
-        ]
-        local = LocalTrainingConfig(epochs=1, batch_size=config.batch_size)
-        streams = RngStreams.from_seed(0)
         with make_engine(workers, engine=engine) as round_engine:
-            executor = round_engine.executor
-            executor.bind(clients=probes, template=model.clone())
-            for round_idx in range(2):
-                updates = executor.run_clients(
-                    probes, [0, 1, 2, 3], model, local, round_idx, streams
-                )
-                # Client 1 runs in the parent, inside the fan-out's window.
-                assert [update[0] for update in updates] == [expected] * 4
+            sim = build_probe_sim(
+                round_engine.executor, {"blas": lambda model: blas.thread_count()}
+            )
+            hook_counts = []
+            for _ in range(6):
+                hook_counts.append(sim.run_round().metrics["blas"])
                 assert blas.thread_count() == host
+        assert sim.client_counts == [[1.0] * 3] * 6
+        server_counts = sim.defense.server_validator.counts
+        assert server_counts and set(server_counts) == {1}
+        assert hook_counts == [1] * 6
+        assert blas.thread_count() == host
+
+    @ENGINES
+    def test_a_round_that_raises_restores_the_count(self, workers, engine):
+        host = blas.thread_count()
+
+        def failing(model):
+            raise RuntimeError("metric hook failed")
+
+        with make_engine(workers, engine=engine) as round_engine:
+            sim = build_probe_sim(round_engine.executor, {"fail": failing})
+            with pytest.raises(RuntimeError, match="metric hook failed"):
+                sim.run_round()
+            assert blas.thread_count() == host
         assert blas.thread_count() == host
 
     @pytest.mark.parametrize("engine", ["thread", "process"])
@@ -1352,21 +1398,8 @@ class TestBlasBudget:
                 assert blas.thread_count() == host
         assert blas.thread_count() == host
 
-    @pytest.mark.parametrize("engine", ["thread", "process"])
-    def test_an_engine_in_a_seed_process_splits_the_seeds_share(self, engine):
-        """``--seed-workers 2 --workers 2`` on an 8-thread host: each seed
-        process holds 8 // 2 BLAS threads and its engine's workers 4 // 2,
-        so seeds x workers x threads stays at 8."""
-        host = blas.thread_count()
-        blas._set(8)  # stands in for an 8-core host's default count
-        try:
-            counts = _map_over_seeds(_probe_engine, engine, (0, 1), seed_workers=2)
-        finally:
-            blas._set(host)
-        assert counts == [[2.0] * 4] * 2
-
-    def test_a_process_worker_holds_the_budget_from_its_initializer(self):
-        """``_init_worker`` sets the budget, so it holds in every worker a
+    def test_a_process_worker_holds_one_thread_from_its_initializer(self):
+        """``_init_worker`` holds one thread, so it holds in every worker a
         pool (re)build starts, even a spawned one that inherits nothing."""
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -1377,16 +1410,15 @@ class TestBlasBudget:
         with SharedMemoryModelStore() as store, ProcessPoolExecutor(
             1, mp_context=multiprocessing.get_context("spawn"),
             initializer=parallel_mod._init_worker,
-            initargs=({}, {}, model.clone(), store.worker_handle(), None,
-                      False, 1),
+            initargs=({}, {}, model.clone(), store.worker_handle()),
         ) as pool:
             assert pool.submit(blas.thread_count).result() == 1
 
 
 class TestAttackerNormsAcrossEngines:
-    """Attackers that take a norm inside the training fan-out commit the
-    same bits on every engine.  The pool engines train under the BLAS
-    budget and the sequential one at the host count, and
+    """Attackers that take a norm of their update commit the same bits on
+    every engine and at any BLAS thread count.  Rounds run at one thread,
+    but the same update taken outside a round runs at the host count, and
     ``np.linalg.norm`` of a CIFAR-sized update runs OpenBLAS ``dot``, whose
     sum OpenBLAS splits across threads above 10 000 elements."""
 
@@ -1426,8 +1458,30 @@ class TestAttackerNormsAcrossEngines:
 
         return RandomUpdateClient(cid, shard, norm=0.5, attack_rounds=range(6))
 
+    @pytest.mark.skipif(
+        blas.BOUND is None, reason="no known OpenBLAS thread-count setter found"
+    )
     @pytest.mark.parametrize("attacker", ["_replacement", "_random"])
-    def test_commits_match_across_engines_and_thread_counts(self, attacker):
+    def test_update_has_the_same_bits_at_any_thread_count(self, attacker):
+        """Outside a round the attacker runs at the host count; its update
+        matches the same call at one thread.  About half of all 13 002-long
+        vectors change their BLAS norm's last bit with the count, so eight
+        draws catch a norm taken in BLAS."""
+        model, clients, config = self._world(getattr(self, attacker))
+        local = LocalTrainingConfig(epochs=1, batch_size=config.batch_size)
+
+        def update(seed):
+            return clients[5].produce_update(
+                model, local, 0, np.random.default_rng(seed)
+            )
+
+        for seed in range(8):
+            at_host = update(seed)
+            with blas.limit(1):
+                np.testing.assert_array_equal(at_host, update(seed))
+
+    @pytest.mark.parametrize("attacker", ["_replacement", "_random"])
+    def test_commits_match_across_engines(self, attacker):
         model, clients, config = self._world(getattr(self, attacker))
 
         def commit(workers=0, engine="process"):
@@ -1440,7 +1494,5 @@ class TestAttackerNormsAcrossEngines:
             return sim.global_model.get_flat()
 
         baseline = commit()
-        with blas.limit(1):
-            np.testing.assert_array_equal(baseline, commit())
         for engine in ("thread", "process"):
             np.testing.assert_array_equal(baseline, commit(2, engine))
