@@ -19,7 +19,7 @@ Measures the two claims behind the registry/precision work:
 
 2. **Precision policy.**  Under ``dtype_policy("float32")`` the whole
    round loop — parameters, stacked substrate, optimizer state,
-   aggregation, store transport — runs in float32 (bit-identical across
+   aggregation, model store — runs in float32 (bit-identical across
    engines, tested in ``tests/fl/test_parallel.py``).  The bench runs
    the same wide-model world under both policies, paired exactly as
    above, and reports the float32 speedup plus the halved model bytes.
@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     # ------------------------------------------------------------------
     # Equivalence sanity: at a size small enough to materialize, the
     # registry world commits bit-identically to the eager client list.
-    # (The full engine x store x policy matrix lives in tests/fl/.)
+    # (The full engine x policy matrix lives in tests/fl/.)
     # ------------------------------------------------------------------
     sanity_pop = 64
     sim_eager = build_sim(pool, sanity_pop, args, shard=16, hidden=(16,),

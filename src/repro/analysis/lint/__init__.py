@@ -1,12 +1,12 @@
 """Static determinism lint: the bit-identity contract, machine-checked.
 
-Every engine this repo ships ({Sequential, ProcessPool, Thread} x
-cohort stacking) commits bit-identical models
-only because of invariants the type system cannot see: randomness flows
-exclusively from per-``(round, entity)`` :class:`~repro.fl.rng.RngStreams`
-keys, dtypes survive end to end, worker payloads pickle, shared-memory
-segments always unlink.  Historically those invariants lived in runtime
-equivalence tests, so a violation surfaced rounds-deep in a bisection
+Every engine this repo ships ({Sequential, Thread} x cohort stacking)
+commits bit-identical models only because of invariants the type system
+cannot see: randomness flows exclusively from per-``(round, entity)``
+:class:`~repro.fl.rng.RngStreams` keys, dtypes survive end to end, seed
+pool payloads pickle, shared-memory segments always unlink.  Historically
+those invariants lived in runtime equivalence tests, so a violation
+surfaced rounds-deep in a bisection
 (a scratch buffer allocated without ``dtype=`` silently upcasting a
 float32 pass is the canonical example).
 

@@ -2,8 +2,8 @@
 
 Each check is a small AST pass over one file.  They are deliberately
 repo-specific: the point is not generic style, it is the handful of
-invariants the equivalence matrix (sequential == pool == thread, in
-bits) rests on — stated once in prose in ``repro/fl/rng.py`` and
+invariants the equivalence matrix (sequential == thread, in bits)
+rests on — stated once in prose in ``repro/fl/rng.py`` and
 ``repro/fl/parallel.py``, enforced here at parse time.
 
 ============  ========================================================
@@ -18,11 +18,12 @@ discipline    in the nn/fl/data hot paths — the dtype leak class
               (a scratch buffer silently widening or narrowing);
               policy-routed allocations (``dtype=active_dtype()``)
               are the sanctioned form under the precision policy
-pickle-       lambdas / nested functions submitted to worker pools;
-safety        pool payloads must be module-level (PR 1/2 transport)
+pickle-       lambdas / nested functions submitted to process pools
+safety        (the seed pool); pool payloads must be module-level
 parallel-     ``parallel_safe=True``/``cohort_safe=True`` classes
-safety        writing module globals in hot methods — state a worker
-              mutates never reaches the parent (PR 1's opt-in rule)
+safety        writing module globals in hot methods — one object shared
+              by every instance, round and pool thread, so hidden racy
+              state (the parallel_safe opt-in rule)
 thread-       ``parallel_safe=True`` classes mutating class-level
 safety        containers in hot methods without a lock: under the
               thread engine a class attribute is one object shared by
@@ -40,8 +41,8 @@ ability-      draws no randomness and reads no wall clock (monotonic
 safety        only — wall-clock in a span perturbs nothing but makes
               traces non-mergeable), and no instrumentation site may
               capture model weight arrays into span/event attributes
-              (attrs ride pool result payloads; an array there is a
-              silent transport-volume regression)
+              (attrs live for the whole run and are exported; an array
+              there is a silent memory regression)
 swallowed-    pass-only bare/``except Exception`` handlers and
 exception     unobserved ``future.exception()`` statements in
               ``repro/fl`` and ``repro/core`` — the resilience layer
@@ -378,8 +379,8 @@ class ParallelSafetyCheck(Check):
     check_id = "parallel-safety"
     description = (
         "classes declaring parallel_safe=True / cohort_safe=True must not "
-        "write module-level state in their methods: worker-side mutation "
-        "never reaches the parent process"
+        "write module-level state in their methods: a module global is one "
+        "object shared by every instance, round and pool thread"
     )
 
     _FLAGS = {"parallel_safe", "cohort_safe"}
@@ -443,8 +444,8 @@ class ParallelSafetyCheck(Check):
                         self.check_id, node,
                         f"{cls.name}.{method.name} declares "
                         f"'global {', '.join(node.names)}': a parallel-safe "
-                        "entity runs in worker processes, where module "
-                        "globals are per-process and silently diverge",
+                        "entity runs on pool threads, where a module global "
+                        "is hidden state every thread and round shares",
                     ))
                 elif isinstance(node, (ast.Assign, ast.AugAssign)):
                     targets = (
@@ -456,8 +457,8 @@ class ParallelSafetyCheck(Check):
                             findings.append(ctx.finding(
                                 self.check_id, node,
                                 f"{cls.name}.{method.name} writes "
-                                f"module-level object {root!r}: worker-side "
-                                "writes never reach the parent; keep hot-"
+                                f"module-level object {root!r}: every pool "
+                                "thread and round shares it; keep hot-"
                                 "method state on self",
                             ))
         return findings
@@ -903,7 +904,7 @@ class ObservabilitySafetyCheck(Check):
         "tracing is pure observation: repro/obs must not draw randomness "
         "or read the wall clock (the span clock is time.monotonic_ns), and "
         "span()/event() attributes anywhere must not capture weight arrays "
-        "(get_flat/asarray/copy/... results ride worker result payloads)"
+        "(get_flat/asarray/copy/... results live as long as the trace)"
     )
 
     #: Wall-clock sources banned inside ``repro/obs``: span timestamps on
@@ -922,11 +923,11 @@ class ObservabilitySafetyCheck(Check):
     }
 
     #: Call leaf names that produce (copies of) model weight arrays.  A
-    #: span attribute is shipped back from pool workers inside the task
-    #: result payload, so an array-valued attr silently multiplies the
-    #: transport volume tracing claims merely to observe — and
-    #: ``check_attrs`` would reject it at runtime anyway.  Catch it at
-    #: parse time, at the instrumentation site.
+    #: span attribute lives as long as the trace and is exported with it,
+    #: so an array-valued attr silently multiplies the memory tracing
+    #: claims merely to observe — and ``check_attrs`` would reject it at
+    #: runtime anyway.  Catch it at parse time, at the instrumentation
+    #: site.
     _ARRAY_LEAVES = {
         "get_flat", "get_weights", "asarray", "array", "ascontiguousarray",
         "copy", "ravel", "flatten", "tolist",

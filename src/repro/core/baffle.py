@@ -38,7 +38,6 @@ from repro.core.validation import (
 )
 from repro.data.dataset import Dataset
 from repro.fl.faults import QUORUM_POLICIES, QuorumStallError
-from repro.fl.model_store import ModelStore, ValidatorProfileTable
 from repro.fl.parallel import RoundExecutor
 from repro.fl.rng import RngStreams
 from repro.fl.simulation import DefenseDecision
@@ -204,12 +203,6 @@ class BaffleDefense:
         self.validator_pool = validator_pool
         self.server_validator = server_validator
         self.history = ModelHistory(max_models=config.lookback + 1)
-        #: Shared ``(validator, version) -> ErrorProfile`` table: collects
-        #: the profiles worker processes compute so commit-time reuse
-        #: (:meth:`record_outcome`) reaches them next round.  Evicted in
-        #: lock-step with the history so stale versions never accumulate.
-        self.profile_table = ValidatorProfileTable()
-        self.history.add_eviction_listener(self.profile_table.evict_version)
         self._executor: RoundExecutor | None = None
         self._streams: RngStreams | None = None
         self._tracer: Tracer | NullTracer = NULL_TRACER
@@ -223,34 +216,18 @@ class BaffleDefense:
         """
         self._tracer = tracer
 
-    def bind_runtime(
-        self,
-        executor: RoundExecutor,
-        streams: RngStreams,
-        store: ModelStore | None = None,
-    ) -> None:
-        """Attach the round executor, keyed rng streams and model store.
+    def bind_runtime(self, executor: RoundExecutor, streams: RngStreams) -> None:
+        """Attach the round executor and keyed rng streams.
 
         :class:`~repro.fl.simulation.FederatedSimulation` calls this at
         construction so validator votes draw from per-``(round, validator)``
         streams and fan out through the same executor as client training.
-        When the simulation supplies its :class:`ModelStore`, the history
-        migrates onto it — workers then resolve candidate and history
-        version keys from one arena.  Unbound (standalone) defenses fall
-        back to consuming the ``rng`` passed to :meth:`review`
-        sequentially, preserving the historical behavior.
+        Unbound (standalone) defenses fall back to consuming the ``rng``
+        passed to :meth:`review` sequentially, preserving the historical
+        behavior.
         """
         self._executor = executor
         self._streams = streams
-        if store is not None:
-            self.history.bind_store(store)
-        # Server-only mode never fans out client votes, so don't ship the
-        # validator population (each holding a data shard) to the workers.
-        if self.validator_pool is not None and self.config.mode in ("clients", "both"):
-            executor.bind(
-                validator_pool=self.validator_pool,
-                profile_table=self.profile_table,
-            )
 
     # ------------------------------------------------------------------
     # Defense protocol
@@ -261,14 +238,11 @@ class BaffleDefense:
         """Algorithm 1: collect verdicts and apply the quorum rule."""
         if round_idx < self.config.start_round:
             return DefenseDecision(accepted=True)
-        # Stage the candidate in the store before fanning out: a
-        # shared-memory executor then ships only this version key to the
-        # workers, and an accepting commit adopts the already-stored vector
-        # instead of copying the weights again.
+        # Stage the candidate in the history's store: an accepting commit
+        # adopts the stored vector instead of copying the weights again.
+        self.history.stage_candidate(candidate)
         context = ValidationContext(
-            candidate=candidate,
-            history=self.history.entries(),
-            candidate_version=self.history.stage_candidate(candidate),
+            candidate=candidate, history=self.history.entries()
         )
 
         client_votes: dict[int, int] = {}
@@ -394,19 +368,15 @@ class BaffleDefense:
 
         On acceptance every validator that just profiled this candidate is
         told its committed history version, so the profile computed during
-        :meth:`review` is reused instead of recomputed next round — and the
-        shared profile table files the worker-computed profiles the same
-        way, so the reuse also reaches process-pool validators.
+        :meth:`review` is reused instead of recomputed next round.
         """
         if not accepted:
             self.history.discard_staged()
-            self.profile_table.discard_staged()
             return
         if self.history.staged_version is not None:
             version = self.history.commit_staged()
         else:  # pre-``start_round`` rounds are accepted without review
             version = self.history.append(candidate)
-        self.profile_table.commit_staged(version)
         self._note_committed(candidate, version)
 
     def _validators(self) -> list[Validator]:
@@ -442,7 +412,7 @@ class ForcedRejectDefense(BaffleDefense):
 
     Fault injection for rejection testing and the parallel benchmark's
     refcount audit: rounds in ``reject_rounds`` are rejected regardless of
-    the collected votes (the votes still flow — sampling, transport and
+    the collected votes (the votes still flow — sampling, staging and
     profile bookkeeping are exercised unchanged), so a rejection can be
     forced at a known round on every engine and the resulting trajectories
     compared.

@@ -30,7 +30,7 @@ histories costs one forward pass per *new* model only.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -58,16 +58,10 @@ class ValidationContext:
 
     ``history`` holds ``(version, model)`` for the latest accepted models,
     oldest first; ``candidate`` is the round's aggregated global model.
-    ``candidate_version`` is the candidate's key in the round's
-    :class:`~repro.fl.model_store.ModelStore` when the server staged it
-    there (see :meth:`~repro.core.history.ModelHistory.stage_candidate`);
-    shared-memory executors ship that key to workers instead of the
-    weights.  Validation itself never reads it.
     """
 
     candidate: Network
     history: Sequence[tuple[int, Network]]
-    candidate_version: int | None = None
 
 
 @runtime_checkable
@@ -124,9 +118,10 @@ class MisclassificationValidator:
     take the per-model path.
     """
 
-    #: Algorithm 2 is a pure function of (context, dataset); the profile
-    #: caches are per-process performance details, so worker processes may
-    #: evaluate this validator (see :mod:`repro.fl.parallel`).
+    #: Algorithm 2 is a pure function of (context, dataset) and the profile
+    #: caches are performance details, so pool threads may evaluate this
+    #: validator; the executor's per-validator lock keeps one vote at a
+    #: time on its caches (see :mod:`repro.fl.parallel`).
     parallel_safe = True
 
     def __init__(
@@ -259,19 +254,6 @@ class MisclassificationValidator:
         if pending is not None and pending[0] is candidate:
             self._profile_cache[version] = pending[1]
 
-    def seed_profile_cache(self, profiles: Mapping[int, ErrorProfile]) -> None:
-        """Inject externally known ``{version: profile}`` entries.
-
-        The parallel engine ships profiles from the server's shared
-        :class:`~repro.fl.model_store.ValidatorProfileTable` to whichever
-        worker evaluates this validator, so a profile computed in one
-        process is never recomputed in another.  Locally computed entries
-        win on conflict (they are identical anyway — profiles are a
-        deterministic function of model and dataset).
-        """
-        for version, profile in profiles.items():
-            self._profile_cache.setdefault(version, profile)
-
     def cached_profiles(self, versions: Sequence[int]) -> dict[int, ErrorProfile]:
         """The subset of ``versions`` this validator has profiles for."""
         return {
@@ -279,11 +261,6 @@ class MisclassificationValidator:
             for version in versions
             if version in self._profile_cache
         }
-
-    def take_pending_profile(self) -> ErrorProfile | None:
-        """The profile of the most recently explained candidate, if any."""
-        pending = self._pending_candidate
-        return pending[1] if pending is not None else None
 
     def _profile_for(self, version: int, model: Network) -> ErrorProfile:
         profile = self._profile_cache.get(version)

@@ -47,7 +47,6 @@ from repro.experiments.runner import (
     sweep_quorum,
 )
 from repro.fl.faults import QUORUM_POLICIES
-from repro.fl.parallel import ENGINE_KINDS
 from repro.nn.precision import DTYPE_POLICIES
 from repro.experiments.scenarios import run_early_scenario, run_error_trace
 
@@ -71,7 +70,7 @@ def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
     """An ``ExperimentConfig`` from the execution flags every experiment
     subcommand shares, plus the subcommand's own ``fields``."""
     return ExperimentConfig(
-        workers=args.workers, engine=args.engine,
+        workers=args.workers,
         cohort_size=args.cohort_size,
         sanitize=args.sanitize, trace=args.trace,
         dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
@@ -215,13 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{DEFAULT_SEED_COUNT}; paper uses 5; fig2/fig4 "
                             f"are fixed-seed and ignore it)")
         p.add_argument("--workers", type=int, default=0,
-                       help="workers for the round engine "
+                       help="threads for the round engine "
                             "(0/1 = sequential; results are identical)")
-        p.add_argument("--engine", choices=ENGINE_KINDS, default="auto",
-                       help="multi-worker backend: process pools fan out "
-                            "over worker processes, thread pools over "
-                            "in-process threads with zero IPC (auto = "
-                            "process; results are identical)")
         p.add_argument("--seed-workers", type=int, default=0, dest="seed_workers",
                        help="processes fanning out independent seeds "
                             "(0/1 = serial; results are identical)")
@@ -235,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dtype", choices=DTYPE_POLICIES, default="float64",
                        help="execution precision policy (repro.nn.precision): "
                             "float64 commits bit-identically to the seed "
-                            "baseline; float32 halves memory/transport with "
+                            "baseline; float32 halves memory with "
                             "its own cross-engine bit-identity contract")
         p.add_argument("--virtual-clients", action="store_true",
                        dest="virtual_clients",

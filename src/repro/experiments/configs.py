@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fl.faults import QUORUM_POLICIES, FaultPlan
-from repro.fl.parallel import ENGINE_KINDS
 from repro.nn.precision import DTYPE_POLICIES
 
 #: Client-server validation-data splits evaluated in Table I / Fig. 3.
@@ -84,24 +83,20 @@ class ExperimentConfig:
     malicious_vote_strategy: str = "dos"
     # Model.
     hidden: tuple[int, ...] = (64,)
-    # Execution engine: worker processes for client training and validator
+    # Execution engine: pool threads for client training and validator
     # votes (0/1 = in-process sequential).  Every worker count commits
     # bit-identical models, so it is a pure throughput knob and
     # deliberately excluded from ``environment_key``.
     workers: int = 0
-    # Multi-worker backend: "process" fans out over worker processes
-    # (weights travel through a shared-memory arena), "thread" over
-    # in-process threads (zero IPC; the numeric kernels release the GIL),
-    # "auto" resolves to "process".  Another pure throughput knob: every
-    # engine commits bit-identical models.
-    engine: str = "auto"
+    # Multi-worker backend.  Only "thread" is accepted (the thread engine
+    # is the one multi-worker engine); ignored below 2 workers.
+    engine: str = "thread"
     # Stacked cohort execution (repro.fl.cohort): gather up to this many of
     # a round's honest clients into one batched training stack (0/1 = one
     # model at a time, the per-model reference loop; None = every engine
-    # stacks everything eligible, the process pool spreading the stack
-    # over its workers).  Stacked and per-model paths commit bit-identical
-    # models, so this is a pure throughput knob like ``workers`` and stays
-    # out of ``environment_key``.
+    # stacks everything eligible).  Stacked and per-model paths commit
+    # bit-identical models, so this is a pure throughput knob like
+    # ``workers`` and stays out of ``environment_key``.
     cohort_size: int | None = None
     # Runtime sanitizer (repro.analysis.sanitize): dtype assertions on
     # the hot numeric paths plus per-round/per-layer candidate hashing.
@@ -118,9 +113,9 @@ class ExperimentConfig:
     trace: str | None = None
     # Execution precision policy (repro.nn.precision): "float64" (default;
     # committed models bit-identical to the seed baseline) or "float32"
-    # (~half the memory and transport volume, with its own cross-engine
-    # bit-identity contract).  The policy changes every committed weight,
-    # so it participates in ``environment_key``.
+    # (~half the memory, with its own cross-engine bit-identity contract).
+    # The policy changes every committed weight, so it participates in
+    # ``environment_key``.
     dtype_policy: str = "float64"
     # Virtual client population (repro.fl.registry): clients are pure IDs,
     # materialized on selection from the environment's recorded partition
@@ -169,10 +164,8 @@ class ExperimentConfig:
             )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.engine not in ENGINE_KINDS:
-            raise ValueError(
-                f"engine must be one of {ENGINE_KINDS}, got {self.engine!r}"
-            )
+        if self.engine != "thread":
+            raise ValueError(f"engine must be 'thread', got {self.engine!r}")
         if self.cohort_size is not None and self.cohort_size < 0:
             raise ValueError(
                 f"cohort_size must be >= 0, got {self.cohort_size}"

@@ -21,7 +21,7 @@ from repro.data.synthetic_femnist import SyntheticFemnist
 from repro.experiments.configs import ExperimentConfig
 from repro.fl.client import HonestClient
 from repro.fl.config import FLConfig
-from repro.fl.parallel import make_engine
+from repro.fl.parallel import make_executor
 from repro.fl.registry import ClientRegistry, LazyShardFactory, PartitionSpec
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import make_mlp
@@ -168,9 +168,9 @@ def _pretrain(
     """Clean federated training to (approximate) stability.
 
     Pretraining is the expensive half of an experiment, so it runs on the
-    same engine as the defended phase (``config.workers`` /
-    ``config.engine``).  Engines commit bit-identical models, so the
-    environment cache key stays executor-independent.
+    same engine as the defended phase (``config.workers``).  Engines
+    commit bit-identical models, so the environment cache key stays
+    executor-independent.
     """
     flat_dim = shards[0].x.shape[1]
     model = make_mlp(flat_dim, num_classes, rng, hidden=config.hidden)
@@ -185,16 +185,8 @@ def _pretrain(
         batch_size=config.batch_size,
         client_lr=config.pretrain_lr,
     )
-    # Pretraining is undefended; it runs on the configured workers/engine
-    # (one factory decides the weight path).
-    with make_engine(
-        config.workers,
-        cohort_size=config.cohort_size,
-        engine=config.engine,
-    ) as engine:
-        sim = FederatedSimulation(
-            model, clients, fl_config, rng,
-            executor=engine.executor, model_store=engine.store,
-        )
+    # Pretraining is undefended; it runs on the configured workers.
+    with make_executor(config.workers, cohort_size=config.cohort_size) as executor:
+        sim = FederatedSimulation(model, clients, fl_config, rng, executor=executor)
         sim.run(config.pretrain_rounds)
     return sim.global_model

@@ -96,7 +96,6 @@ def _record_to_dict(record) -> dict:
         "accepted": bool(record.accepted),
         "reject_votes": getattr(decision, "reject_votes", 0),
         "num_validators": getattr(decision, "num_validators", 0),
-        "transport_bytes": getattr(record, "transport_bytes", 0),
         "peak_rss_kb": getattr(record, "peak_rss_kb", 0),
         "materialized_clients": getattr(record, "materialized_clients", 0),
         "metrics": {k: float(v) for k, v in getattr(record, "metrics", {}).items()},

@@ -129,7 +129,7 @@ def format_execution_report(
     """Render the round loop's execution telemetry.
 
     Summarizes the :class:`~repro.fl.simulation.RoundRecord` telemetry:
-    accepted/rejected rounds, transport volume, population and memory
+    accepted/rejected rounds, population and memory
     figures, and per-phase wall-clock on traced runs.
 
     ``resilience`` is the executor's recovery ledger
@@ -141,12 +141,10 @@ def format_execution_report(
     if not records:
         return "execution report: no rounds"
     rejected = [r for r in records if not r.accepted]
-    transport = [r.transport_bytes for r in records]
     lines = [
         "Execution report",
         f"rounds: {len(records)} "
         f"({len(records) - len(rejected)} accepted, {len(rejected)} rejected)",
-        f"transport: {np.mean(transport):.0f} B/round mean",
     ]
     # Population-scale telemetry (getattr-defensive: pre-registry record
     # objects lack these fields).  peak_rss_kb is the OS high-water mark,

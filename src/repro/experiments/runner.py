@@ -10,6 +10,8 @@ per-seed results are deterministic, so serial and fanned-out runs
 aggregate identically.  A seed process spends its time in rounds, and
 every round runs at one BLAS thread (:mod:`repro.nn.blas`), so the pool
 keeps to one core per process without a thread setting of its own.
+Seeds are the one axis that runs over processes: every round runs in its
+caller's address space (:mod:`repro.fl.parallel`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def _detection_seed_task(config: ExperimentConfig, seed: int) -> DetectionStats:
 def _map_over_seeds(task, payload, seeds: Sequence[int], seed_workers: int):
     """Run ``task(payload, seed)`` per seed, serially or over a process
     pool."""
+    if seed_workers < 0:
+        raise ValueError(f"seed_workers must be >= 0, got {seed_workers}")
     if seed_workers >= 2 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=min(seed_workers, len(seeds))) as pool:
             return list(pool.map(task, repeat(payload), seeds))

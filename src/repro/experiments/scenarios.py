@@ -27,7 +27,7 @@ from repro.experiments.environment import Environment, build_environment
 from repro.experiments.persistence import save_run
 from repro.fl.client import Client, HonestClient
 from repro.fl.config import FLConfig
-from repro.fl.parallel import make_engine
+from repro.fl.parallel import make_executor
 from repro.fl.registry import ClientRegistry, LazyShardFactory
 from repro.fl.selection import ScheduledSelector
 from repro.fl.simulation import FederatedSimulation, RoundRecord
@@ -119,7 +119,7 @@ def run_stable_scenario(
             ),
         }
     tracer = make_tracer(config.trace)
-    with _engine(config) as engine:
+    with _executor(config) as executor:
         sim = FederatedSimulation(
             env.stable_model.clone(),
             clients,
@@ -129,8 +129,7 @@ def run_stable_scenario(
             defense=defense,
             use_secure_agg=use_secure_agg,
             metric_hooks=hooks,
-            executor=engine.executor,
-            model_store=engine.store,
+            executor=executor,
             tracer=tracer,
         )
         records = sim.run(config.total_rounds)
@@ -241,7 +240,7 @@ def run_early_scenario(
     bd_eval = env.backdoor.backdoor_test_instances(200, np.random.default_rng(seed))
     target = env.backdoor.target_label
     tracer = make_tracer(config.trace)
-    with _engine(config) as engine:
+    with _executor(config) as executor:
         sim = FederatedSimulation(
             model,
             clients,
@@ -253,8 +252,7 @@ def run_early_scenario(
                 "main_acc": lambda m: accuracy(test.y, m.predict(test.x)),
                 "backdoor_acc": lambda m: float((m.predict(bd_eval.x) == target).mean()),
             },
-            executor=engine.executor,
-            model_store=engine.store,
+            executor=executor,
             tracer=tracer,
         )
         records = sim.run(total_rounds)
@@ -316,15 +314,14 @@ def run_error_trace(
             {r: [env.attacker_id] for r in attack_rounds},
         )
         tracer = make_tracer(config.trace)
-        with _engine(config) as engine:
+        with _executor(config) as executor:
             sim = FederatedSimulation(
                 env.stable_model.clone(),
                 clients,
                 fl_config,
                 np.random.default_rng(np.random.SeedSequence((seed, 0xF16))),
                 selector=selector,
-                executor=engine.executor,
-                model_store=engine.store,
+                executor=executor,
                 tracer=tracer,
             )
             rows = []
@@ -348,28 +345,23 @@ def run_error_trace(
 # Shared builders
 # ----------------------------------------------------------------------
 @contextmanager
-def _engine(config: ExperimentConfig):
-    """The round-execution engine a scenario config asks for.
+def _executor(config: ExperimentConfig):
+    """The round executor a scenario config asks for
+    (:func:`repro.fl.parallel.make_executor`).
 
-    One factory decides workers, engine kind and the engine's one store
-    together (:func:`repro.fl.parallel.make_engine`).
-
-    ``config.sanitize`` turns the runtime sanitizer on for the engine's
-    whole lifetime via :func:`repro.analysis.sanitize.scope` — the scope
-    is entered *before* the engine so pool workers forked at engine
-    startup inherit the ``REPRO_SANITIZE`` environment flag.
+    ``config.sanitize`` turns the runtime sanitizer on for the executor's
+    whole lifetime via :func:`repro.analysis.sanitize.scope`.
     """
     from repro.analysis import sanitize
 
     with sanitize.scope(config.sanitize):
-        with make_engine(
+        with make_executor(
             config.workers,
             cohort_size=config.cohort_size,
-            engine=config.engine,
             faults=config.faults,
             task_deadline_s=config.task_deadline_s,
-        ) as engine:
-            yield engine
+        ) as executor:
+            yield executor
 
 
 def _build_defense(config: ExperimentConfig, env: Environment) -> BaffleDefense:

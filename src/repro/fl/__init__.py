@@ -39,23 +39,12 @@ from repro.fl.faults import (
     QuorumStallError,
     ResilienceStats,
 )
-from repro.fl.model_store import (
-    InProcessModelStore,
-    ModelStore,
-    SharedMemoryModelStore,
-    ValidatorProfileTable,
-    make_model_store,
-    reap_orphan_segments,
-)
+from repro.fl.model_store import ModelStore
 from repro.fl.parallel import (
-    ENGINE_KINDS,
     PendingVotes,
-    ProcessPoolRoundExecutor,
-    RoundEngine,
     RoundExecutor,
     SequentialExecutor,
     ThreadPoolRoundExecutor,
-    make_engine,
     make_executor,
 )
 from repro.fl.rng import RngStreams
@@ -76,14 +65,12 @@ __all__ = [
     "plan_cohorts",
     "Defense",
     "DefenseDecision",
-    "ENGINE_KINDS",
     "FLConfig",
     "FaultPlan",
     "FaultSpec",
     "FedAvgAggregator",
     "FederatedSimulation",
     "HonestClient",
-    "InProcessModelStore",
     "InjectedWorkerCrash",
     "LocalTrainingConfig",
     "MaskedUpdate",
@@ -91,10 +78,8 @@ __all__ = [
     "PendingVotes",
     "QUORUM_POLICIES",
     "QuorumStallError",
-    "ProcessPoolRoundExecutor",
     "ResilienceStats",
     "RngStreams",
-    "RoundEngine",
     "RoundExecutor",
     "RoundRecord",
     "ScheduledSelector",
@@ -102,15 +87,10 @@ __all__ = [
     "ThreadPoolRoundExecutor",
     "SecureAggregator",
     "Selector",
-    "SharedMemoryModelStore",
     "UniformSelector",
-    "ValidatorProfileTable",
     "apply_global_update",
     "clip_gradients",
     "local_train",
-    "make_engine",
     "make_executor",
-    "make_model_store",
     "make_pairwise_masks",
-    "reap_orphan_segments",
 ]

@@ -99,10 +99,10 @@ class Client:
     """Base class: a participant identified by ``client_id`` holding data."""
 
     #: Whether ``produce_update`` is a pure function of its arguments (plus
-    #: the client's own frozen data), so the parallel engine may execute it
-    #: in a worker process.  Clients that read live server-side state or
-    #: mutate state the parent must observe set this to ``False`` and are
-    #: always run in the parent, whatever the executor.
+    #: the client's own frozen data), so the thread engine may execute it
+    #: on a pool thread.  Clients that read live server-side state or
+    #: mutate state the server must observe set this to ``False`` and
+    #: always run on the calling thread, whatever the executor.
     parallel_safe: bool = True
 
     #: Whether this client's honest update may be folded into a stacked

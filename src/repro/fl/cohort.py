@@ -70,16 +70,13 @@ def plan_cohorts(
     contributor_ids: Sequence[int],
     global_model: Network,
     cohort_size: int,
-    spread_over: int | None = None,
 ) -> list[list[int]]:
     """Partition a round's cohortable contributors into stacked chunks.
 
     Returns chunks of at least two clients (a single leftover trains
     per-model — identical result, no stacking overhead), preserving
-    contributor order.  ``spread_over`` caps the chunk size so ``n`` chunks
-    spread evenly over that many workers (each worker stacks its slice of
-    the fan-out); ``cohort_size < 2`` or an unstackable architecture plans
-    nothing.
+    contributor order.  ``cohort_size < 2`` or an unstackable architecture
+    plans nothing.
     """
     if cohort_size < 2 or not supports_stacking(global_model):
         return []
@@ -93,11 +90,9 @@ def plan_cohorts(
         eligible = [cid for cid in contributor_ids if is_cohortable(clients[cid])]
     if len(eligible) < 2:
         return []
-    size = cohort_size
-    if spread_over is not None and spread_over > 0:
-        size = min(size, -(-len(eligible) // spread_over))
-    size = max(size, 2)
-    chunks = [eligible[i : i + size] for i in range(0, len(eligible), size)]
+    chunks = [
+        eligible[i : i + cohort_size] for i in range(0, len(eligible), cohort_size)
+    ]
     return [chunk for chunk in chunks if len(chunk) >= 2]
 
 

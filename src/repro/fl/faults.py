@@ -3,8 +3,8 @@
 BaFFLe's deployment model has feedback arriving from *remote client
 validators* — machines that crash, stall, and drop offline — so the
 executors (:mod:`repro.fl.parallel`) carry a resilience layer: per-task
-deadlines, ``BrokenProcessPool`` detection with pool rebuild, retry by
-replay, and graceful engine degradation.  This module supplies the two
+deadlines, broken-pool detection with pool rebuild, retry by replay, and
+graceful engine degradation.  This module supplies the two
 things that layer needs to be *testable*: a replayable fault plan and a
 ledger of what the recovery machinery actually did.
 
@@ -34,23 +34,17 @@ drop.  Examples::
 Dispatch slots
 --------------
 A crash/delay ``index`` names a *dispatch slot*: the position of a slice
-in its phase's dispatch order (omitted = slot 0).  What a slice holds
-follows from the executor's dispatcher (:mod:`repro.fl.parallel`):
-
-- **inline** (sequential) and **thread**: one slice per unit.  Training
-  units are the phase's stacked cohort chunks, then its per-model clients
-  in contributor order; validation units are the validators in request
-  order.
-- **process**: one slice per worker, at most ``workers`` slots; units are
-  packed onto the least-loaded slice.
+in its phase's dispatch order (omitted = slot 0).  Both dispatchers of
+:mod:`repro.fl.parallel` (inline and thread) run one slice per unit.
+Training units are the phase's stacked cohort chunks, then its per-model
+clients in contributor order; validation units are the validators in
+request order.
 
 Only ``parallel_safe`` entities are dispatched: parent-side clients and
 validators, and dropped votes, occupy no slot.  A crash raises
-:class:`InjectedWorkerCrash` in-process (inline, thread) and hard-exits
-the worker under the process dispatcher, a genuine ``BrokenProcessPool``.
-An entry whose slot never exists in a run is reported by
-:meth:`FaultPlan.unfired` and in a ``RuntimeWarning`` when the executor
-closes.
+:class:`InjectedWorkerCrash` in the slice's task.  An entry whose slot
+never exists in a run is reported by :meth:`FaultPlan.unfired` and in a
+``RuntimeWarning`` when the executor closes.
 
 Crash and delay entries are consumed **one-shot** at dispatch time: each
 dispatch of a slot takes that slot's next matching entry, so ``n`` equal
@@ -84,17 +78,13 @@ QUORUM_POLICIES = ("strict", "degrade")
 #: the parent instead.
 DEFAULT_TASK_RETRIES = 2
 
-#: How many pool deaths a run absorbs (rebuilding each time) before the
-#: executor swaps in the next dispatcher down the ladder.
+#: How many broken pools a run absorbs (rebuilding each time) before the
+#: executor swaps in the inline dispatcher.
 DEFAULT_POOL_REBUILDS = 2
 
 
 class InjectedWorkerCrash(RuntimeError):
-    """A planned in-process task death (inline and thread dispatchers).
-
-    The process pool does not raise this — a planned crash there is a
-    worker ``os._exit``, indistinguishable from a segfault or OOM kill.
-    """
+    """A planned task death (fault plan ``crash`` entry)."""
 
 
 class QuorumStallError(RuntimeError):
@@ -287,7 +277,6 @@ class ResilienceStats:
         "quorum_degradations",
         "engine_demotions",
         "abandoned_task_errors",
-        "orphans_reaped",
     )
 
     def __init__(self) -> None:

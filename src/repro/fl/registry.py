@@ -29,10 +29,6 @@ A registry-backed run commits **bit-identical** models to the eager run:
 - Optimizer state is constructed inside ``local_train`` per update and
   dies with it, so discarding a client after the round discards nothing
   the eager path would have kept.
-
-Both parallel executors ship a :meth:`ClientRegistry.worker_view` to
-their workers, which materialize their own slices — shards never cross
-the IPC boundary.
 """
 
 from __future__ import annotations
@@ -66,9 +62,6 @@ class PartitionSpec:
     a detached generator and caches the parts (index arrays total at most
     one entry per pool sample, so the cache is bounded by the pool, not
     the population).
-
-    Instances are plain data and pickle cleanly; the parts cache is
-    dropped on pickling so worker processes replay their own.
     """
 
     def __init__(
@@ -184,12 +177,6 @@ class PartitionSpec:
         """Every client's index array (the full eager split)."""
         return self._replay()
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        if self.kind != "explicit":
-            state["_parts"] = None  # workers replay their own copy
-        return state
-
 
 class ClientFactory:
     """Materializes clients of a virtual population on demand.
@@ -204,7 +191,7 @@ class ClientFactory:
     #: Factory-made clients are plain :class:`HonestClient`s eligible for
     #: stacked cohort training.
     cohort_safe: bool = True
-    #: Factory-made clients may be materialized inside worker processes.
+    #: Factory-made clients may train on pool threads.
     parallel_safe: bool = True
 
     @property
@@ -347,25 +334,6 @@ class ClientRegistry:
     def active_count(self) -> int:
         """Factory-made clients currently resident (0 between rounds)."""
         return len(self._active)
-
-    # ------------------------------------------------------------------
-    # Worker shipping
-    # ------------------------------------------------------------------
-    def worker_view(self) -> "ClientRegistry":
-        """A picklable registry for worker processes.
-
-        Carries the factory (pool + partition spec — O(pool), shipped
-        once at pool start) and the *parallel-safe* overrides; everything
-        else the workers materialize themselves, so per-round IPC never
-        moves a shard.  Non-parallel-safe overrides run in the parent and
-        are stripped here.
-        """
-        safe = {
-            cid: client
-            for cid, client in self._overrides.items()
-            if getattr(client, "parallel_safe", False)
-        }
-        return ClientRegistry(self._factory, safe)
 
 
 __all__ = [

@@ -11,14 +11,12 @@ client 3 would consume the stream in a different order and change the run.
 per ``(domain, round_idx, entity_id)`` key, following NumPy's documented
 ``spawn_key`` construction.  A client's local-training randomness (or a
 validator's vote randomness) is then a pure function of the round index and
-its id — identical no matter which worker executes it, in which order, or
+its id — identical no matter which thread executes it, in which order, or
 on which host.  This is the property the parallel engine in
 :mod:`repro.fl.parallel` relies on for bit-identical sequential/parallel
-runs.
-
-Seed sequences (unlike generators) are tiny and picklable, so executor
-backends ship them to worker processes and instantiate the generator on the
-far side.
+runs.  Executors hand each slice its seed sequences and instantiate the
+generator where the slice runs, so a replayed slice draws the same
+numbers.
 """
 
 from __future__ import annotations

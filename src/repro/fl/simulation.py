@@ -25,7 +25,6 @@ import numpy as np
 from repro.fl.aggregation import Aggregator, FedAvgAggregator, apply_global_update
 from repro.fl.client import Client, LocalTrainingConfig
 from repro.fl.config import FLConfig
-from repro.fl.model_store import InProcessModelStore, ModelStore
 from repro.fl.parallel import RoundExecutor, SequentialExecutor
 from repro.fl.registry import ClientRegistry
 from repro.fl.rng import RngStreams
@@ -38,7 +37,7 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 
 
 def _peak_rss_kb() -> int:
-    """Parent-process peak RSS in KiB (0 where unobservable)."""
+    """This process's peak RSS in KiB (0 where unobservable)."""
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platforms
@@ -97,20 +96,14 @@ class RoundRecord:
     accepted: bool
     decision: DefenseDecision
     metrics: dict[str, float] = field(default_factory=dict)
-    #: Model-weight bytes the executor moved across process boundaries this
-    #: round: 0 for in-process execution, policy-dtype bytes newly copied
-    #: into the shared-memory arena for the process pool (O(1 new model)
-    #: per round).
-    transport_bytes: int = 0
-    #: Parent-process peak RSS in KiB when this round's record was built
+    #: Peak RSS in KiB when this round's record was built
     #: (monotone within a run — the OS high-water mark — so the *last*
     #: round's value is the run's peak; 0 where unobservable).
     peak_rss_kb: int = 0
     #: Clients resident in the parent when this round's training finished:
     #: the whole population on the eager path, cohort-sized (overrides
     #: included) under a virtual registry — the observable form of the
-    #: bounded-memory claim.  Worker processes materialize and discard
-    #: their own slices and are not counted here.
+    #: bounded-memory claim.
     materialized_clients: int = 0
     #: Wall-clock seconds per round phase (``select``/``train``/
     #: ``aggregate``/``validate``/...), populated only when the simulation
@@ -165,14 +158,6 @@ class FederatedSimulation:
         The :class:`~repro.fl.parallel.RoundExecutor` that fans out client
         training and validator votes; defaults to in-process sequential
         execution.  The caller owns the executor's lifecycle.
-    model_store:
-        The :class:`~repro.fl.model_store.ModelStore` holding the round
-        loop's weight vectors (global model, candidate, defense history).
-        Defaults to the executor's bound store, else an in-process store
-        (a process pool refuses that one: build it with
-        :func:`~repro.fl.parallel.make_engine`, which binds its
-        shared-memory store).  The caller owns the store's lifecycle
-        (close it after the executor).
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` recording phase spans
         and run metrics (see :mod:`repro.obs`).  Defaults to the zero-cost
@@ -193,7 +178,6 @@ class FederatedSimulation:
         defense: Defense | None = None,
         metric_hooks: Mapping[str, Callable[[Network], float]] | None = None,
         executor: RoundExecutor | None = None,
-        model_store: ModelStore | None = None,
         tracer: "Tracer | NullTracer | None" = None,
     ) -> None:
         if len(clients) != config.num_clients:
@@ -225,35 +209,12 @@ class FederatedSimulation:
         self.metric_hooks = dict(metric_hooks or {})
         self.streams = RngStreams.from_rng(rng)
         self.executor = executor or SequentialExecutor()
-        # A factory-built executor (make_executor / make_engine) arrives
-        # with its store already bound; adopt it rather than double-binding
-        # — and refuse a conflicting explicit store outright.
-        executor_store = self.executor.store
-        if (
-            model_store is not None
-            and executor_store is not None
-            and model_store is not executor_store
-        ):
-            raise ValueError(
-                "executor is already bound to a different model store; "
-                "build both through make_engine() or pass the same store"
-            )
-        self.model_store = model_store or executor_store or InProcessModelStore()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        bind_kwargs = {
-            "clients": self.clients,
-            "template": global_model.clone(),
-        }
-        if executor_store is None:
-            bind_kwargs["store"] = self.model_store
         if self.tracer.enabled:
-            bind_kwargs["tracer"] = self.tracer
-        self.executor.bind(**bind_kwargs)
+            self.executor.bind(tracer=self.tracer)
         bind_runtime = getattr(defense, "bind_runtime", None)
         if callable(bind_runtime):
-            bind_runtime(
-                executor=self.executor, streams=self.streams, store=self.model_store
-            )
+            bind_runtime(executor=self.executor, streams=self.streams)
         bind_tracer = getattr(defense, "bind_tracer", None)
         if self.tracer.enabled and callable(bind_tracer):
             bind_tracer(self.tracer)
@@ -296,7 +257,6 @@ class FederatedSimulation:
         with blas.limit(1):
             round_idx = self.round_idx
             tracer = self.tracer
-            transport_before = self.executor.transport_bytes
             with tracer.span("select", round_idx=round_idx) as span_select:
                 contributor_ids = self.selector.select(round_idx, self.rng)
             with tracer.span("train", round_idx=round_idx) as span_train:
@@ -349,7 +309,6 @@ class FederatedSimulation:
                 metrics={
                     name: hook(self.global_model) for name, hook in self.metric_hooks.items()
                 },
-                transport_bytes=self.executor.transport_bytes - transport_before,
                 peak_rss_kb=_peak_rss_kb(),
                 materialized_clients=resident_clients,
                 retries=self._resilience_delta(),
@@ -385,7 +344,6 @@ class FederatedSimulation:
         metrics.counter(
             "rounds_accepted" if record.accepted else "rounds_rejected"
         ).inc()
-        metrics.counter("transport_bytes").inc(record.transport_bytes)
         metrics.gauge("peak_rss_kb").set(record.peak_rss_kb)
         metrics.gauge("materialized_clients").set(record.materialized_clients)
         rounds = metrics.counter("rounds_total").value

@@ -5,13 +5,12 @@ enough to split, and after a split its helper threads spin-wait for the
 next one.  On the paper protocol the only GEMMs that large are the server
 validator's 300-row profile stacks; the helper woken by them then spins
 on a second core through the next several rounds, costing more CPU than
-the split saves, and under a parallel engine it contends with the pool's
-workers.  So every round runs at one BLAS thread:
+the split saves, and under the thread engine it contends with the pool's
+threads.  So every round runs at one BLAS thread:
 :meth:`~repro.fl.simulation.FederatedSimulation.run_round` runs its whole
 body under ``limit(1)`` (training on every engine, every vote, the
-server's vote and the metric hooks), and each process-pool worker holds
-one thread from its initializer (:func:`hold`).  The caller's count
-comes back after each round.
+server's vote and the metric hooks).  The caller's count comes back after
+each round.
 
 :func:`limit` caps the count for a block:
 
@@ -45,7 +44,7 @@ import glob
 import os
 import threading
 from collections.abc import Iterator
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -87,8 +86,6 @@ _lock = threading.Lock()
 _caps: list[int] = []
 #: The count the first of those limits found, restored when the last leaves.
 _restore = 0
-#: The caps :func:`hold` keeps for the rest of the process's life.
-_held = ExitStack()
 
 
 def _reset_lock() -> None:
@@ -129,13 +126,6 @@ def limit(threads: int) -> Iterator[int | None]:
         with _lock:
             _caps.remove(threads)
             _set(min([_restore, *_caps]))
-
-
-def hold(threads: int) -> None:
-    """Enter :func:`limit` for the rest of this process's life (a pool
-    worker's initializer).  Like nested limits, holds combine by the
-    smallest cap."""
-    _held.enter_context(limit(threads))
 
 
 def l2_norm(vector: np.ndarray) -> float:

@@ -4,10 +4,8 @@ The round loop (:mod:`repro.fl.simulation`), the executors
 (:mod:`repro.fl.parallel`) and the defense (:mod:`repro.core.baffle`)
 emit monotonic-clock spans for every phase of a round — select,
 materialize, client train, aggregate, validate, commit / reject, and
-recovery replays — into a :class:`Tracer`.  Worker processes record
-their spans locally and ship them back piggybacked on the task results
-they already return; the server merges them onto one timeline with
-per-worker clock-offset normalization.
+recovery replays — into a :class:`Tracer`, the thread engine's pool
+threads included.
 
 Tracing is pure instrumentation: it draws no randomness, never touches a
 weight array, and a traced run commits bit-identical models to an

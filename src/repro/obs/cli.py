@@ -1,7 +1,7 @@
 """``python -m repro trace`` — summarize one trace or diff two.
 
 One file prints the terminal run summary (per-phase wall-clock table,
-round counts, transport volume).  Two files run a structural
+round counts).  Two files run a structural
 first-divergence check over the phase-span sequences plus a per-phase
 timing delta table, mirroring how ``repro.analysis.divergence`` diffs
 hash traces.

@@ -11,8 +11,7 @@ Formats
   ``{"traceEvents": [...]}`` object format, loadable in Perfetto
   (https://ui.perfetto.dev) or ``chrome://tracing``.  Complete spans use
   ``ph: "X"`` with microsecond ``ts``/``dur``; instant events use
-  ``ph: "i"``; per-process ``process_name`` metadata labels the server
-  and each worker pid.
+  ``ph: "i"``; ``process_name`` metadata labels the server's pid.
 - **Terminal summary** (:func:`summarize_trace`): per-phase wall-clock
   table plus the headline gauges, for humans and for ``python -m repro
   trace``.
@@ -86,21 +85,14 @@ def load_trace(path: str | Path) -> tuple[list[Span], dict, dict]:
 def chrome_trace(tracer: Tracer) -> dict:
     """The trace as a Chrome trace-event object (microsecond timestamps)."""
     t0 = tracer.t0_ns
-    events: list[dict] = []
-    pids_seen: set[int] = set()
+    events: list[dict] = [{
+        "name": "process_name",
+        "ph": "M",
+        "pid": tracer.pid,
+        "tid": 0,
+        "args": {"name": "server"},
+    }]
     for span in tracer.finalized_spans():
-        if span.pid not in pids_seen:
-            pids_seen.add(span.pid)
-            label = "server" if span.pid == tracer.pid else f"worker-{span.pid}"
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": span.pid,
-                    "tid": 0,
-                    "args": {"name": label},
-                }
-            )
         args = dict(span.attrs)
         if span.round_idx is not None:
             args["round"] = span.round_idx
@@ -149,7 +141,7 @@ def phase_table(spans: list[Span]) -> dict[str, dict]:
 def summarize_trace(
     spans: list[Span], snapshot: dict | None = None, title: str = "trace summary"
 ) -> str:
-    """Human-readable run summary: phases, rounds, transport, workers."""
+    """Human-readable run summary: phases, rounds, throughput."""
     snapshot = snapshot or {}
     counters = snapshot.get("counters", {})
     gauges = snapshot.get("gauges", {})
@@ -167,9 +159,6 @@ def summarize_trace(
         )
     if "rounds_per_s" in gauges:
         lines.append(f"throughput: {gauges['rounds_per_s']:.2f} rounds/s")
-    transport = counters.get("transport_bytes")
-    if transport is not None:
-        lines.append(f"transport: {transport} B")
     table = phase_table(spans)
     if table:
         lines.append(f"{'phase':<18} {'count':>6} {'total s':>10} {'mean ms':>10}")

@@ -1,15 +1,14 @@
 """Typed run metrics: counters, gauges, histograms, and their registry.
 
 One :class:`MetricsRegistry` per traced run unifies the ad-hoc telemetry
-previously scattered across ``RoundRecord`` fields, executor byte
-counters and the model store: rounds/s, per-phase wall-clock,
-transport volume, shared-memory attach cache hits, materialized clients,
-peak RSS.  ``snapshot()`` returns one JSON-serializable dict — the API a
-future streaming server polls, and what
-:mod:`repro.experiments.persistence` embeds in saved run files.
+previously scattered across ``RoundRecord`` fields and the model
+store: rounds/s, per-phase wall-clock, materialized clients, peak RSS.
+``snapshot()`` returns one JSON-serializable dict — the API a future
+streaming server polls, and what :mod:`repro.experiments.persistence`
+embeds in saved run files.
 
 All operations are lock-protected: the thread engine observes from pool
-threads, and worker-batch merges land from gather threads.
+threads.
 """
 
 from __future__ import annotations

@@ -11,21 +11,7 @@ Two tracer implementations share one interface:
   default everywhere.  Its ``span()`` returns one shared, immutable
   context manager, so an un-traced hot path allocates nothing per call.
 - :class:`Tracer` records :class:`Span` objects under a lock (the thread
-  engine records from pool threads) and merges worker-process span
-  batches shipped back on task results
-  (:meth:`Tracer.merge_worker`), normalizing each worker's clock onto
-  the server's timeline.
-
-Clock-offset normalization
---------------------------
-A worker batch carries the worker's monotonic clock sampled when the
-batch was packed (``sent_ns``).  The server samples its own clock on
-receipt; ``receive - sent`` over-estimates the true clock offset by
-exactly the result's transit time, so the tracer keeps the **minimum**
-estimate seen per worker pid and shifts that worker's spans by it when
-the timeline is finalized.  Shifted spans therefore land at or after
-their true server-time position and never before their dispatching
-phase began — merged timelines stay causally ordered.
+  engine records from pool threads).
 
 Span attributes must be scalars (:func:`check_attrs`): the hard contract
 is that tracing never captures a weight array, so anything that is not
@@ -64,11 +50,10 @@ def check_attrs(attrs: dict) -> dict:
 
 @dataclass(frozen=True)
 class Span:
-    """One timed (or instant) observation on the merged timeline.
+    """One timed (or instant) observation on the run's timeline.
 
-    ``start_ns`` is monotonic-clock nanoseconds on the *server's*
-    timeline (worker spans are shifted at merge time); ``dur_ns == 0``
-    marks an instant event.
+    ``start_ns`` is monotonic-clock nanoseconds; ``dur_ns == 0`` marks an
+    instant event.
     """
 
     name: str
@@ -144,9 +129,6 @@ class NullTracer:
     def event(self, name, cat="event", round_idx=None, **attrs) -> None:
         return None
 
-    def merge_worker(self, payload) -> None:
-        return None
-
     def elapsed_s(self) -> float:
         return 0.0
 
@@ -185,12 +167,11 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects one run's spans and metrics on the server's timeline.
+    """Collects one run's spans and metrics on one monotonic timeline.
 
-    Thread-safe: the thread engine's pool threads record spans directly,
-    and worker-process batches arrive from whatever thread gathers task
-    results.  The tracer holds no model state — only names, scalars, and
-    clock readings.
+    Thread-safe: the thread engine's pool threads record spans directly.
+    The tracer holds no model state — only names, scalars, and clock
+    readings.
     """
 
     enabled = True
@@ -203,10 +184,6 @@ class Tracer:
         self.t0_ns = time.monotonic_ns()
         self._lock = threading.Lock()
         self._spans: list[Span] = []
-        #: Raw worker batches: ``(pid, rows)`` with worker-clock times.
-        self._worker_batches: list[tuple[int, list]] = []
-        #: Per-worker minimum observed ``server_receive - worker_send``.
-        self._offsets: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -252,64 +229,10 @@ class Tracer:
         """Seconds since this tracer was created (monotonic)."""
         return (time.monotonic_ns() - self.t0_ns) * 1e-9
 
-    # ------------------------------------------------------------------
-    # Worker-span merge
-    # ------------------------------------------------------------------
-    def merge_worker(self, payload) -> None:
-        """Absorb one worker batch piggybacked on a task result.
-
-        ``payload`` is ``(pid, sent_ns, rows, store_stats)`` as packed by
-        the worker's drain helper: ``rows`` are span tuples on the
-        worker's own clock, ``sent_ns`` that clock sampled at packing
-        time, ``store_stats`` an optional ``(attaches, cache_hits)``
-        delta from the worker's shared-memory view.  A ``None`` payload
-        (tracing off in the worker) is ignored.
-        """
-        if payload is None:
-            return
-        received_ns = time.monotonic_ns()
-        pid, sent_ns, rows, store_stats = payload
-        offset = received_ns - int(sent_ns)
-        with self._lock:
-            known = self._offsets.get(pid)
-            if known is None or offset < known:
-                self._offsets[pid] = offset
-            if rows:
-                self._worker_batches.append((pid, list(rows)))
-        if store_stats is not None:
-            attaches, hits = store_stats
-            self.metrics.counter("shm.worker_attaches").inc(int(attaches))
-            self.metrics.counter("shm.worker_attach_hits").inc(int(hits))
-
-    # ------------------------------------------------------------------
-    # Finalized timeline
-    # ------------------------------------------------------------------
     def finalized_spans(self) -> list[Span]:
-        """All spans on the server timeline, sorted by start time.
-
-        Worker batches are normalized here — using the per-pid *minimum*
-        offset estimate, so every batch of a worker benefits from the
-        tightest transit observed over the whole run.
-        """
+        """All recorded spans, sorted by start time."""
         with self._lock:
             out = list(self._spans)
-            batches = [(pid, rows) for pid, rows in self._worker_batches]
-            offsets = dict(self._offsets)
-        for pid, rows in batches:
-            offset = offsets.get(pid, 0)
-            for name, cat, start_ns, dur_ns, tid, round_idx, attrs in rows:
-                out.append(
-                    Span(
-                        name=name,
-                        cat=cat,
-                        start_ns=int(start_ns) + offset,
-                        dur_ns=int(dur_ns),
-                        pid=pid,
-                        tid=tid,
-                        round_idx=round_idx,
-                        attrs=dict(attrs or {}),
-                    )
-                )
         out.sort(key=lambda s: (s.start_ns, s.pid, s.tid, s.name))
         return out
 

@@ -203,26 +203,6 @@ class TestReviewCommitCycle:
         defense.record_outcome(model.clone(), accepted=True)
         assert len(defense.history) == 2  # appended without a review
 
-    def test_acceptance_files_the_staged_profiles(self, model, rng):
-        defense, _ = self.make_defense(model)
-        candidate = model.clone()
-        defense.review(candidate, 0, rng)
-        staged = defense.history.staged_version
-        defense.profile_table.stage(0, staged, "profile")  # a worker's result
-        defense.record_outcome(candidate, accepted=True)
-        assert defense.profile_table.get(0, staged) == "profile"
-        assert defense.profile_table.staged_count == 0
-
-    def test_rejection_drops_the_staged_profiles(self, model, rng):
-        defense, _ = self.make_defense(model)
-        candidate = model.clone()
-        defense.review(candidate, 0, rng)
-        staged = defense.history.staged_version
-        defense.profile_table.stage(0, staged, "profile")
-        defense.record_outcome(candidate, accepted=False)
-        assert defense.profile_table.get(0, staged) is None
-        assert defense.profile_table.staged_count == 0
-
     def test_acceptance_tells_every_validator_the_committed_version(
         self, model, rng
     ):

@@ -57,18 +57,16 @@ class TestModelHistory:
             ModelHistory(max_models=0)
 
     def test_straggler_reference_survives_eviction(self, model):
-        """An in-flight consumer's store reference keeps an evicted
-        version readable until released (the deferred-release contract)."""
+        """A vote still running past its deadline keeps the models of its
+        context: evicting a version from the window leaves them readable."""
         history = ModelHistory(max_models=2)
         oldest = history.append(model)
-        history.store.acquire(oldest)  # the in-flight validator's hold
+        context = history.entries()  # the in-flight validator's view
         history.append(model)
         history.append(model)  # evicts ``oldest`` from the window
         assert oldest not in history.versions()
-        assert oldest in history.store  # still resolvable for the straggler
-        history.store.get(oldest)
-        history.store.release(oldest)
         assert oldest not in history.store
+        np.testing.assert_array_equal(context[0][1].get_flat(), model.get_flat())
 
 
 def _distinct(model, rng):
@@ -85,28 +83,23 @@ class TestStagedCommits:
 
     def test_commit_evicts_the_oldest_only_when_full(self, model, rng):
         history = ModelHistory(max_models=2)
-        evicted: list[int] = []
-        history.add_eviction_listener(evicted.append)
         history.append(model)
         history.append(model)
         version = history.stage_candidate(_distinct(model, rng))
-        assert evicted == []  # staging alone displaces nothing
+        assert history.store.versions() == [0, 1, version]  # nothing displaced
         assert history.commit_staged() == version
         assert history.versions() == [1, version]
-        assert evicted == [0]
-        assert 0 not in history.store
+        assert history.store.versions() == [1, version]
 
     def test_discard_leaves_the_window_untouched(self, model, rng):
         history = ModelHistory(max_models=2)
-        evicted: list[int] = []
-        history.add_eviction_listener(evicted.append)
         history.append(model)
         history.append(model)
         before = history.versions()
         version = history.stage_candidate(_distinct(model, rng))
         history.discard_staged()
         assert history.versions() == before
-        assert evicted == []
+        assert history.store.versions() == before
         assert version not in history.store
         assert history.staged_version is None
 
@@ -151,17 +144,3 @@ class TestStagedCommits:
             history.append(accepted)
         for (_, stored), accepted in zip(history.entries(), models):
             np.testing.assert_array_equal(stored.get_flat(), accepted.get_flat())
-
-    def test_straggler_reference_survives_discard(self, model, rng):
-        """A vote still running on a rejected candidate holds its own store
-        reference: discarding the candidate keeps it readable until that
-        vote releases it."""
-        history = ModelHistory(max_models=3)
-        history.append(model)
-        version = history.stage_candidate(_distinct(model, rng))
-        history.store.acquire(version)  # the in-flight validator's hold
-        history.discard_staged()
-        assert version in history.store
-        history.store.get(version)
-        history.store.release(version)
-        assert version not in history.store

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.baffle import BaffleConfig
 from repro.fl.faults import QuorumStallError
-from repro.fl.model_store import InProcessModelStore
 from repro.fl.parallel import SequentialExecutor, make_executor
 from tests.fl.test_faults import (
     DROPPED_ROUND,
@@ -48,17 +47,13 @@ class TestStrictPolicy:
     def test_dropped_vote_stalls_the_round(self):
         with SequentialExecutor() as executor:
             executor.bind_faults(plan=DROP)
-            sim = build_policy_sim(
-                executor, policy="strict", store=InProcessModelStore()
-            )
+            sim = build_policy_sim(executor, policy="strict")
             with pytest.raises(QuorumStallError, match="strict"):
                 sim.run(8)
 
     def test_no_loss_means_no_stall(self):
         with SequentialExecutor() as executor:
-            sim = build_policy_sim(
-                executor, policy="strict", store=InProcessModelStore()
-            )
+            sim = build_policy_sim(executor, policy="strict")
             records = sim.run(8)
         assert all(r.quorum_size == 3 for r in records)
         assert not any(r.decision.quorum_degraded for r in records)
@@ -68,9 +63,7 @@ class TestDegradePolicy:
     def test_dropped_vote_shrinks_the_quorum(self):
         with SequentialExecutor() as executor:
             executor.bind_faults(plan=DROP)
-            sim = build_policy_sim(
-                executor, policy="degrade", store=InProcessModelStore()
-            )
+            sim = build_policy_sim(executor, policy="degrade")
             records = sim.run(8)
             stats = executor.resilience.as_dict()
         degraded = records[DROPPED_ROUND]
@@ -90,19 +83,13 @@ class TestDegradePolicy:
         stalls even under ``degrade``."""
         with SequentialExecutor() as executor:
             executor.bind_faults(plan=DROP)
-            sim = build_policy_sim(
-                executor, policy="degrade", quorum_min=2,
-                store=InProcessModelStore(),
-            )
+            sim = build_policy_sim(executor, policy="degrade", quorum_min=2)
             records = sim.run(8)
         assert records[DROPPED_ROUND].decision.quorum_degraded
 
         with SequentialExecutor() as executor:
             executor.bind_faults(plan=DROP)
-            sim = build_policy_sim(
-                executor, policy="degrade", quorum_min=3,
-                store=InProcessModelStore(),
-            )
+            sim = build_policy_sim(executor, policy="degrade", quorum_min=3)
             with pytest.raises(QuorumStallError, match="quorum_min"):
                 sim.run(8)
 
@@ -111,15 +98,13 @@ class TestDegradePolicy:
         nothing about the committed models, and the ledger counts the
         loss exactly once."""
         with SequentialExecutor(cohort_size=1) as executor:
-            sim = build_policy_sim(executor, store=InProcessModelStore())
+            sim = build_policy_sim(executor)
             base_records = sim.run(8)
             base_flat = sim.global_model.get_flat()
         assert base_records[DROPPED_ROUND].accepted
 
         with make_executor(0, faults=DROP) as executor:
-            sim = build_policy_sim(
-                executor, policy="degrade", store=InProcessModelStore()
-            )
+            sim = build_policy_sim(executor, policy="degrade")
             records = sim.run(8)
             flat = sim.global_model.get_flat()
             stats = executor.resilience.as_dict()

@@ -354,7 +354,7 @@ class TestBatchedAlgorithm2:
         candidate = random_profile(rng, num_classes, 40, pool)
         dataset = Dataset(np.zeros((4, 2)), np.arange(4) % 2, 2)
         validator = MisclassificationValidator(dataset, features=features)
-        validator.seed_profile_cache(dict(enumerate(profiles)))
+        validator._profile_cache.update(enumerate(profiles))
         history = [(version, object()) for version in range(lookback + 1)]
         # Every history profile is cached; the candidate's comes from here.
         with mock.patch.object(

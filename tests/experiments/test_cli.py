@@ -67,15 +67,14 @@ class TestSharedExecutionFlags:
         monkeypatch.setattr(cli, ENTRY_POINTS[command], capture)
         with pytest.raises(_ConfigBuilt) as built:
             main([
-                command, "--workers", "3", "--engine", "thread",
-                "--cohort-size", "5",
+                command, "--workers", "3", "--cohort-size", "5",
                 "--dtype", "float32", "--virtual-clients", "--sanitize",
                 "--trace", str(tmp_path), "--faults", "crash@3.train",
                 "--task-deadline", "0.5", "--quorum-policy", "degrade",
                 "--quorum-min", "2",
             ])
         config = built.value.args[0]
-        assert (config.workers, config.engine) == (3, "thread")
+        assert (config.workers, config.engine) == (3, "thread")  # the one kind
         assert config.cohort_size == 5
         assert config.dtype_policy == "float32"
         assert config.virtual_clients and config.sanitize
@@ -84,10 +83,24 @@ class TestSharedExecutionFlags:
         assert (config.quorum_policy, config.quorum_min) == ("degrade", 2)
 
     def test_no_subcommand_takes_a_store_flag(self):
-        """Each engine has one weight path, derived from ``--engine``."""
+        """Every round runs in the caller's address space: the executor
+        needs no store."""
         for command in ENTRY_POINTS:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--store", "shared"])
+
+    def test_no_subcommand_takes_an_engine_flag(self):
+        """``--workers`` picks the thread engine; ``--seed-workers`` is the
+        one flag that starts processes."""
+        for command in ENTRY_POINTS:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--engine", "process"])
+
+    def test_negative_seed_workers_rejected(self):
+        """Like ``--workers -1``, a negative seed-worker count is a config
+        error, raised before any seed runs."""
+        with pytest.raises(ValueError, match="seed_workers"):
+            main(["detect", "--seeds", "1", "--seed-workers", "-3"])
 
     @pytest.mark.parametrize(
         "flag", [["--codec", "identity"], ["--allow-lossy"]]

@@ -31,6 +31,8 @@ class TestExperimentConfig:
             {"defense_start": 50, "total_rounds": 50},
             {"attack_rounds": (99,)},
             {"engine": "quantum"},
+            {"engine": "process"},
+            {"engine": "auto"},
             {"workers": -1},
             {"cohort_size": -1},
             {"dtype_policy": "float8"},

@@ -69,7 +69,7 @@ class TestRunFiles:
             RoundRecord(
                 round_idx=0, contributor_ids=[1, 2], malicious_present=False,
                 accepted=True, decision=DefenseDecision(True, 1, 4),
-                metrics={"accuracy": 0.5}, transport_bytes=80,
+                metrics={"accuracy": 0.5},
             ),
             RoundRecord(
                 round_idx=1, contributor_ids=[0, 3], malicious_present=True,
@@ -83,7 +83,6 @@ class TestRunFiles:
         assert [r["round_idx"] for r in rounds] == [0, 1]
         assert [r["accepted"] for r in rounds] == [True, False]
         assert [r["reject_votes"] for r in rounds] == [1, 3]
-        assert rounds[0]["transport_bytes"] == 80
         assert rounds[0]["metrics"] == {"accuracy": 0.5}
         assert "phase_times" not in rounds[0]  # untraced rounds carry none
 
@@ -97,8 +96,7 @@ class TestRunFiles:
         rounds, _, _ = load_run(save_run([record], tmp_path / "run.json"))
         assert set(rounds[0]) == {
             "round_idx", "accepted", "reject_votes", "num_validators",
-            "transport_bytes", "peak_rss_kb", "materialized_clients",
-            "metrics",
+            "peak_rss_kb", "materialized_clients", "metrics",
         }
 
     def test_files_with_retired_round_keys_still_load(self, tmp_path):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pytest
-
 from repro.experiments.metrics import AggregateStats
 from repro.experiments.reporting import (
     format_execution_report,
@@ -90,7 +88,6 @@ class FakeRecord:
 
     round_idx: int = 0
     accepted: bool = True
-    transport_bytes: int = 0
     phase_times: dict = field(default_factory=dict)
     retries: int = 0
     materialized_clients: int = 0
@@ -98,20 +95,6 @@ class FakeRecord:
 
 
 class TestExecutionReport:
-    @pytest.mark.parametrize(
-        "per_round, line",
-        [
-            ((500, 1500), "transport: 1000 B/round mean"),
-            ((0, 0), "transport: 0 B/round mean"),  # in-process engines
-        ],
-    )
-    def test_transport_line_reports_mean_bytes_per_round(self, per_round, line):
-        records = [
-            FakeRecord(round_idx=i, transport_bytes=b)
-            for i, b in enumerate(per_round)
-        ]
-        assert line in format_execution_report(records).splitlines()
-
     def test_phase_times_render_when_present(self):
         records = [
             FakeRecord(phase_times={"train": 0.010, "validate": 0.002}),

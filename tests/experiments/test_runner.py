@@ -98,6 +98,43 @@ class TestRoundsRunAtOneBlasThread:
         assert out == ["1", "1", "1"]
 
 
+class TestSeedWorkersValidation:
+    @pytest.mark.parametrize("entry", ["detection", "adaptive", "lookback", "quorum"])
+    def test_negative_seed_workers_rejected(self, fast_config, entry):
+        """Every seed fan-out rejects a negative process count before any
+        seed runs, as ``workers`` does."""
+        run = {
+            "detection": lambda: run_detection_experiment(
+                fast_config, seeds=(0,), seed_workers=-3
+            ),
+            "adaptive": lambda: run_adaptive_experiment(
+                fast_config, seeds=(0,), seed_workers=-3
+            ),
+            "lookback": lambda: sweep_lookback(
+                fast_config, lookbacks=(6,), splits=(0.9,), modes=("clients",),
+                seeds=(0,), seed_workers=-3,
+            ),
+            "quorum": lambda: sweep_quorum(
+                fast_config, quorums=(2,), splits=(0.9,), modes=("clients",),
+                seeds=(0,), seed_workers=-3,
+            ),
+        }[entry]
+        with pytest.raises(ValueError, match="seed_workers"):
+            run()
+
+    def test_zero_and_one_run_serially(self):
+        assert _map_over_seeds(_seed_echo, "x", (0, 1), seed_workers=0) == [
+            ("x", 0), ("x", 1),
+        ]
+        assert _map_over_seeds(_seed_echo, "x", (0, 1), seed_workers=1) == [
+            ("x", 0), ("x", 1),
+        ]
+
+
+def _seed_echo(payload, seed):
+    return payload, seed
+
+
 class TestSweeps:
     def test_sweep_lookback_covers_grid(self, fast_config):
         results = sweep_lookback(

@@ -14,8 +14,11 @@ import pytest
 from repro.data.dataset import Dataset
 from repro.fl.client import HonestClient, LocalTrainingConfig
 from repro.fl.cohort import cohort_updates, is_cohortable, plan_cohorts
-from repro.fl.model_store import InProcessModelStore, SharedMemoryModelStore
-from repro.fl.parallel import SequentialExecutor, make_engine, make_executor
+from repro.fl.parallel import (
+    SequentialExecutor,
+    ThreadPoolRoundExecutor,
+    make_executor,
+)
 from repro.fl.rng import RngStreams
 from repro.nn.models import make_mlp
 from tests.fl.test_parallel import (
@@ -23,7 +26,6 @@ from tests.fl.test_parallel import (
     build_forced_sim,
     make_world,
     run_and_snapshot,
-    shm_leftovers,
     snapshot,
 )
 
@@ -146,7 +148,7 @@ class TestEligibilityAndPlanning:
         empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
         assert not is_cohortable(HonestClient(0, empty))
 
-    def test_plan_respects_size_order_and_spread(self, rng):
+    def test_plan_respects_size_and_order(self, rng):
         shards = _shards(rng, [10] * 7)
         clients = [HonestClient(i, s) for i, s in enumerate(shards)]
         model = make_mlp(9, 4, rng, hidden=(5,))
@@ -157,10 +159,6 @@ class TestEligibilityAndPlanning:
         assert plan_cohorts(clients, [0, 1, 2, 3, 4], model, cohort_size=2) == [
             [0, 1], [2, 3],
         ]
-        # spread_over splits the fan-out across workers.
-        assert plan_cohorts(
-            clients, [0, 1, 2, 3, 4, 5], model, cohort_size=6, spread_over=2
-        ) == [[0, 1, 2], [3, 4, 5]]
 
     def test_plan_skips_unstackable_architectures(self, rng):
         from repro.nn.layers import Dense
@@ -204,17 +202,14 @@ class TestExecutorIntegration:
         baseline = SequentialExecutor(cohort_size=1).run_clients(
             clients, ids, model, local, 0, streams
         )
-        with make_engine(2, cohort_size=4) as engine:
-            engine.executor.bind(clients=clients, template=model.clone())
-            cohorted = engine.executor.run_clients(
-                clients, ids, model, local, 0, streams
-            )
+        with make_executor(2, cohort_size=4) as executor:
+            cohorted = executor.run_clients(clients, ids, model, local, 0, streams)
         for a, b in zip(baseline, cohorted):
             np.testing.assert_array_equal(a, b)
 
     def test_mixed_parent_and_cohort_clients(self):
-        """A non-parallel-safe client runs in the parent while the rest
-        stack in the workers; ordering is preserved."""
+        """A non-parallel-safe client runs on the calling thread while the
+        rest stack on a pool thread; ordering is preserved."""
         model, clients, _, config = make_world(seed=5, home_client=2)
         local = LocalTrainingConfig(
             epochs=config.local_epochs, batch_size=config.batch_size,
@@ -225,55 +220,42 @@ class TestExecutorIntegration:
         baseline = SequentialExecutor(cohort_size=1).run_clients(
             clients, ids, model, local, 0, streams
         )
-        with make_engine(2, cohort_size=4) as engine:
-            engine.executor.bind(clients=clients, template=model.clone())
-            cohorted = engine.executor.run_clients(
-                clients, ids, model, local, 0, streams
-            )
+        with make_executor(2, cohort_size=4) as executor:
+            cohorted = executor.run_clients(clients, ids, model, local, 0, streams)
         for a, b in zip(baseline, cohorted):
             np.testing.assert_array_equal(a, b)
 
     def test_invalid_cohort_size_rejected(self):
         with pytest.raises(ValueError):
             SequentialExecutor(cohort_size=-1)
-        from repro.fl.parallel import ProcessPoolRoundExecutor
-
         with pytest.raises(ValueError):
-            ProcessPoolRoundExecutor(2, cohort_size=-2)
+            ThreadPoolRoundExecutor(2, cohort_size=-2)
 
 
 class TestCohortEquivalenceMatrix:
     """Cohort-enabled engines commit bit-identical models and records to
-    the seed-baseline per-model sequential engine — Sequential and
-    ProcessPool, each engine on the store ``make_engine`` gives it."""
+    the seed-baseline per-model sequential engine — Sequential and Thread."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
-        return run_and_snapshot(
-            build_defended_sim(
-                SequentialExecutor(cohort_size=1), store=InProcessModelStore()
-            )
-        )
+        return run_and_snapshot(build_defended_sim(SequentialExecutor(cohort_size=1)))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bit_identical_commits(self, baseline, workers):
         baseline_flat, baseline_records = baseline
-        with make_engine(workers, cohort_size=3) as engine:
-            flat, records = run_and_snapshot(build_defended_sim(engine.executor))
+        with make_executor(workers, cohort_size=3) as executor:
+            flat, records = run_and_snapshot(build_defended_sim(executor))
         # Committed models match the seed-baseline sequential engine.
         np.testing.assert_array_equal(baseline_flat, flat)
-        assert shm_leftovers(engine.store) == []
         # Full records match the same engine without cohorting: stacking
         # changes throughput only.
-        with make_engine(workers, cohort_size=1) as twin:
-            twin_flat, twin_records = run_and_snapshot(
-                build_defended_sim(twin.executor)
-            )
+        with make_executor(workers, cohort_size=1) as twin:
+            twin_flat, twin_records = run_and_snapshot(build_defended_sim(twin))
         np.testing.assert_array_equal(twin_flat, flat)
         assert twin_records == records
 
     def test_cohort_survives_forced_rejections(self):
-        """Pool + cohort + forced rejections: rounds after a rejected one
+        """Thread pool + cohort + forced rejections: rounds after a rejected one
         train on the kept model through the cohort path and commit
         bit-identically to the per-model sequential run."""
         reject = (3, 5)
@@ -283,12 +265,10 @@ class TestCohortEquivalenceMatrix:
         sync_records = sync_sim.run(8)
         sync_flat = sync_sim.global_model.get_flat()
 
-        store = SharedMemoryModelStore()
-        with store, make_executor(2, store=store, cohort_size=3) as executor:
-            sim = build_forced_sim(executor, store=store, reject_rounds=reject)
+        with make_executor(2, cohort_size=3) as executor:
+            sim = build_forced_sim(executor, reject_rounds=reject)
             records = sim.run(8)
             flat = sim.global_model.get_flat()
         np.testing.assert_array_equal(sync_flat, flat)
         assert snapshot(sync_records) == snapshot(records)
         assert [r.round_idx for r in records if not r.accepted] == list(reject)
-        assert shm_leftovers(store) == []

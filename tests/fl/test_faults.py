@@ -1,7 +1,7 @@
 """Tests for deterministic fault injection and the resilience layer.
 
-The headline theorem under test: the full ``{sequential, pool, thread}``
-matrix commits bit-identical models and decisions
+The headline theorem under test: the sequential and thread engines commit
+bit-identical models and decisions
 *under injected crashes, stragglers, and dropped votes* — recovery is
 retry-by-replay over per-``(round, entity)`` RNG streams, so a fault that
 was absorbed leaves no trace in the committed trajectory (only in the
@@ -9,10 +9,6 @@ resilience ledger).
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -25,20 +21,13 @@ from repro.fl.faults import (
     InjectedWorkerCrash,
     ResilienceStats,
 )
-from repro.fl.model_store import (
-    SHM_NAME_PREFIX,
-    InProcessModelStore,
-    SharedMemoryModelStore,
-    reap_orphan_segments,
-)
-from repro.fl.parallel import SequentialExecutor, make_engine, make_executor
+from repro.fl.parallel import SequentialExecutor, make_executor
 from repro.fl.simulation import FederatedSimulation
 from repro.obs.trace import Tracer
 from tests.fl.test_parallel import (
     build_defended_sim,
     make_world,
     run_and_snapshot,
-    shm_leftovers,
 )
 
 
@@ -118,15 +107,10 @@ class TestUnfiredEntries:
         assert plan.take("crash", 1, "train", 0) is not None
         assert [str(spec) for spec in plan.unfired()] == ["delay@2.validate.3=0.1"]
 
-    @pytest.mark.parametrize(
-        "workers, engine", [(0, "process"), (2, "process"), (2, "thread")]
-    )
-    def test_missing_slot_warns_once_at_close(self, workers, engine):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_missing_slot_warns_once_at_close(self, workers):
         with pytest.warns(RuntimeWarning, match=r"crash@1\.train\.99") as caught:
-            with make_engine(
-                workers, engine=engine, faults="crash@1.train.99",
-            ) as round_engine:
-                executor = round_engine.executor
+            with make_executor(workers, faults="crash@1.train.99") as executor:
                 build_defended_sim(executor).run(3)
             executor.close()  # idempotent: no second warning
         assert sum("never fired" in str(w.message) for w in caught) == 1
@@ -151,79 +135,6 @@ class TestResilienceStats:
             ResilienceStats().inc("typo_counter")
 
 
-class TestOrphanReaper:
-    def _dead_pid(self) -> int:
-        proc = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True, text=True, check=True,
-        )
-        return int(proc.stdout)
-
-    def test_dead_owner_segments_are_reaped(self, tmp_path):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        name = f"{SHM_NAME_PREFIX}-{self._dead_pid():x}-cafe0000-0"
-        path = f"/dev/shm/{name}"
-        with open(path, "wb") as f:
-            f.write(b"orphan")
-        try:
-            reaped = reap_orphan_segments()
-            assert name in reaped
-            assert not os.path.exists(path)
-        finally:
-            if os.path.exists(path):
-                os.unlink(path)
-
-    def test_live_owner_and_kept_prefixes_survive(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        own = f"{SHM_NAME_PREFIX}-{os.getpid():x}-cafe0001-0"
-        dead_pid = self._dead_pid()
-        kept_prefix = f"{SHM_NAME_PREFIX}-{dead_pid:x}-cafe0002"
-        kept = f"{kept_prefix}-0"
-        for name in (own, kept):
-            with open(f"/dev/shm/{name}", "wb") as f:
-                f.write(b"x")
-        try:
-            reaped = reap_orphan_segments(keep_prefixes=(kept_prefix,))
-            assert own not in reaped and kept not in reaped
-            assert os.path.exists(f"/dev/shm/{own}")
-            assert os.path.exists(f"/dev/shm/{kept}")
-        finally:
-            for name in (own, kept):
-                if os.path.exists(f"/dev/shm/{name}"):
-                    os.unlink(f"/dev/shm/{name}")
-
-    def test_foreign_names_are_left_alone(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        # Not our naming scheme: no embedded pid to judge by.
-        name = f"{SHM_NAME_PREFIX}-notahexpid"
-        with open(f"/dev/shm/{name}", "wb") as f:
-            f.write(b"x")
-        try:
-            assert name not in reap_orphan_segments()
-            assert os.path.exists(f"/dev/shm/{name}")
-        finally:
-            os.unlink(f"/dev/shm/{name}")
-
-    def test_executor_close_reaps_orphans(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        name = f"{SHM_NAME_PREFIX}-{self._dead_pid():x}-cafe0003-0"
-        with open(f"/dev/shm/{name}", "wb") as f:
-            f.write(b"orphan")
-        try:
-            store = SharedMemoryModelStore()
-            with store, make_executor(2, store=store) as executor:
-                pass
-            assert executor.resilience.orphans_reaped >= 1
-            assert not os.path.exists(f"/dev/shm/{name}")
-        finally:
-            if os.path.exists(f"/dev/shm/{name}"):
-                os.unlink(f"/dev/shm/{name}")
-
-
 class TestBindFaults:
     def test_deadline_must_be_positive(self):
         with pytest.raises(ValueError, match="task_deadline_s"):
@@ -241,11 +152,7 @@ class TestBindFaults:
 
 
 def _baseline():
-    return run_and_snapshot(
-        build_defended_sim(
-            SequentialExecutor(cohort_size=1), store=InProcessModelStore()
-        )
-    )
+    return run_and_snapshot(build_defended_sim(SequentialExecutor(cohort_size=1)))
 
 
 class TestEngineRecovery:
@@ -256,74 +163,64 @@ class TestEngineRecovery:
         base_flat, base_records = _baseline()
         with SequentialExecutor() as executor:
             executor.bind_faults(plan="crash@1.train;delay@2.validate=0.01")
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=InProcessModelStore())
-            )
+            flat, records = run_and_snapshot(build_defended_sim(executor))
             stats = executor.resilience.as_dict()
         np.testing.assert_array_equal(base_flat, flat)
         assert base_records == records
         assert stats["retries"] == 1
 
-    def test_pool_crash_rebuilds_and_replays(self):
-        base_flat, base_records = _baseline()
-        store = SharedMemoryModelStore()
-        with store, make_executor(
-            2, store=store, faults="crash@1.train;crash@2.validate"
-        ) as executor:
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=store)
-            )
-            stats = executor.resilience.as_dict()
-        np.testing.assert_array_equal(base_flat, flat)
-        assert base_records == records
-        assert stats["retries"] >= 2
-        assert stats["pool_rebuilds"] >= 2
-        assert shm_leftovers(store) == []
-
-    def test_pool_straggler_is_reassigned_locally(self):
-        base_flat, base_records = _baseline()
-        store = SharedMemoryModelStore()
-        with store, make_executor(
-            2, store=store, faults="delay@3.train.0=1.5", task_deadline_s=0.5
-        ) as executor:
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=store)
-            )
-            stats = executor.resilience.as_dict()
-        np.testing.assert_array_equal(base_flat, flat)
-        assert base_records == records
-        assert stats["straggler_reassignments"] >= 1
-        assert shm_leftovers(store) == []
-
     def test_thread_crash_retries_and_straggler_recomputes(self):
         base_flat, base_records = _baseline()
         with make_executor(
-            2, engine="thread", store=InProcessModelStore(),
-            faults="crash@1.train;crash@2.validate.1;delay@4.validate.0=1.5",
+            2, faults="crash@1.train;crash@2.validate.1;delay@4.validate.0=1.5",
             task_deadline_s=0.5,
         ) as executor:
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=executor._store)
-            )
+            flat, records = run_and_snapshot(build_defended_sim(executor))
             stats = executor.resilience.as_dict()
         np.testing.assert_array_equal(base_flat, flat)
         assert base_records == records
         assert stats["retries"] >= 2
         assert stats["straggler_reassignments"] >= 1
 
-    def test_repeated_pool_death_demotes_to_thread_engine(self):
-        """The degradation ladder: three deaths of one slot spend the
-        rebuild budget, so the pool executor swaps in the thread dispatcher
-        for the rest of the run — one ledger records all of it, and the
-        trajectory still matches fault-free sequential."""
+    def test_retry_budget_spent_replays_on_the_calling_thread(self):
+        """Three crashes of one slot outlast the retry budget: the slice
+        replays on the calling thread, fault-free, and no pool is rebuilt
+        for an in-task crash."""
         base_flat, base_records = _baseline()
         tracer = Tracer()
-        store = SharedMemoryModelStore()
-        with store, make_executor(
-            2, store=store, faults="crash@1.train;crash@1.train;crash@1.train"
+        with make_executor(
+            2, faults="crash@1.train;crash@1.train;crash@1.train"
         ) as executor:
             flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=store, tracer=tracer)
+                build_defended_sim(executor, tracer=tracer)
+            )
+            stats = executor.resilience.as_dict()
+        np.testing.assert_array_equal(base_flat, flat)
+        assert base_records == records
+        assert stats["retries"] == 3
+        assert stats["pool_rebuilds"] == 0
+        replays = [
+            s for s in tracer.finalized_spans() if s.name == "recover.local_replay"
+        ]
+        assert len(replays) == 1
+
+    def test_thread_pool_refusing_work_demotes_to_inline(self, monkeypatch):
+        """The degradation ladder: a thread pool that refuses every task is
+        rebuilt until the budget is spent, then slices run inline for the
+        rest of the run — one ledger records all of it, and the trajectory
+        still matches fault-free sequential."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        base_flat, base_records = _baseline()
+
+        def refuse(self, *args, **kwargs):
+            raise RuntimeError("cannot schedule new futures after shutdown")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+        tracer = Tracer()
+        with make_executor(2) as executor:
+            flat, records = run_and_snapshot(
+                build_defended_sim(executor, tracer=tracer)
             )
             stats = executor.resilience.as_dict()
         np.testing.assert_array_equal(base_flat, flat)
@@ -334,40 +231,10 @@ class TestEngineRecovery:
             s for s in tracer.finalized_spans()
             if s.name == "resilience.engine_demotions"
         ]
-        assert [s.attrs["to"] for s in demotions] == ["thread"]
-        # Later rounds ran on threads: no worker process shipped spans.
-        worker_rounds = {
-            s.round_idx for s in tracer.finalized_spans()
-            if s.pid != tracer.pid
-        }
-        assert max(worker_rounds) <= 1
-        assert shm_leftovers(store) == []
-
-    def test_thread_pool_refusing_work_demotes_to_inline(self, monkeypatch):
-        """The ladder's last rung: a thread pool that refuses every task is
-        rebuilt until the budget is spent, then slices run inline."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        base_flat, base_records = _baseline()
-
-        def refuse(self, *args, **kwargs):
-            raise RuntimeError("cannot schedule new futures after shutdown")
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
-        with make_executor(
-            2, engine="thread", store=InProcessModelStore()
-        ) as executor:
-            flat, records = run_and_snapshot(
-                build_defended_sim(executor, store=executor.store)
-            )
-            stats = executor.resilience.as_dict()
-        np.testing.assert_array_equal(base_flat, flat)
-        assert base_records == records
-        assert stats["pool_rebuilds"] == 3
-        assert stats["engine_demotions"] == 1
+        assert [s.attrs["to"] for s in demotions] == ["inline"]
 
 
-def build_policy_sim(executor, policy="strict", quorum_min=1, store=None):
+def build_policy_sim(executor, policy="strict", quorum_min=1):
     """A defended sim whose quorum policy is explicit (drop-fault tests)."""
     model, clients, server_data, config = make_world()
     pool = ValidatorPool.from_datasets(
@@ -384,7 +251,7 @@ def build_policy_sim(executor, policy="strict", quorum_min=1, store=None):
     defense.prime(model)
     return FederatedSimulation(
         model.clone(), clients, config, np.random.default_rng(8),
-        defense=defense, executor=executor, model_store=store,
+        defense=defense, executor=executor,
     )
 
 
@@ -401,15 +268,15 @@ CHAOS_FAULTS = (
 
 
 class TestEquivalenceUnderFaults:
-    """The acceptance matrix: ``{pool, thread}``, each engine on the store
-    ``make_engine`` gives it, under crashes, stragglers, and a dropped vote
-    (quorum policy ``degrade``) commits bit-identical models and accept
-    decisions to the fault-free sequential baseline."""
+    """The acceptance matrix: the thread engine, under crashes, stragglers,
+    and a dropped vote (quorum policy ``degrade``), commits bit-identical
+    models and accept decisions to the fault-free per-model sequential
+    baseline."""
 
     @pytest.fixture(scope="class")
     def fault_free(self):
         with SequentialExecutor(cohort_size=1) as executor:
-            sim = build_policy_sim(executor, store=InProcessModelStore())
+            sim = build_policy_sim(executor)
             records = sim.run(8)
             flat = sim.global_model.get_flat()
         return flat, [
@@ -417,14 +284,12 @@ class TestEquivalenceUnderFaults:
             for r in records
         ]
 
-    @pytest.mark.parametrize("engine", ["process", "thread"])
-    def test_faulty_run_matches_fault_free_baseline(self, fault_free, engine):
+    def test_faulty_run_matches_fault_free_baseline(self, fault_free):
         base_flat, base_decisions = fault_free
-        with make_engine(
-            2, engine=engine, faults=CHAOS_FAULTS, task_deadline_s=0.5,
-        ) as round_engine:
-            store, executor = round_engine.store, round_engine.executor
-            sim = build_policy_sim(executor, policy="degrade", store=store)
+        with make_executor(
+            2, faults=CHAOS_FAULTS, task_deadline_s=0.5,
+        ) as executor:
+            sim = build_policy_sim(executor, policy="degrade")
             records = sim.run(8)
             flat = sim.global_model.get_flat()
             stats = executor.resilience.as_dict()
@@ -445,4 +310,3 @@ class TestEquivalenceUnderFaults:
         assert dropped.quorum_size == 2
         assert dropped.decision.quorum_degraded
         assert DROPPED_VALIDATOR not in dropped.decision.client_votes
-        assert shm_leftovers(store) == []

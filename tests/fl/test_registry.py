@@ -91,13 +91,11 @@ class TestPartitionSpecEquivalence:
             spec.indices(-1)
 
     def test_pickle_roundtrip_replays_identically(self):
-        """Worker processes receive the spec without its parts cache and
-        replay their own copy — bit-identically."""
+        """A pickled spec reads back the identical split."""
         pool = make_pool()
         spec = PartitionSpec.dirichlet(pool.y, 8, 0.9, np.random.default_rng(3))
         original = [spec.indices(c) for c in range(8)]  # populate cache
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone._parts is None  # cache dropped on the wire
         for cid in range(8):
             np.testing.assert_array_equal(clone.indices(cid), original[cid])
 
@@ -218,16 +216,6 @@ class TestClientRegistry:
         assert registry.is_parallel_safe(0)
         assert not registry.is_parallel_safe(1)
         assert not registry.is_malicious(0)
-
-    def test_worker_view_strips_unsafe_overrides(self):
-        safe = HonestClient(2, make_pool(n=12))
-        unsafe = HonestClient(1, make_pool(n=12))
-        unsafe.parallel_safe = False
-        registry = self._registry(overrides={1: unsafe, 2: safe})
-        view = registry.worker_view()
-        assert view.num_overrides == 1
-        assert view[2] is safe
-        assert len(view) == len(registry)
 
 
 class TestRegistrySimulationEquivalence:

@@ -96,19 +96,6 @@ class TestLimit:
         assert errors == []
         assert blas.thread_count() == host
 
-    def test_holds_combine_by_the_smallest_cap(self):
-        """A later hold never raises an earlier one."""
-        host = blas.thread_count()
-        try:
-            blas.hold(1)
-            blas.hold(2)
-            assert blas.thread_count() == 1
-            blas.hold(host)
-            assert blas.thread_count() == 1
-        finally:
-            blas._held.close()
-        assert blas.thread_count() == host
-
 
 def test_limit_is_a_no_op_when_unbound(monkeypatch):
     before = blas.thread_count()

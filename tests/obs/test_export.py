@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 
 from repro.obs import Tracer
 from repro.obs.cli import main as trace_cli
@@ -22,7 +21,7 @@ from repro.obs.trace import NULL_TRACER
 
 def traced_run(rounds: int = 3) -> Tracer:
     """A tracer carrying a small synthetic run: phases, a commit, a
-    worker batch, and some metrics."""
+    worker span, and some metrics."""
     tracer = Tracer()
     for round_idx in range(rounds):
         for phase in ("select", "train", "aggregate", "validate"):
@@ -32,17 +31,9 @@ def traced_run(rounds: int = 3) -> Tracer:
             pass
         tracer.metrics.counter("rounds_total").inc()
         tracer.metrics.counter("rounds_accepted").inc()
-    tracer.merge_worker(
-        (
-            4242,
-            time.monotonic_ns(),
-            [("train.client", "worker", time.monotonic_ns(), 500, 1, 0,
-              {"client": 2})],
-            (3, 1),
-        )
-    )
+    with tracer.span("train.client", cat="worker", round_idx=0, client=2):
+        pass
     tracer.metrics.gauge("rounds_per_s").set(12.5)
-    tracer.metrics.counter("transport_bytes").inc(1000)
     return tracer
 
 
@@ -88,7 +79,7 @@ class TestChromeTrace:
             elif event["ph"] == "i":
                 assert event["s"] == "t"
 
-    def test_process_metadata_labels_server_and_workers(self):
+    def test_process_metadata_labels_the_server(self):
         tracer = traced_run()
         events = chrome_trace(tracer)["traceEvents"]
         names = {
@@ -96,8 +87,7 @@ class TestChromeTrace:
             for event in events
             if event["ph"] == "M" and event["name"] == "process_name"
         }
-        assert names[tracer.pid] == "server"
-        assert names[4242] == "worker-4242"
+        assert names == {tracer.pid: "server"}
 
     def test_round_index_folded_into_args(self):
         events = chrome_trace(traced_run())["traceEvents"]
@@ -117,15 +107,7 @@ class TestSummaries:
         text = summarize_trace(tracer.finalized_spans(), tracer.metrics.snapshot())
         assert "rounds: 3 (3 accepted" in text
         assert "throughput: 12.50 rounds/s" in text
-        assert "transport: 1000 B" in text.splitlines()
         assert "train" in text and "validate" in text
-
-    def test_summary_omits_transport_when_no_counter_was_kept(self):
-        tracer = traced_run()
-        snapshot = tracer.metrics.snapshot()
-        del snapshot["counters"]["transport_bytes"]
-        text = summarize_trace(tracer.finalized_spans(), snapshot)
-        assert "transport" not in text
 
     def test_diff_identical_traces_is_structurally_clean(self):
         spans = traced_run().finalized_spans()

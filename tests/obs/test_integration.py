@@ -2,9 +2,9 @@
 
 The hard contract: tracing is pure observation.  A traced run commits
 bit-identical models and round records to an untraced run of the same
-seed, in every cell of the engine matrix — and the trace itself carries
-worker-side spans merged onto the server timeline, plus a reject span for
-every rejected round.
+seed, on every engine — and the trace itself carries the pool threads'
+worker spans on the server timeline, plus a reject span for every
+rejected round.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.baffle import (
     ValidatorPool,
 )
 from repro.core.validation import MisclassificationValidator
-from repro.fl.model_store import InProcessModelStore, SharedMemoryModelStore
 from repro.fl.parallel import SequentialExecutor, make_executor
 from repro.fl.simulation import FederatedSimulation
 from repro.obs import Tracer
@@ -28,7 +27,7 @@ from tests.fl.test_parallel import make_world, run_and_snapshot
 ROUNDS = 8
 
 
-def build_sim(executor, store=None, tracer=None, reject_rounds=None, seed=7):
+def build_sim(executor, tracer=None, reject_rounds=None, seed=7):
     model, clients, server_data, config = make_world(seed)
     validator_pool = ValidatorPool.from_datasets(
         {c.client_id: c.dataset for c in clients}, min_history=4
@@ -47,35 +46,24 @@ def build_sim(executor, store=None, tracer=None, reject_rounds=None, seed=7):
     defense.prime(model)
     return FederatedSimulation(
         model.clone(), clients, config, np.random.default_rng(seed + 1),
-        defense=defense, executor=executor, model_store=store, tracer=tracer,
+        defense=defense, executor=executor, tracer=tracer,
     )
 
 
 class TestTracedUntracedBitIdentity:
-    """Tracing must not perturb a single committed bit, anywhere in the
-    {sequential, pool, thread} matrix (one traced run per engine family,
-    each on its own store; the untraced cross-cell equivalence is
+    """Tracing must not perturb a single committed bit on the sequential
+    or the thread engine (the untraced cross-engine equivalence is
     tests/fl/test_parallel.py's job)."""
 
-    @pytest.mark.parametrize(
-        "workers, engine, store_cls",
-        [
-            (0, None, InProcessModelStore),
-            (2, "process", SharedMemoryModelStore),
-            (2, "thread", InProcessModelStore),
-        ],
-    )
-    def test_traced_run_matches_untraced(self, workers, engine, store_cls):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_traced_run_matches_untraced(self, workers):
         untraced_flat, untraced_records = run_and_snapshot(
-            build_sim(SequentialExecutor(cohort_size=1), store=InProcessModelStore()),
-            rounds=ROUNDS,
+            build_sim(SequentialExecutor(cohort_size=1)), rounds=ROUNDS,
         )
         tracer = Tracer()
-        store = store_cls()
-        kwargs = {} if engine is None else {"engine": engine}
-        with store, make_executor(workers, store=store, **kwargs) as executor:
+        with make_executor(workers) as executor:
             flat, records = run_and_snapshot(
-                build_sim(executor, store=store, tracer=tracer), rounds=ROUNDS
+                build_sim(executor, tracer=tracer), rounds=ROUNDS
             )
         np.testing.assert_array_equal(untraced_flat, flat)
         assert untraced_records == records
@@ -85,30 +73,10 @@ class TestTracedUntracedBitIdentity:
 
 
 class TestWorkerSpanMerge:
-    def test_process_engine_ships_worker_spans_back(self):
-        tracer = Tracer()
-        store = SharedMemoryModelStore()
-        with store, make_executor(2, store=store, engine="process") as executor:
-            sim = build_sim(executor, store=store, tracer=tracer)
-            sim.run(ROUNDS)
-        spans = tracer.finalized_spans()
-        worker_spans = [s for s in spans if s.pid != tracer.pid]
-        assert worker_spans, "process workers must ship spans back"
-        assert {s.cat for s in worker_spans} == {"worker"}
-        names = {s.name for s in worker_spans}
-        assert "train.client" in names or "train.cohort" in names
-        # Offset normalization keeps the merged timeline sorted.
-        starts = [s.start_ns for s in spans]
-        assert starts == sorted(starts)
-        # Worker store telemetry landed in the registry.
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters.get("shm.worker_attaches", 0) > 0
-
     def test_thread_engine_records_worker_spans_in_process(self):
         tracer = Tracer()
-        store = InProcessModelStore()
-        with make_executor(2, store=store, engine="thread") as executor:
-            sim = build_sim(executor, store=store, tracer=tracer)
+        with make_executor(2) as executor:
+            sim = build_sim(executor, tracer=tracer)
             sim.run(ROUNDS)
         spans = tracer.finalized_spans()
         worker_spans = [s for s in spans if s.cat == "worker"]
@@ -118,6 +86,11 @@ class TestWorkerSpanMerge:
         names = {s.name for s in worker_spans}
         assert "train.client" in names or "train.cohort" in names
         assert "validate.vote" in names
+        # Pool threads recorded them, not the calling thread.
+        main = {s.tid for s in spans if s.name == "train" and s.cat == "phase"}
+        assert {s.tid for s in worker_spans}.isdisjoint(main)
+        starts = [s.start_ns for s in spans]
+        assert starts == sorted(starts)
 
 
 class TestRoundLifecycleSpans:

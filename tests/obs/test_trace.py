@@ -1,4 +1,4 @@
-"""Unit tests for spans, the tracer, clock-offset merge, and metrics."""
+"""Unit tests for spans, the tracer, and metrics."""
 
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ class TestNullTracer:
     def test_disabled_and_inert(self):
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.event("x") is None
-        assert NULL_TRACER.merge_worker(None) is None
         assert NULL_TRACER.elapsed_s() == 0.0
 
     def test_make_tracer_dispatch(self):
@@ -118,54 +117,25 @@ class TestTracerRecording:
         assert starts == sorted(starts)
 
 
-class TestWorkerMerge:
-    @staticmethod
-    def row(name, start_ns, dur_ns=100, round_idx=0):
-        # (name, cat, start_ns, dur_ns, tid, round_idx, attrs): the tuple
-        # shape _drain_worker_trace packs in repro.fl.parallel.
-        return (name, "worker", start_ns, dur_ns, 1, round_idx, {"client": 5})
-
-    def test_none_payload_is_ignored(self):
+class TestPoolThreadSpans:
+    def test_spans_from_another_thread_keep_its_tid_and_the_pid(self):
+        """The thread engine records worker spans from pool threads: they
+        land on the one timeline with the tracer's pid and their own tid."""
         tracer = Tracer()
-        tracer.merge_worker(None)
-        assert tracer.finalized_spans() == []
+        tids = []
 
-    def test_worker_span_lands_on_server_timeline(self):
-        tracer = Tracer()
-        # Worker clock 5 s behind the server's: raw row times would land
-        # nonsensically in the past without offset normalization.
-        skew = 5_000_000_000
-        sent_ns = time.monotonic_ns() - skew
-        server_before_merge = time.monotonic_ns()
-        tracer.merge_worker(
-            (9999, sent_ns, [self.row("train.client", sent_ns - 1000)], None)
-        )
+        def work():
+            tids.append(threading.get_ident())
+            with tracer.span("train.client", cat="worker", round_idx=0, client=5):
+                pass
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join()
         [span] = tracer.finalized_spans()
-        assert span.pid == 9999
-        # Shifted by receive-sent: lands at (receive - 1000), i.e. on the
-        # server's timeline, never 5 s in the past.
-        assert span.start_ns >= server_before_merge - 1000
-        assert span.dur_ns == 100
+        assert (span.pid, span.tid) == (tracer.pid, tids[0])
+        assert span.tid != threading.get_ident()
         assert span.attrs == {"client": 5}
-
-    def test_min_offset_across_batches_wins(self):
-        tracer = Tracer()
-        now = time.monotonic_ns()
-        # First batch simulates slow transit (sent long ago), second is
-        # fresh: the fresh batch's tighter offset must re-anchor both.
-        tracer.merge_worker((7, now - 2_000_000_000, [self.row("a", now)], None))
-        tracer.merge_worker((7, time.monotonic_ns(), [self.row("b", now)], None))
-        spans = {s.name: s for s in tracer.finalized_spans()}
-        # Same worker-clock start, same pid => same (minimum) offset.
-        assert spans["a"].start_ns == spans["b"].start_ns
-
-    def test_store_stats_feed_shm_counters(self):
-        tracer = Tracer()
-        tracer.merge_worker((1, time.monotonic_ns(), [], (4, 3)))
-        tracer.merge_worker((2, time.monotonic_ns(), [], (2, 1)))
-        counters = tracer.metrics.snapshot()["counters"]
-        assert counters["shm.worker_attaches"] == 6
-        assert counters["shm.worker_attach_hits"] == 4
 
 
 class TestMetricsRegistry:
