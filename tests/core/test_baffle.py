@@ -221,6 +221,51 @@ class TestReviewCommitCycle:
         defense.record_outcome(candidate, accepted=False)
         assert all(v.committed == [] for v in validators.values())
 
+    def test_pre_start_acceptance_tells_every_validator_its_version(
+        self, model, rng
+    ):
+        defense, validators = self.make_defense(model, start_round=3)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        defense.record_outcome(candidate, accepted=True)
+        appended = defense.history.latest()[0]
+        for validator in validators.values():
+            assert validator.committed == [(candidate, appended)]
+
+    def test_the_server_validator_is_told_too(self, model, rng):
+        server = _RecordingValidator(0)
+        defense = BaffleDefense(
+            BaffleConfig(lookback=4, quorum=2, num_validators=2, mode="both"),
+            ValidatorPool({0: _RecordingValidator(0), 1: _RecordingValidator(0)}),
+            server,
+        )
+        defense.prime(model)
+        candidate = model.clone()
+        defense.review(candidate, 0, rng)
+        staged = defense.history.staged_version
+        defense.record_outcome(candidate, accepted=True)
+        assert server.committed == [(candidate, staged)]
+
+    @pytest.mark.parametrize("outcomes", [
+        (True,) * 7,
+        (False,) * 7,
+        (True, False, False, True, True, False, True),
+    ])
+    def test_the_store_holds_exactly_the_window_across_reviews(
+        self, model, rng, outcomes
+    ):
+        defense, _ = self.make_defense(model)
+        for round_idx, accepted in enumerate(outcomes):
+            candidate = model.clone()
+            candidate.set_flat(model.get_flat() + rng.normal(0.0, 0.1, model.num_parameters))
+            defense.review(candidate, round_idx, rng)
+            defense.record_outcome(candidate, accepted=accepted)
+        history = defense.history
+        assert len(history) == min(1 + sum(outcomes), 5)  # lookback + 1
+        assert history.store.versions() == history.versions()
+        assert all(history.store.refcount(v) == 1 for v in history.versions())
+        assert history.staged_version is None
+
 
 class TestForcedRejectDefense:
     """The scripted-rejection defense the engine tests and the parallel

@@ -144,3 +144,108 @@ class TestStagedCommits:
             history.append(accepted)
         for (_, stored), accepted in zip(history.entries(), models):
             np.testing.assert_array_equal(stored.get_flat(), accepted.get_flat())
+
+    def test_straggler_reference_survives_discard(self, model, rng):
+        """A vote still running on a rejected candidate holds the models of
+        its context: discarding the candidate from the store leaves them
+        readable."""
+        history = ModelHistory(max_models=3)
+        history.append(model)
+        candidate = _distinct(model, rng)
+        version = history.stage_candidate(candidate)
+        context = (candidate, history.entries())  # the in-flight vote's view
+        history.discard_staged()
+        assert version not in history.store
+        np.testing.assert_array_equal(context[0].get_flat(), candidate.get_flat())
+        np.testing.assert_array_equal(context[1][0][1].get_flat(), model.get_flat())
+
+    def test_commit_twice_without_restaging_rejected(self, model, rng):
+        history = ModelHistory(max_models=3)
+        history.stage_candidate(_distinct(model, rng))
+        history.commit_staged()
+        with pytest.raises(RuntimeError, match="no candidate is staged"):
+            history.commit_staged()
+
+    def test_first_model_may_arrive_by_staging(self, model):
+        history = ModelHistory(max_models=3)
+        version = history.stage_candidate(model)
+        assert len(history) == 0
+        assert history.commit_staged() == version
+        latest_version, latest = history.latest()
+        assert latest_version == version
+        np.testing.assert_array_equal(latest.get_flat(), model.get_flat())
+
+    def test_restaged_candidate_is_the_one_that_commits(self, model, rng):
+        history = ModelHistory(max_models=3)
+        history.append(model)
+        first = history.stage_candidate(_distinct(model, rng))
+        second_model = _distinct(model, rng)
+        second = history.stage_candidate(second_model)
+        assert history.commit_staged() == second
+        assert history.versions() == [0, second]
+        assert history.store.versions() == [0, second]
+        assert first not in history.store
+        np.testing.assert_array_equal(
+            history.latest()[1].get_flat(), second_model.get_flat()
+        )
+
+    def test_identical_candidate_gets_a_fresh_version(self, model):
+        """Staging never deduplicates against the window: every reviewed
+        round gets its own strictly increasing version."""
+        history = ModelHistory(max_models=3)
+        committed = history.append(model)
+        staged = history.stage_candidate(model)
+        assert staged > committed
+        assert history.store.refcount(committed) == 1
+        assert history.store.refcount(staged) == 1
+
+    def test_staging_changes_neither_length_nor_latest(self, model, rng):
+        history = ModelHistory(max_models=2)
+        history.append(model)
+        history.append(model)
+        history.stage_candidate(_distinct(model, rng))
+        assert len(history) == 2 and history.is_full
+        assert history.latest()[0] == 1
+
+
+class TestWindowAccounting:
+    """The history's store holds exactly its window, one reference per
+    version, whatever the capacity and however many models went by."""
+
+    @pytest.mark.parametrize("max_models", [1, 2, 5])
+    def test_store_holds_exactly_the_window(self, model, rng, max_models):
+        history = ModelHistory(max_models=max_models)
+        for _ in range(7):
+            history.append(_distinct(model, rng))
+        assert len(history) == max_models
+        assert history.store.versions() == history.versions()
+        assert all(history.store.refcount(v) == 1 for v in history.versions())
+
+    @pytest.mark.parametrize("outcomes", [
+        (True, False, True, True),
+        (False, False, False, True),
+        (True, True, True, True),
+    ])
+    def test_reviewed_rounds_leave_only_the_window(self, model, rng, outcomes):
+        history = ModelHistory(max_models=2)
+        history.append(model)
+        accepted = [0]
+        for accept in outcomes:
+            version = history.stage_candidate(_distinct(model, rng))
+            if accept:
+                history.commit_staged()
+                accepted.append(version)
+            else:
+                history.discard_staged()
+        assert history.versions() == accepted[-2:]
+        assert history.store.versions() == history.versions()
+        assert history.staged_version is None
+
+    def test_entries_materialize_each_version_once(self, model, rng):
+        history = ModelHistory(max_models=3)
+        for _ in range(3):
+            history.append(_distinct(model, rng))
+        first = [m for _, m in history.entries()]
+        again = [m for _, m in history.entries()]
+        assert all(a is b for a, b in zip(first, again))
+        assert history.latest()[1] is first[-1]

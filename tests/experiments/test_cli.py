@@ -102,6 +102,21 @@ class TestSharedExecutionFlags:
         with pytest.raises(ValueError, match="seed_workers"):
             main(["detect", "--seeds", "1", "--seed-workers", "-3"])
 
+    @pytest.mark.parametrize("command", ["table1", "fig3", "table2"])
+    def test_every_seed_sweep_rejects_negative_seed_workers(
+        self, command, monkeypatch
+    ):
+        """The sweeps fan seeds out through the same helper, so each
+        rejects the count before any environment is built."""
+        from repro.experiments import runner
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a seed ran despite the invalid count")
+
+        monkeypatch.setattr(runner, "run_stable_scenario", no_run)
+        with pytest.raises(ValueError, match="seed_workers"):
+            main([command, "--seeds", "1", "--seed-workers", "-3"])
+
     @pytest.mark.parametrize(
         "flag", [["--codec", "identity"], ["--allow-lossy"]]
     )

@@ -46,6 +46,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
+    def test_thread_is_the_engine_at_every_worker_count(self, workers):
+        """``engine`` names the one multi-worker engine; below two workers
+        it is ignored, not rejected."""
+        config = ExperimentConfig(workers=workers)
+        assert config.engine == "thread"
+        assert config.with_updates(engine="thread").workers == workers
+
+    def test_with_updates_validates_the_engine(self):
+        with pytest.raises(ValueError, match="engine"):
+            ExperimentConfig().with_updates(engine="process")
+
     def test_environment_key_ignores_engine_knobs(self):
         """workers/engine are pure throughput knobs: engines commit
         bit-identical models, so cached environments are shared."""

@@ -135,6 +135,53 @@ def _seed_echo(payload, seed):
     return payload, seed
 
 
+class TestSeedPoolShape:
+    """Only ``seed_workers >= 2`` over more than one seed starts a pool,
+    of at most one process per seed, and results keep the seed order."""
+
+    @staticmethod
+    def _record_pools(monkeypatch) -> list[int]:
+        from repro.experiments import runner
+
+        sizes: list[int] = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("seed_workers, seeds, pools", [
+        (2, (0,), []),
+        (5, (0,), []),
+        (2, (0, 1, 2), [2]),
+        (8, (0, 1, 2), [3]),
+        (3, (4, 1), [2]),
+    ])
+    def test_pool_size_is_capped_by_the_seed_count(
+        self, monkeypatch, seed_workers, seeds, pools
+    ):
+        sizes = self._record_pools(monkeypatch)
+        result = _map_over_seeds(_seed_echo, "x", seeds, seed_workers=seed_workers)
+        assert sizes == pools
+        assert result == [("x", seed) for seed in seeds]
+
+    def test_a_real_pool_returns_results_in_seed_order(self):
+        assert _map_over_seeds(_seed_echo, "x", (3, 1, 2), seed_workers=2) == [
+            ("x", 3), ("x", 1), ("x", 2),
+        ]
+
+
 class TestSweeps:
     def test_sweep_lookback_covers_grid(self, fast_config):
         results = sweep_lookback(

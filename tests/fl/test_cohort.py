@@ -254,6 +254,16 @@ class TestCohortEquivalenceMatrix:
         np.testing.assert_array_equal(twin_flat, flat)
         assert twin_records == records
 
+    @pytest.mark.parametrize(
+        "workers, cohort_size", [(2, 2), (3, None), (3, 1), (3, 2), (3, 3)]
+    )
+    def test_every_chunk_size_on_any_pool(self, baseline, workers, cohort_size):
+        baseline_flat, baseline_records = baseline
+        with make_executor(workers, cohort_size=cohort_size) as executor:
+            flat, records = run_and_snapshot(build_defended_sim(executor))
+        np.testing.assert_array_equal(baseline_flat, flat)
+        assert baseline_records == records
+
     def test_cohort_survives_forced_rejections(self):
         """Thread pool + cohort + forced rejections: rounds after a rejected one
         train on the kept model through the cohort path and commit

@@ -28,6 +28,7 @@ from tests.fl.test_parallel import (
     build_defended_sim,
     make_world,
     run_and_snapshot,
+    snapshot,
 )
 
 
@@ -310,3 +311,79 @@ class TestEquivalenceUnderFaults:
         assert dropped.quorum_size == 2
         assert dropped.decision.quorum_degraded
         assert DROPPED_VALIDATOR not in dropped.decision.client_votes
+
+
+class TestFaultMatrix:
+    """Each crash placement, on each engine, costs one retry per planned
+    crash, is charged to the round it hit, and leaves the committed
+    trajectory where the fault-free run put it."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("plan, crash_round, retries", [
+        ("crash@0.train", 0, 1),
+        ("crash@1.validate.2", 1, 1),
+        ("crash@4.train;crash@4.validate", 4, 2),
+        ("crash@6.validate.1;crash@6.validate.1", 6, 2),
+    ])
+    def test_crashes_are_absorbed_in_their_round(
+        self, workers, plan, crash_round, retries
+    ):
+        base_flat, base_records = _baseline()
+        with make_executor(workers, faults=plan) as executor:
+            sim = build_defended_sim(executor)
+            records = sim.run(8)
+            flat = sim.global_model.get_flat()
+            stats = executor.resilience.as_dict()
+            assert executor.fault_plan.unfired() == ()
+        np.testing.assert_array_equal(base_flat, flat)
+        assert snapshot(records) == base_records
+        assert stats["retries"] == retries
+        assert stats["pool_rebuilds"] == stats["engine_demotions"] == 0
+        assert [r.retries for r in records] == [
+            retries if r.round_idx == crash_round else 0 for r in records
+        ]
+
+
+class TestDroppedVotesOnEngines:
+    """Vote loss is a pure function of the round: both engines see the
+    same loss, and a drop naming a validator the round did not sample
+    changes nothing."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_strict_policy_stalls_on_either_engine(self, workers):
+        from repro.fl.faults import QuorumStallError
+
+        drop = f"drop@{DROPPED_ROUND}.vote.{DROPPED_VALIDATOR}"
+        with make_executor(workers, faults=drop) as executor:
+            sim = build_policy_sim(executor, policy="strict")
+            with pytest.raises(QuorumStallError, match="strict"):
+                sim.run(8)
+        assert sim.round_idx == DROPPED_ROUND
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_degraded_quorum_is_identical_across_engines(self, workers):
+        drop = f"drop@{DROPPED_ROUND}.vote.{DROPPED_VALIDATOR}"
+        with make_executor(0, cohort_size=1, faults=drop) as executor:
+            reference = build_policy_sim(executor, policy="degrade").run(8)
+        with make_executor(workers, faults=drop) as executor:
+            sim = build_policy_sim(executor, policy="degrade")
+            records = sim.run(8)
+            stats = executor.resilience.as_dict()
+        assert [r.decision for r in records] == [r.decision for r in reference]
+        assert [r.quorum_size for r in records] == [
+            r.quorum_size for r in reference
+        ]
+        assert (stats["dropped_votes"], stats["quorum_degradations"]) == (1, 1)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_dropping_an_unsampled_validator_changes_nothing(self, workers):
+        with make_executor(0, cohort_size=1) as executor:
+            reference = build_policy_sim(executor, policy="strict").run(8)
+        sampled = set(reference[DROPPED_ROUND].decision.client_votes)
+        absent = min(set(range(6)) - sampled)
+        with make_executor(
+            workers, faults=f"drop@{DROPPED_ROUND}.vote.{absent}"
+        ) as executor:
+            records = build_policy_sim(executor, policy="strict").run(8)
+            assert executor.resilience.total() == 0
+        assert snapshot(records) == snapshot(reference)

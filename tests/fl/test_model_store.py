@@ -189,3 +189,164 @@ class TestStoreBackedHistory:
     def test_commit_without_stage_rejected(self):
         with pytest.raises(RuntimeError):
             ModelHistory(max_models=2).commit_staged()
+
+
+@pytest.mark.usefixtures("policy")
+class TestContentAddressing:
+    """``publish`` deduplicates on the policy-dtype *bytes*: equal values
+    with different bytes are distinct content, equal bytes are one."""
+
+    def test_dedup_resolves_to_the_newest_live_twin(self, rng):
+        store = ModelStore()
+        flat = rng.normal(size=16)
+        first = store.publish(flat)
+        twin = store.publish_new(flat)
+        assert store.publish(flat) == twin
+        assert (store.refcount(first), store.refcount(twin)) == (1, 2)
+
+    def test_signed_zeros_are_distinct_content(self):
+        store = ModelStore()
+        positive = store.publish(np.zeros(4))
+        negative = store.publish(-np.zeros(4))
+        assert positive != negative
+        assert np.signbit(store.get(negative)).all()
+        assert not np.signbit(store.get(positive)).any()
+
+    def test_nan_vectors_with_equal_bytes_deduplicate(self):
+        store = ModelStore()
+        flat = np.array([np.nan, 1.0, np.nan])
+        version = store.publish(flat)
+        assert store.publish(flat.copy()) == version
+        assert store.refcount(version) == 2
+
+    def test_one_ulp_apart_is_distinct_content(self, policy, rng):
+        store = ModelStore()
+        flat = rng.normal(size=16).astype(policy)
+        other = flat.copy()
+        other[7] = np.nextafter(other[7], np.inf)
+        assert store.publish(flat) != store.publish(other)
+        assert store.versions() == [0, 1]
+
+    def test_adopted_content_deduplicates(self, rng):
+        store = ModelStore()
+        flat = rng.normal(size=8)
+        store.adopt(5, flat)
+        assert store.publish(flat) == 5
+        assert store.refcount(5) == 2
+
+    def test_contains_tracks_only_live_versions(self, rng):
+        store = ModelStore()
+        version = store.publish(rng.normal(size=4))
+        assert version in store and version + 1 not in store
+        store.release(version)
+        assert version not in store
+
+
+@pytest.mark.parametrize(
+    "policy_name, shared", [("float32", True), ("float64", False)]
+)
+def test_dedup_compares_the_vectors_after_the_policy_cast(policy_name, shared, rng):
+    """Two float64 vectors that differ below float32 resolution are one
+    entry under the float32 policy and two under float64."""
+    flat = rng.normal(size=32)
+    nudged = flat.copy()
+    nudged[3] += 1e-12
+    with dtype_policy(policy_name):
+        store = ModelStore()
+        same = store.publish(flat) == store.publish(nudged)
+    assert same is shared
+
+
+@pytest.mark.usefixtures("policy")
+class TestVersionAllocation:
+    def test_versions_are_never_reused_after_release(self, rng):
+        store = ModelStore()
+        released = store.publish_new(rng.normal(size=4))
+        store.release(released)
+        assert store.publish_new(rng.normal(size=4)) > released
+        assert store.publish(rng.normal(size=4)) > released
+
+    def test_adopt_below_the_counter_keeps_the_counter(self, rng):
+        store = ModelStore()
+        versions = [store.publish_new(rng.normal(size=4)) for _ in range(4)]
+        store.release(versions[1])
+        assert store.adopt(versions[1], rng.normal(size=4)) == versions[1]
+        assert store.publish_new(rng.normal(size=4)) == versions[-1] + 1
+
+    def test_versions_list_ascending_after_adopts(self, rng):
+        store = ModelStore()
+        store.adopt(9, rng.normal(size=4))
+        fresh = store.publish_new(rng.normal(size=4))
+        store.adopt(3, rng.normal(size=4))
+        assert fresh == 10
+        assert store.versions() == [3, 9, 10]
+
+    def test_adopt_rejects_a_non_flat_vector(self, rng):
+        store = ModelStore()
+        with pytest.raises(ValueError, match="flat"):
+            store.adopt(0, rng.normal(size=(2, 3)))
+        assert store.versions() == []
+
+
+@pytest.mark.usefixtures("policy")
+class TestRefcounts:
+    def test_unknown_version_has_no_references(self):
+        store = ModelStore()
+        assert store.refcount(0) == 0
+        assert store.refcount(123) == 0
+
+    @pytest.mark.parametrize("hits", [1, 2, 5])
+    def test_each_dedup_hit_is_one_more_release_to_evict(self, rng, hits):
+        store = ModelStore()
+        flat = rng.normal(size=8)
+        version = store.publish(flat)
+        for _ in range(hits):
+            assert store.publish(flat) == version
+        assert store.refcount(version) == hits + 1
+        for left in range(hits, 0, -1):
+            store.release(version)
+            assert store.refcount(version) == left
+        store.release(version)
+        assert version not in store
+
+    def test_publish_new_and_adopt_start_at_one_reference(self, rng):
+        store = ModelStore()
+        fresh = store.publish_new(rng.normal(size=4))
+        adopted = store.adopt(7, rng.normal(size=4))
+        assert store.refcount(fresh) == store.refcount(adopted) == 1
+
+    def test_bytes_published_counts_every_copy_in(self, policy, rng):
+        """``publish_new`` and ``adopt`` always copy; only a ``publish``
+        dedup hit is free."""
+        store = ModelStore()
+        flat = rng.normal(size=10)
+        store.publish(flat)
+        store.publish_new(flat)
+        store.adopt(9, flat)
+        store.publish(flat)  # dedup hit
+        assert store.bytes_published == 3 * 10 * policy.itemsize
+
+
+class TestInputCasting:
+    @pytest.mark.parametrize("source", ["float16", "float32", "float64", "int64"])
+    def test_any_numeric_input_is_stored_in_the_policy_dtype(self, policy, source):
+        flat = np.arange(-3, 5).astype(source)
+        store = ModelStore()
+        stored = store.get(store.publish(flat))
+        assert stored.dtype == policy
+        np.testing.assert_array_equal(stored, flat.astype(policy))
+
+    def test_a_strided_view_is_stored_contiguous(self, policy, rng):
+        base = rng.normal(size=20)
+        view = base[::2]
+        store = ModelStore()
+        stored = store.get(store.publish(view))
+        assert stored.flags.c_contiguous
+        np.testing.assert_array_equal(stored, view.astype(policy))
+
+    def test_get_returns_the_stored_array_without_a_copy(self, policy, rng):
+        store = ModelStore()
+        version = store.publish(rng.normal(size=6))
+        assert store.get(version) is store.get(version)
+        with pytest.raises(ValueError):
+            store.get(version)[0] = 1.0

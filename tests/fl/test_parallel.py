@@ -219,7 +219,8 @@ class TestSequentialParallelEquivalence:
         np.testing.assert_array_equal(seq_flat, par_flat)
         assert seq_records == par_records
 
-    def test_parent_fallback_clients_preserve_equivalence(self):
+    @pytest.mark.parametrize("home_client", [0, 1, 3, 5])
+    def test_parent_fallback_clients_preserve_equivalence(self, home_client):
         """Clients with ``parallel_safe = False`` run in the parent but
         must not perturb the committed trajectory."""
         seq_flat, seq_records = run_and_snapshot(
@@ -227,7 +228,7 @@ class TestSequentialParallelEquivalence:
         )
         with make_executor(2) as executor:
             par_flat, par_records = run_and_snapshot(
-                build_defended_sim(executor, home_client=1)
+                build_defended_sim(executor, home_client=home_client)
             )
         np.testing.assert_array_equal(seq_flat, par_flat)
         assert seq_records == par_records

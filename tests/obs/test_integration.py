@@ -93,6 +93,77 @@ class TestWorkerSpanMerge:
         assert starts == sorted(starts)
 
 
+class TestWorkerSpansPerRound:
+    """The executor's slice spans account for every pooled entity of
+    every round, on either engine."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_vote_span_per_sampled_validator(self, workers):
+        tracer = Tracer()
+        with make_executor(workers) as executor:
+            records = build_sim(executor, tracer=tracer).run(ROUNDS)
+        votes: dict[int, int] = {}
+        for span in tracer.finalized_spans():
+            if span.name == "validate.vote":
+                assert span.cat == "worker"
+                votes[span.round_idx] = votes.get(span.round_idx, 0) + 1
+        assert votes == {
+            r.round_idx: len(r.decision.client_votes) for r in records
+        }
+
+    @pytest.mark.parametrize("workers, cohort_size", [(0, 1), (0, None), (2, 1), (2, None)])
+    def test_training_spans_cover_every_contributor(self, workers, cohort_size):
+        tracer = Tracer()
+        with make_executor(workers, cohort_size=cohort_size) as executor:
+            records = build_sim(executor, tracer=tracer).run(ROUNDS)
+        trained: dict[int, int] = {}
+        for span in tracer.finalized_spans():
+            if span.name == "train.client":
+                trained[span.round_idx] = trained.get(span.round_idx, 0) + 1
+            elif span.name == "train.cohort":
+                assert cohort_size is None
+                trained[span.round_idx] = (
+                    trained.get(span.round_idx, 0) + span.attrs["clients"]
+                )
+        assert trained == {
+            r.round_idx: len(r.contributor_ids) for r in records
+        }
+
+
+class TestResilienceOnTheTrace:
+    """Recovery incidents reach the trace as they reach the ledger, on
+    either engine, and a traced faulty run still commits the untraced
+    fault-free trajectory."""
+
+    PLAN = "crash@1.train;crash@3.validate.1"
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_counters_and_events_mirror_the_ledger(self, workers):
+        tracer = Tracer()
+        with make_executor(workers, faults=self.PLAN) as executor:
+            build_sim(executor, tracer=tracer).run(ROUNDS)
+            ledger = executor.resilience.as_dict()
+        assert ledger["retries"] == 2
+        assert tracer.metrics.snapshot()["counters"]["resilience.retries"] == 2
+        events = [s for s in tracer.finalized_spans() if s.cat == "resilience"]
+        assert [(e.name, e.round_idx, e.attrs["phase"]) for e in events] == [
+            ("resilience.retries", 1, "train"),
+            ("resilience.retries", 3, "validate"),
+        ]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_traced_faulty_run_matches_untraced_fault_free(self, workers):
+        base_flat, base_records = run_and_snapshot(
+            build_sim(SequentialExecutor(cohort_size=1)), rounds=ROUNDS,
+        )
+        with make_executor(workers, faults=self.PLAN) as executor:
+            flat, records = run_and_snapshot(
+                build_sim(executor, tracer=Tracer()), rounds=ROUNDS
+            )
+        np.testing.assert_array_equal(base_flat, flat)
+        assert base_records == records
+
+
 class TestRoundLifecycleSpans:
     def test_commit_span_for_every_accepted_round(self):
         tracer = Tracer()
