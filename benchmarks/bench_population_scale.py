@@ -15,7 +15,9 @@ Measures the two claims behind the registry/precision work:
    drift cancels.  Registry construction time and process peak RSS are
    tracked alongside; the eager path (every client materialized up
    front) is timed at 1k only and skipped above that, where its linear
-   memory would swamp the host.
+   memory would swamp the host.  The registry is a library API: the
+   paper's scenarios hold every shard, since every honest client there
+   also validates.
 
 2. **Precision policy.**  Under ``dtype_policy("float32")`` the whole
    round loop — parameters, stacked substrate, optimizer state,
@@ -70,9 +72,9 @@ class ModularShardFactory(ClientFactory):
     """O(1)-construction factory: client ``cid``'s shard is an arithmetic
     stride over one fixed sample pool.
 
-    Stands in for :class:`LazyShardFactory` at populations where a real
-    partition draw is infeasible (a 1M-column Dirichlet matrix), while
-    exercising the identical registry machinery: ``make`` builds a plain
+    A real partition draw is infeasible at these populations (a 1M-column
+    Dirichlet matrix), and the registry machinery does not depend on how
+    a factory finds a shard: ``make`` builds a plain
     :class:`HonestClient` over a fresh ``pool.subset`` view, metadata is
     answered without materializing, and the shard dies at ``end_round``.
     Coprime stride constants spread neighbouring clients across the pool

@@ -12,8 +12,13 @@ Usage::
     python -m repro trace   traces/run.jsonl [other.jsonl]
 
 Each experiment subcommand prints the corresponding paper artefact as
-text (the same renderers the benchmark suite uses) and accepts
-``--sanitize`` to run under the runtime sanitizer
+text (the same renderers the benchmark suite uses).  ``--workers``,
+``--seed-workers`` and ``--cohort-size`` change only how fast the report
+comes; ``--dtype float32`` runs its own trajectory.  Every scenario holds
+every client's shard, because each honest client also validates (the
+paper's feedback loop); :mod:`repro.fl.registry` is the library API for
+populations whose clients can be built on selection.  Each subcommand
+also accepts ``--sanitize`` to run under the runtime sanitizer
 (:mod:`repro.analysis.sanitize`) and ``--trace <dir>`` (or
 ``REPRO_TRACE=<dir>``) to record round-lifecycle spans and run metrics
 (:mod:`repro.obs`).  ``lint`` runs the static determinism battery
@@ -73,7 +78,7 @@ def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
         workers=args.workers,
         cohort_size=args.cohort_size,
         sanitize=args.sanitize, trace=args.trace,
-        dtype_policy=args.dtype, virtual_clients=args.virtual_clients,
+        dtype_policy=args.dtype,
         faults=args.faults, task_deadline_s=args.task_deadline,
         quorum_policy=args.quorum_policy, quorum_min=args.quorum_min,
         **fields,
@@ -231,13 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "float64 commits bit-identically to the seed "
                             "baseline; float32 halves memory with "
                             "its own cross-engine bit-identity contract")
-        p.add_argument("--virtual-clients", action="store_true",
-                       dest="virtual_clients",
-                       help="virtual client registry (repro.fl.registry): "
-                            "clients materialize on selection and are "
-                            "discarded after the round; round memory scales "
-                            "with the cohort, not the population (results "
-                            "are identical)")
         p.add_argument("--sanitize", action="store_true",
                        help="run under the runtime sanitizer "
                             "(repro.analysis.sanitize): dtype assertions "

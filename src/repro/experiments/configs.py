@@ -117,12 +117,6 @@ class ExperimentConfig:
     # The policy changes every committed weight, so it participates in
     # ``environment_key``.
     dtype_policy: str = "float64"
-    # Virtual client population (repro.fl.registry): clients are pure IDs,
-    # materialized on selection from the environment's recorded partition
-    # spec and discarded after the round.  Commits bit-identical models to
-    # the eager path, so it stays out of ``environment_key`` like the
-    # engine knobs.
-    virtual_clients: bool = False
     # Fault injection (repro.fl.faults): a deterministic fault-spec string
     # ("crash@3.train;delay@4.validate.1=0.3;drop@5.vote.7") consumed by
     # the executors' resilience layer.  Recovery is retry-by-replay over

@@ -16,13 +16,13 @@ from repro.attacks.base import BackdoorTask
 from repro.attacks.label_flip import LabelFlipBackdoor, pick_label_flip_classes
 from repro.attacks.semantic_backdoor import SemanticBackdoor
 from repro.data.dataset import Dataset
+from repro.data.partition import dirichlet_partition
 from repro.data.synthetic_cifar import SyntheticCifar
 from repro.data.synthetic_femnist import SyntheticFemnist
 from repro.experiments.configs import ExperimentConfig
 from repro.fl.client import HonestClient
 from repro.fl.config import FLConfig
 from repro.fl.parallel import make_executor
-from repro.fl.registry import ClientRegistry, LazyShardFactory, PartitionSpec
 from repro.fl.simulation import FederatedSimulation
 from repro.nn.models import make_mlp
 from repro.nn.network import Network
@@ -45,11 +45,6 @@ class Environment:
     backdoor: BackdoorTask
     attacker_id: int
     num_classes: int
-    #: The undivided client sample pool and its replayable partition — the
-    #: inputs of a virtual :class:`~repro.fl.registry.ClientRegistry`.
-    #: ``shards`` above is the eager materialization of exactly this split.
-    client_pool: Dataset | None = None
-    partition_spec: PartitionSpec | None = None
 
 
 def build_environment(
@@ -67,16 +62,9 @@ def build_environment(
         data_rng, train_rng = [
             np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
         ]
-        if config.dataset == "cifar":
-            (shards, server_data, test_data, backdoor, num_classes,
-             client_pool, spec) = _build_cifar(config, data_rng)
-        else:
-            (shards, server_data, test_data, backdoor, num_classes,
-             client_pool, spec) = _build_femnist(config, data_rng)
-
-        stable_model = _pretrain(
-            config, shards, num_classes, train_rng, pool=client_pool, spec=spec
-        )
+        build = _build_cifar if config.dataset == "cifar" else _build_femnist
+        shards, server_data, test_data, backdoor, num_classes = build(config, data_rng)
+        stable_model = _pretrain(config, shards, num_classes, train_rng)
     env = Environment(
         config=config,
         seed=seed,
@@ -87,8 +75,6 @@ def build_environment(
         backdoor=backdoor,
         attacker_id=0,
         num_classes=num_classes,
-        client_pool=client_pool,
-        partition_spec=spec,
     )
     if cache:
         _ENV_CACHE[key] = env
@@ -108,18 +94,13 @@ def _build_cifar(config: ExperimentConfig, rng: np.random.Generator):
     pool = task.sample(config.pool_size, rng)
     test_data = task.sample(config.test_size, rng)
     client_pool, server_data = pool.split(config.client_share, rng)
-    # The spec records the generator state, runs the real Dirichlet draw
-    # (advancing ``rng`` exactly as the old eager call did), and replays
-    # it here for the eager shards — so eager and lazy splits are the
-    # same draw by construction.
-    spec = PartitionSpec.dirichlet(
+    parts = dirichlet_partition(
         client_pool.y, config.num_clients, config.dirichlet_alpha, rng,
         min_samples=_MIN_SHARD,
     )
-    shards = [client_pool.subset(p) for p in spec.all_parts()]
+    shards = [client_pool.subset(p) for p in parts]
     backdoor = SemanticBackdoor(task)
-    return (shards, server_data, test_data, backdoor, task.num_classes,
-            client_pool, spec)
+    return shards, server_data, test_data, backdoor, task.num_classes
 
 
 def _build_femnist(config: ExperimentConfig, rng: np.random.Generator):
@@ -143,18 +124,7 @@ def _build_femnist(config: ExperimentConfig, rng: np.random.Generator):
     attacker_shard = shards[0]
     source, target = pick_label_flip_classes(attacker_shard, rng)
     backdoor = LabelFlipBackdoor(task, source, target, attacker_writer=0)
-    # Writer shards are topped up with writer-specific draws a spec cannot
-    # replay, so the lazy form re-pools the *final* shards: one
-    # concatenated pool with consecutive-range parts (bit-identical data,
-    # explicit — not replayed — indices).
-    combined = Dataset.concat(shards)
-    bounds = np.cumsum([0] + [len(s) for s in shards])
-    parts = [
-        np.arange(bounds[i], bounds[i + 1]) for i in range(len(shards))
-    ]
-    spec = PartitionSpec.from_parts(parts)
-    return (shards, server_data, test_data, backdoor, task.num_classes,
-            combined, spec)
+    return shards, server_data, test_data, backdoor, task.num_classes
 
 
 def _pretrain(
@@ -162,8 +132,6 @@ def _pretrain(
     shards: list[Dataset],
     num_classes: int,
     rng: np.random.Generator,
-    pool: Dataset | None = None,
-    spec: PartitionSpec | None = None,
 ) -> Network:
     """Clean federated training to (approximate) stability.
 
@@ -174,10 +142,7 @@ def _pretrain(
     """
     flat_dim = shards[0].x.shape[1]
     model = make_mlp(flat_dim, num_classes, rng, hidden=config.hidden)
-    if config.virtual_clients and pool is not None and spec is not None:
-        clients = ClientRegistry(LazyShardFactory(pool, spec))
-    else:
-        clients = [HonestClient(i, shard) for i, shard in enumerate(shards)]
+    clients = [HonestClient(i, shard) for i, shard in enumerate(shards)]
     fl_config = FLConfig(
         num_clients=config.num_clients,
         clients_per_round=config.clients_per_round,

@@ -28,7 +28,6 @@ from repro.experiments.persistence import save_run
 from repro.fl.client import Client, HonestClient
 from repro.fl.config import FLConfig
 from repro.fl.parallel import make_executor
-from repro.fl.registry import ClientRegistry, LazyShardFactory
 from repro.fl.selection import ScheduledSelector
 from repro.fl.simulation import FederatedSimulation, RoundRecord
 from repro.nn.metrics import accuracy, confusion_matrix, source_focused_errors
@@ -416,11 +415,9 @@ def _build_clients(
     env: Environment,
     defense: BaffleDefense | None,
     effective_global_lr: float,
-) -> list[Client] | ClientRegistry:
-    """The scenario's client population: an eager list, or — under
-    ``config.virtual_clients`` — a :class:`ClientRegistry` whose honest
-    clients materialize on selection, with the attacker as a permanently
-    resident override.  Both commit bit-identical models."""
+) -> list[Client]:
+    """The scenario's client population: the attacker at
+    ``env.attacker_id`` and an honest client on every other shard."""
     replacement = ReplacementConfig(
         # Full-replacement boost N/lambda for the lambda this run uses.
         boost=config.num_clients / effective_global_lr,
@@ -449,16 +446,6 @@ def _build_clients(
             env.backdoor,
             replacement,
             set(config.attack_rounds),
-        )
-    if config.virtual_clients:
-        if env.client_pool is None or env.partition_spec is None:
-            raise ValueError(
-                "environment carries no lazy partition spec; rebuild it "
-                "with this repro version before using virtual_clients"
-            )
-        return ClientRegistry(
-            LazyShardFactory(env.client_pool, env.partition_spec),
-            overrides={env.attacker_id: attacker},
         )
     return [
         attacker if cid == env.attacker_id else HonestClient(cid, shard)

@@ -12,17 +12,15 @@ The store holds each vector as a read-only copy in the precision-policy
 dtype (:mod:`repro.nn.precision`) and :meth:`ModelStore.get` returns it as
 is, so ``bytes_published`` counts exactly the policy-dtype bytes copied in.
 
-Publishing is content-addressed: :meth:`ModelStore.publish` digests the
-weight bytes and returns the existing version when identical content is
-already live.  :meth:`ModelStore.publish_new` bypasses the digest lookup
-for callers that need a fresh version tag per call (the history's strictly
-increasing version numbering).  Entries are refcounted; :meth:`release`
-drops a reference and evicts the entry when none remain.
+Publishing is content-addressed: :meth:`ModelStore.publish` compares the
+weight bytes with the live vectors and returns the existing version when
+identical content is already live.  :meth:`ModelStore.publish_new` skips
+that lookup for callers that need a fresh version tag per call (the
+history's strictly increasing version numbering).  Entries are refcounted;
+:meth:`release` drops a reference and evicts the entry when none remain.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from repro.nn.precision import active_dtype
 def _as_flat(flat: np.ndarray) -> np.ndarray:
     """Flatten-check + cast to the active precision-policy dtype.
 
-    The store's content digests and byte counters are taken over the
+    The store's content comparison and byte counters are taken over the
     policy-dtype bytes, so a float32 run dedups and accounts in float32
     end to end (exactly half the float64 bytes).
     """
@@ -47,12 +45,9 @@ class ModelStore:
 
     def __init__(self) -> None:
         self._refs: dict[int, int] = {}
-        #: ``version -> read-only policy-dtype vector`` that ``get`` returns.
+        #: ``version -> read-only policy-dtype vector`` that ``get`` returns,
+        #: in publish order (``publish`` dedups to the newest live twin).
         self._vectors: dict[int, np.ndarray] = {}
-        #: ``digest -> live versions holding that content`` (``publish_new``
-        #: can legitimately create several); dedup resolves to the newest.
-        self._digests: dict[bytes, list[int]] = {}
-        self._by_version_digest: dict[int, bytes] = {}
         self._next_version = 0
         self._bytes_published = 0
 
@@ -63,22 +58,20 @@ class ModelStore:
         """Store ``flat`` and return its version (content-deduplicated).
 
         If a live version already holds identical bytes, that version's
-        refcount is incremented and no data is copied.
+        refcount is incremented and no data is copied; of several such
+        versions, the most recently published one is returned.
         """
         flat = _as_flat(flat)
-        digest = hashlib.sha1(flat.tobytes()).digest()
-        live = self._digests.get(digest)
-        if live:
-            version = live[-1]
-            self._refs[version] += 1
-            return version
-        return self._publish_at(self._alloc_version(), flat, digest)
+        raw = flat.view(np.uint8)
+        for version, stored in reversed(self._vectors.items()):
+            if np.array_equal(stored.view(np.uint8), raw):
+                self._refs[version] += 1
+                return version
+        return self._publish_at(self._alloc_version(), flat)
 
     def publish_new(self, flat: np.ndarray) -> int:
         """Store ``flat`` under a guaranteed-fresh version (no dedup)."""
-        flat = _as_flat(flat)
-        digest = hashlib.sha1(flat.tobytes()).digest()
-        return self._publish_at(self._alloc_version(), flat, digest)
+        return self._publish_at(self._alloc_version(), _as_flat(flat))
 
     def adopt(self, version: int, flat: np.ndarray) -> int:
         """Store ``flat`` under an explicit ``version``.
@@ -89,24 +82,21 @@ class ModelStore:
         if version in self._refs:
             raise ValueError(f"version {version} is already live in this store")
         flat = _as_flat(flat)
-        digest = hashlib.sha1(flat.tobytes()).digest()
         self._next_version = max(self._next_version, version + 1)
-        return self._publish_at(version, flat, digest)
+        return self._publish_at(version, flat)
 
     def _alloc_version(self) -> int:
         version = self._next_version
         self._next_version += 1
         return version
 
-    def _publish_at(self, version: int, flat: np.ndarray, digest: bytes) -> int:
+    def _publish_at(self, version: int, flat: np.ndarray) -> int:
         # Copy: ``flat`` may be the caller's own array.
         stored = flat.copy()
         stored.flags.writeable = False
         self._vectors[version] = stored
         self._bytes_published += flat.nbytes
         self._refs[version] = 1
-        self._digests.setdefault(digest, []).append(version)
-        self._by_version_digest[version] = digest
         return version
 
     def get(self, version: int) -> np.ndarray:
@@ -140,11 +130,6 @@ class ModelStore:
             self._refs[version] = count - 1
             return
         del self._refs[version]
-        digest = self._by_version_digest.pop(version)
-        live = self._digests[digest]
-        live.remove(version)
-        if not live:
-            del self._digests[digest]
         del self._vectors[version]
 
     def refcount(self, version: int) -> int:

@@ -1,27 +1,26 @@
-"""Virtual client registry: a million-client population as IDs + metadata.
+"""Virtual client registry: a client population as IDs + metadata.
 
-The eager path materializes every registered client up front — each one
-owning a :class:`~repro.data.dataset.Dataset` shard — so memory and setup
-cost grow linearly with population size even though a round only ever
-touches ``clients_per_round`` of them.  This module inverts that: clients
+An eager population materializes every registered client up front —
+each one owning a :class:`~repro.data.dataset.Dataset` shard — so memory
+and setup cost grow linearly with population size even though a round
+only ever touches ``clients_per_round`` of them.  This module inverts
+that for populations whose clients do nothing between selections: they
 are pure IDs until selected.  A :class:`ClientFactory` knows how to build
-client ``cid`` on demand (its shard computed lazily from a recorded
-:class:`PartitionSpec`, bit-identical to the eager split), the
-:class:`ClientRegistry` caches materialized clients for the duration of
-one round and discards them afterwards, and metadata queries (malicious?
-parallel-safe? cohortable? shard length?) are answered without
-materializing anything.
+client ``cid`` on demand, the :class:`ClientRegistry` caches materialized
+clients for the duration of one round and discards them afterwards, and
+metadata queries (malicious? parallel-safe? cohortable? shard length?)
+are answered without materializing anything.
+
+BaFFLe's scenarios do not use it: every honest client also validates
+(``scenarios._build_defense`` builds a validator on each non-attacker
+shard), so a scenario holds every shard anyway.  The registry is the
+library API that ``benchmarks/bench_population_scale.py`` measures.
 
 Determinism contract
 --------------------
-A registry-backed run commits **bit-identical** models to the eager run:
+A registry-backed run commits **bit-identical** models to an eager list
+of the same clients:
 
-- :class:`PartitionSpec` records the partition RNG's state *before* the
-  draw and then performs the real draw against the caller's generator —
-  advancing the shared stream exactly as the eager path does — so every
-  downstream draw (server split, pretraining, attacker setup) is
-  unchanged.  ``indices(cid)`` later replays the identical draw from the
-  recorded state on a detached generator.
 - Client *training* randomness never lived on the client object: it is
   derived per ``(round, client_id)`` from :class:`~repro.fl.rng.RngStreams`
   spawn keys, so a client materialized fresh each round trains exactly
@@ -33,149 +32,9 @@ A registry-backed run commits **bit-identical** models to the eager run:
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterator, Mapping
 
-import numpy as np
-
-from repro.data import partition as partition_lib
-from repro.data.dataset import Dataset
-from repro.fl.client import Client, HonestClient
-
-
-def _generator_from_state(state: dict) -> np.random.Generator:
-    """A detached generator restored to a recorded bit-generator state."""
-    bit_class = getattr(np.random, state["bit_generator"])
-    bit_gen = bit_class()
-    bit_gen.state = copy.deepcopy(state)
-    return np.random.Generator(bit_gen)
-
-
-class PartitionSpec:
-    """A recorded partition draw, replayable lazily per client.
-
-    The constructor classmethods snapshot the caller's generator state,
-    then run the *real* partition function against that generator — the
-    result is discarded, but the stream advances exactly as the eager
-    path's did, so everything drawn afterwards is unchanged.  The first
-    :meth:`indices` call replays the identical draw from the snapshot on
-    a detached generator and caches the parts (index arrays total at most
-    one entry per pool sample, so the cache is bounded by the pool, not
-    the population).
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        num_clients: int,
-        *,
-        state: dict | None = None,
-        labels: np.ndarray | None = None,
-        alpha: float | None = None,
-        min_samples: int = 1,
-        num_samples: int | None = None,
-        writer_ids: np.ndarray | None = None,
-    ) -> None:
-        self.kind = kind
-        self.num_clients = num_clients
-        self._state = state
-        self._labels = labels
-        self._alpha = alpha
-        self._min_samples = min_samples
-        self._num_samples = num_samples
-        self._writer_ids = writer_ids
-        self._parts: list[np.ndarray] | None = None
-
-    # ------------------------------------------------------------------
-    # Constructors (advance the caller's stream like the eager split)
-    # ------------------------------------------------------------------
-    @classmethod
-    def dirichlet(
-        cls,
-        labels: np.ndarray,
-        num_clients: int,
-        alpha: float,
-        rng: np.random.Generator,
-        min_samples: int = 1,
-    ) -> "PartitionSpec":
-        labels = np.asarray(labels)
-        state = copy.deepcopy(rng.bit_generator.state)
-        partition_lib.dirichlet_partition(
-            labels, num_clients, alpha, rng, min_samples=min_samples
-        )
-        return cls(
-            "dirichlet",
-            num_clients,
-            state=state,
-            labels=labels,
-            alpha=alpha,
-            min_samples=min_samples,
-        )
-
-    @classmethod
-    def iid(
-        cls, num_samples: int, num_clients: int, rng: np.random.Generator
-    ) -> "PartitionSpec":
-        state = copy.deepcopy(rng.bit_generator.state)
-        partition_lib.iid_partition(num_samples, num_clients, rng)
-        return cls("iid", num_clients, state=state, num_samples=num_samples)
-
-    @classmethod
-    def writer(cls, writer_ids: np.ndarray) -> "PartitionSpec":
-        writer_ids = np.asarray(writer_ids)
-        num_clients = len(np.unique(writer_ids))
-        return cls("writer", num_clients, writer_ids=writer_ids)
-
-    @classmethod
-    def from_parts(cls, parts: list[np.ndarray]) -> "PartitionSpec":
-        """Wrap an already-computed split (no replay; parts held as-is).
-
-        For populations whose shards exist eagerly anyway (e.g. FEMNIST's
-        per-writer shards, which are topped up with writer-specific draws
-        the spec cannot replay) — the registry lifecycle still applies,
-        only the index arrays stay resident.
-        """
-        spec = cls("explicit", len(parts))
-        spec._parts = [np.asarray(p) for p in parts]
-        return spec
-
-    # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def _replay(self) -> list[np.ndarray]:
-        if self._parts is None:
-            if self.kind == "dirichlet":
-                rng = _generator_from_state(self._state)
-                self._parts = partition_lib.dirichlet_partition(
-                    self._labels,
-                    self.num_clients,
-                    self._alpha,
-                    rng,
-                    min_samples=self._min_samples,
-                )
-            elif self.kind == "iid":
-                rng = _generator_from_state(self._state)
-                self._parts = partition_lib.iid_partition(
-                    self._num_samples, self.num_clients, rng
-                )
-            elif self.kind == "writer":
-                self._parts = partition_lib.writer_partition(self._writer_ids)
-            else:  # pragma: no cover - constructors fix the kind set
-                raise ValueError(f"unknown partition kind {self.kind!r}")
-        return self._parts
-
-    def indices(self, cid: int) -> np.ndarray:
-        """Client ``cid``'s sample indices, bit-identical to the eager split."""
-        if not 0 <= cid < self.num_clients:
-            raise IndexError(f"client id {cid} outside [0, {self.num_clients})")
-        return self._replay()[cid]
-
-    def shard_len(self, cid: int) -> int:
-        return len(self.indices(cid))
-
-    def all_parts(self) -> list[np.ndarray]:
-        """Every client's index array (the full eager split)."""
-        return self._replay()
+from repro.fl.client import Client
 
 
 class ClientFactory:
@@ -188,7 +47,8 @@ class ClientFactory:
     carry — they let the registry answer scheduling queries by metadata.
     """
 
-    #: Factory-made clients are plain :class:`HonestClient`s eligible for
+    #: Factory-made clients are plain
+    #: :class:`~repro.fl.client.HonestClient`s eligible for
     #: stacked cohort training.
     cohort_safe: bool = True
     #: Factory-made clients may train on pool threads.
@@ -203,24 +63,6 @@ class ClientFactory:
 
     def shard_len(self, cid: int) -> int:
         raise NotImplementedError
-
-
-class LazyShardFactory(ClientFactory):
-    """Honest clients over lazy shards of one shared sample pool."""
-
-    def __init__(self, pool: Dataset, spec: PartitionSpec) -> None:
-        self.pool = pool
-        self.spec = spec
-
-    @property
-    def num_clients(self) -> int:
-        return self.spec.num_clients
-
-    def make(self, cid: int) -> Client:
-        return HonestClient(cid, self.pool.subset(self.spec.indices(cid)))
-
-    def shard_len(self, cid: int) -> int:
-        return self.spec.shard_len(cid)
 
 
 class ClientRegistry:
@@ -336,9 +178,4 @@ class ClientRegistry:
         return len(self._active)
 
 
-__all__ = [
-    "ClientFactory",
-    "ClientRegistry",
-    "LazyShardFactory",
-    "PartitionSpec",
-]
+__all__ = ["ClientFactory", "ClientRegistry"]

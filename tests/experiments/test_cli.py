@@ -68,7 +68,7 @@ class TestSharedExecutionFlags:
         with pytest.raises(_ConfigBuilt) as built:
             main([
                 command, "--workers", "3", "--cohort-size", "5",
-                "--dtype", "float32", "--virtual-clients", "--sanitize",
+                "--dtype", "float32", "--sanitize",
                 "--trace", str(tmp_path), "--faults", "crash@3.train",
                 "--task-deadline", "0.5", "--quorum-policy", "degrade",
                 "--quorum-min", "2",
@@ -77,7 +77,7 @@ class TestSharedExecutionFlags:
         assert (config.workers, config.engine) == (3, "thread")  # the one kind
         assert config.cohort_size == 5
         assert config.dtype_policy == "float32"
-        assert config.virtual_clients and config.sanitize
+        assert config.sanitize
         assert config.trace == str(tmp_path)
         assert (config.faults, config.task_deadline_s) == ("crash@3.train", 0.5)
         assert (config.quorum_policy, config.quorum_min) == ("degrade", 2)

@@ -3,11 +3,26 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.attacks.label_flip import LabelFlipBackdoor
 from repro.attacks.semantic_backdoor import SemanticBackdoor
+from repro.data.dataset import Dataset
+from repro.data.partition import dirichlet_partition
+from repro.data.synthetic_cifar import SyntheticCifar
 from repro.experiments.environment import build_environment, clear_environment_cache
 from repro.nn.metrics import accuracy
+
+
+def held_datasets(env) -> dict[str, list[Dataset]]:
+    """Every ``Dataset`` an environment holds, by attribute name."""
+    held = {}
+    for name, value in vars(env).items():
+        items = value if isinstance(value, list) else [value]
+        datasets = [item for item in items if isinstance(item, Dataset)]
+        if datasets:
+            held[name] = datasets
+    return held
 
 
 class TestCifarEnvironment:
@@ -45,6 +60,45 @@ class TestCifarEnvironment:
         clear_environment_cache()
         b = build_environment(fast_config, seed=0)
         assert a is not b
+
+
+class TestEnvironmentData:
+    """An environment holds each generated sample once: the client
+    shards, the server's share and the test set, nothing else."""
+
+    @pytest.mark.parametrize("config_name", ["fast_config", "fast_femnist_config"])
+    def test_only_shards_server_and_test_data_are_held(self, config_name, request):
+        env = build_environment(request.getfixturevalue(config_name), seed=0)
+        assert set(held_datasets(env)) == {"shards", "server_data", "test_data"}
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cifar_rows_sum_to_the_generated_samples(self, fast_config, seed):
+        env = build_environment(fast_config, seed=seed)
+        rows = sum(len(d) for ds in held_datasets(env).values() for d in ds)
+        assert rows == fast_config.pool_size + fast_config.test_size
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cifar_shards_are_one_dirichlet_draw_on_the_data_stream(
+        self, fast_config, seed
+    ):
+        """The environment's data stream, replayed by hand: pool, test
+        set, client/server split, then one Dirichlet draw."""
+        env = build_environment(fast_config, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+        task = SyntheticCifar()
+        pool = task.sample(fast_config.pool_size, rng)
+        test = task.sample(fast_config.test_size, rng)
+        client_pool, server = pool.split(fast_config.client_share, rng)
+        parts = dirichlet_partition(
+            client_pool.y, fast_config.num_clients, fast_config.dirichlet_alpha,
+            rng, min_samples=10,
+        )
+        assert len(env.shards) == len(parts)
+        for shard, part in zip(env.shards, parts):
+            np.testing.assert_array_equal(shard.x, client_pool.x[part])
+            np.testing.assert_array_equal(shard.y, client_pool.y[part])
+        np.testing.assert_array_equal(env.server_data.x, server.x)
+        np.testing.assert_array_equal(env.test_data.y, test.y)
 
 
 class TestFemnistEnvironment:

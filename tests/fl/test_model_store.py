@@ -204,6 +204,16 @@ class TestContentAddressing:
         assert store.publish(flat) == twin
         assert (store.refcount(first), store.refcount(twin)) == (1, 2)
 
+    def test_newest_means_last_published_not_highest_version(self, rng):
+        store = ModelStore()
+        flat = rng.normal(size=16)
+        store.publish_new(flat)
+        store.publish_new(flat)
+        store.release(0)
+        store.adopt(0, flat)
+        assert store.publish(flat) == 0
+        assert (store.refcount(0), store.refcount(1)) == (2, 1)
+
     def test_signed_zeros_are_distinct_content(self):
         store = ModelStore()
         positive = store.publish(np.zeros(4))

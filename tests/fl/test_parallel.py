@@ -696,15 +696,17 @@ class TestRegistryEngineEquivalence:
     any pool thread runs."""
 
     def _registry_world(self, seed: int = 7):
-        from repro.fl.registry import ClientRegistry, LazyShardFactory, PartitionSpec
+        from repro.data.partition import iid_partition
+        from repro.fl.registry import ClientRegistry
+        from tests.fl.test_registry import PartsFactory
 
         rng = np.random.default_rng(seed)
         centers = np.array([[2.0, 0.0], [-2.0, 1.5], [0.0, -2.5]])
         labels = np.tile(np.arange(3), 120)
         x = centers[labels] + rng.normal(0.0, 0.4, size=(len(labels), 2))
         pool = Dataset(x, labels, 3)
-        spec = PartitionSpec.iid(len(pool), 6, rng)
-        registry = ClientRegistry(LazyShardFactory(pool, spec))
+        parts = iid_partition(len(pool), 6, rng)
+        registry = ClientRegistry(PartsFactory(pool, parts))
         model = make_mlp(2, 3, rng, hidden=(8,))
         config = FLConfig(num_clients=6, clients_per_round=3, local_epochs=1,
                           batch_size=16)
